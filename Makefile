@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos sweep-smoke fuzz-smoke fuzz-matrix bench bench-smoke bench-figures lint analyze analyze-sarif analyze-baseline experiments examples clean
+.PHONY: install test chaos sweep-smoke fuzz-smoke fuzz-matrix dvmbench-smoke bench bench-smoke bench-figures lint analyze analyze-sarif analyze-baseline experiments examples clean
 
 # Seed matrix for the chaos battery (comma-separated injector seeds).
 REPRO_CHAOS_SEEDS ?= 0,1,2,3
@@ -49,6 +49,15 @@ fuzz-smoke:
 fuzz-matrix:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed-matrix \
 		--base-seed $(REPRO_FUZZ_BASE_SEED)
+
+# Benchmark smoke: the tiny dvmbench run checks the fig8-large, faults
+# and sweep-bench rows against the scalar-engine digests in
+# benchmarks/dvmbench/reference.json and runs the fuzz oracle, so a src/
+# change that moves any simulated row fails; then the benchmark's own
+# tests.  Blocking in CI; see benchmarks/dvmbench/README.md.
+dvmbench-smoke:
+	$(PYTHON) benchmarks/dvmbench/dvmbench.py --tiny
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/dvmbench/tests -q
 
 # Timing-engine benchmark: full Figure 8 sweep under both engines,
 # recorded in BENCH_timing.json at the repo root.

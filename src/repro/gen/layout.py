@@ -40,7 +40,7 @@ import numpy as np
 from repro.common.consts import PAGE_SIZE
 from repro.common.perms import Perm
 from repro.core.config import MMUConfig
-from repro.gen.perms import gen_region_perms
+from repro.gen.perms import gen_region_perms, readable
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
 from repro.hw.fault_queue import FaultPath, FaultQueue
@@ -99,6 +99,12 @@ def gen_layout(rng: np.random.Generator) -> LayoutPlan:
     unmap_region = None
     if count >= 3 and rng.random() < 0.3:
         unmap_region = int(rng.integers(0, count))
+        if not any(readable(r.perm) for i, r in enumerate(regions)
+                   if i != unmap_region):
+            # The benign stream needs a readable region left mapped: unmap
+            # a neighbour of the only one instead (no extra draw, so every
+            # other seed's layout is unchanged).
+            unmap_region = (unmap_region + 1) % count
     roll = rng.random()
     if roll < 0.3:
         pressure = "fragment"

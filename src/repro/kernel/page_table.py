@@ -28,8 +28,11 @@ from dataclasses import dataclass, field
 
 from repro.common.consts import (
     ENTRIES_PER_NODE,
+    LEVEL_BITS,
     LEVEL_SPAN,
+    LEVELS,
     NODE_SIZE,
+    PAGE_SHIFT,
     PAGE_SIZE,
     PE_FIELDS,
     PTE_SIZE,
@@ -43,6 +46,12 @@ from repro.kernel.phys import PhysicalMemory
 
 #: Leaf page sizes by page-table level (L1: 4 KB, L2: 2 MB, L3: 1 GB).
 LEAF_LEVEL_FOR_SIZE = {LEVEL_SPAN[1]: 1, LEVEL_SPAN[2]: 2, LEVEL_SPAN[3]: 3}
+
+#: Right shift bringing a VA's index bits for each level to the bottom
+#: (the inlined form of :func:`level_index` used on the walk path).
+_LEVEL_SHIFT = {level: PAGE_SHIFT + (level - 1) * LEVEL_BITS
+                for level in LEVELS}
+_INDEX_MASK = ENTRIES_PER_NODE - 1
 
 
 @dataclass
@@ -185,27 +194,35 @@ class PageTable:
     def map_page(self, va: int, pa: int, perm: Perm,
                  page_size: int = PAGE_SIZE) -> None:
         """Install a leaf PTE mapping ``va`` -> ``pa`` with ``perm``."""
-        level = LEAF_LEVEL_FOR_SIZE.get(page_size)
-        if level is None:
-            raise MappingError(f"unsupported page size {page_size}")
-        if not is_aligned(va, page_size) or not is_aligned(pa, page_size):
-            raise MappingError(
-                f"va {va:#x} / pa {pa:#x} not aligned to page size {page_size:#x}"
-            )
+        level = _leaf_level(va, pa, page_size)
         node = self._descend_to(va, level, create=True)
-        index = level_index(va, level)
-        existing = node.entries.get(index)
-        if existing is not None:
-            raise MappingError(f"va {va:#x} is already mapped")
-        node.entries[index] = LeafPTE(pa=pa, perm=perm, level=level)
+        _fill_leaves(node.entries, level_index(va, level), va, pa, 1,
+                     perm, level)
 
     def map_range(self, va: int, pa: int, size: int, perm: Perm,
                   page_size: int = PAGE_SIZE) -> None:
-        """Map ``size`` bytes with fixed-size leaf PTEs."""
+        """Map ``size`` bytes with fixed-size leaf PTEs.
+
+        Works one leaf-level node (512 PTEs) at a time: one descent per
+        node, then the node's entries are filled in ascending VA order.
+        On a collision the pages before it stay mapped, exactly as if
+        each page had been mapped on its own.
+        """
         if not is_aligned(size, page_size):
             raise MappingError(f"size {size:#x} not a multiple of {page_size:#x}")
-        for offset in range(0, size, page_size):
-            self.map_page(va + offset, pa + offset, perm, page_size)
+        if size <= 0:
+            return
+        level = _leaf_level(va, pa, page_size)
+        node_span = page_size << LEVEL_BITS
+        end = va + size
+        cursor = va
+        while cursor < end:
+            stop = min(end, (cursor | (node_span - 1)) + 1)
+            node = self._descend_to(cursor, level, create=True)
+            _fill_leaves(node.entries, level_index(cursor, level), cursor,
+                         pa + (cursor - va), (stop - cursor) // page_size,
+                         perm, level)
+            cursor = stop
 
     def map_range_best_effort(self, va: int, pa: int, size: int, perm: Perm,
                               preferred_page_size: int = PAGE_SIZE) -> dict[int, int]:
@@ -224,21 +241,18 @@ class PageTable:
             return {PAGE_SIZE: size // PAGE_SIZE}
         counts: dict[int, int] = {}
         end = va + size
-        cursor = va
         huge = preferred_page_size
-        head_end = min(end, -(-cursor // huge) * huge)  # align_up(cursor, huge)
-        while cursor < head_end:
-            self.map_page(cursor, pa + (cursor - va), perm, PAGE_SIZE)
-            counts[PAGE_SIZE] = counts.get(PAGE_SIZE, 0) + 1
-            cursor += PAGE_SIZE
-        while cursor + huge <= end:
-            self.map_page(cursor, pa + (cursor - va), perm, huge)
-            counts[huge] = counts.get(huge, 0) + 1
-            cursor += huge
-        while cursor < end:
-            self.map_page(cursor, pa + (cursor - va), perm, PAGE_SIZE)
-            counts[PAGE_SIZE] = counts.get(PAGE_SIZE, 0) + 1
-            cursor += PAGE_SIZE
+        head_end = min(end, -(-va // huge) * huge)  # align_up(va, huge)
+        body = (end - head_end) // huge * huge
+        for start, length, page_size in ((va, head_end - va, PAGE_SIZE),
+                                         (head_end, body, huge),
+                                         (head_end + body,
+                                          end - head_end - body, PAGE_SIZE)):
+            if length > 0:
+                self.map_range(start, pa + (start - va), length, perm,
+                               page_size)
+                counts[page_size] = (counts.get(page_size, 0)
+                                     + length // page_size)
         return counts
 
     def map_identity_range(self, va: int, size: int, perm: Perm) -> None:
@@ -313,11 +327,9 @@ class PageTable:
                 child = self._child(node, index, create=True)
                 if level - 1 == 1:
                     # L1: regular identity PTEs, no PEs below 128 KB grain.
-                    for page in range(cursor, chunk_end, PAGE_SIZE):
-                        pidx = level_index(page, 1)
-                        if pidx in child.entries:
-                            raise MappingError(f"va {page:#x} is already mapped")
-                        child.entries[pidx] = LeafPTE(pa=page, perm=perm, level=1)
+                    _fill_leaves(child.entries, level_index(cursor, 1),
+                                 cursor, cursor,
+                                 (chunk_end - cursor) // PAGE_SIZE, perm, 1)
                 else:
                     self._cover_identity(child, cursor, chunk_end, perm)
             else:  # pragma: no cover - _cover_identity starts at level 4
@@ -448,29 +460,44 @@ class PageTable:
 
     # -- swapping (low-memory reclamation, Section 4.3.2) -----------------------
 
-    def swap_out_range(self, va: int, size: int) -> list[tuple[int, int, bool]]:
+    def swap_out_range(self, va: int, size: int
+                       ) -> list[tuple[int, int, bool, Perm]]:
         """Mark every mapped page in the range swapped out.
 
         PEs covering the range are first converted to standard PTEs (the
         paper's "convert permission entries to standard PTEs and swap out
-        memory").  Returns ``(page_va, old_pa, was_identity)`` for each
-        page so the caller can free the frames; unmapped gaps are skipped.
+        memory").  Returns ``(page_va, old_pa, was_identity, perm)`` for
+        each page so the caller can free the frames and keep the
+        permission; unmapped gaps are skipped.
+
+        Works one L1 node (2 MB of VA) at a time: the covering PE or huge
+        leaf is demoted once, at the node's first mapped page, so
+        page-table frames are allocated in ascending VA order.
         """
         if not is_aligned(va, PAGE_SIZE) or not is_aligned(size, PAGE_SIZE):
             raise MappingError("swap ranges must be page aligned")
-        out: list[tuple[int, int, bool]] = []
-        for page in range(va, va + size, PAGE_SIZE):
-            result = self.walk(page)
-            if not result.ok:
+        out: list[tuple[int, int, bool, Perm]] = []
+        end = va + size
+        span = LEVEL_SPAN[2]
+        cursor = va
+        while cursor < end:
+            stop = min(end, (cursor | (span - 1)) + 1)
+            page = next((p for p in range(cursor, stop, PAGE_SIZE)
+                         if self.walk(p).ok), None)
+            cursor = stop
+            if page is None:
                 continue
             self.demote_to_l1(page)
-            node = self._descend_to(page, 1, create=False)
-            index = level_index(page, 1)
-            entry = node.entries[index]
-            was_identity = entry.pa == page
-            out.append((page, entry.pa, was_identity))
-            node.entries[index] = SwappedPTE(perm=entry.perm,
-                                             was_identity=was_identity)
+            entries = self._descend_to(page, 1, create=False).entries
+            first = level_index(page, 1)
+            for index in range(first, first + (stop - page) // PAGE_SIZE):
+                entry = entries.get(index)
+                if type(entry) is LeafPTE:
+                    was_identity = entry.pa == page
+                    out.append((page, entry.pa, was_identity, entry.perm))
+                    entries[index] = SwappedPTE(perm=entry.perm,
+                                                was_identity=was_identity)
+                page += PAGE_SIZE
         return out
 
     def swap_in_page(self, va: int, pa: int) -> Perm:
@@ -504,6 +531,13 @@ class PageTable:
 
     def _clear(self, node: PageTableNode, start: int, end: int) -> None:
         level = node.level
+        if level == 1:
+            # L1 holds only 4 KB leaves and swapped PTEs: drop them whole.
+            entries = node.entries
+            first = level_index(start, 1)
+            for index in range(first, first + (end - start) // PAGE_SIZE):
+                entries.pop(index, None)
+            return
         span = LEVEL_SPAN[level]
         cursor = start
         while cursor < end:
@@ -554,31 +588,33 @@ class PageTable:
         node = self.root
         visited: list[int] = []
         while True:
-            index = level_index(va, node.level)
-            visited.append(node.entry_addr(index))
+            level = node.level
+            index = (va >> _LEVEL_SHIFT[level]) & _INDEX_MASK
+            visited.append(node.phys_addr + index * PTE_SIZE)
             entry = node.entries.get(index)
-            if entry is None:
-                return WalkResult(va=va, ok=False, perm=Perm.NONE, pa=None,
-                                  level=node.level, is_pe=False,
-                                  identity=False, visited=visited)
-            if isinstance(entry, PermissionEntry):
+            kind = type(entry)
+            if kind is TablePointer:
+                node = entry.node
+                continue
+            if kind is LeafPTE:
+                pa = entry.pa + (va & (LEVEL_SPAN[entry.level] - 1))
+                return WalkResult(va=va, ok=True, perm=entry.perm, pa=pa,
+                                  level=level, is_pe=False,
+                                  identity=(pa == va), visited=visited)
+            if kind is PermissionEntry:
                 perm = entry.perm_for(va)
                 ok = perm != Perm.NONE
                 return WalkResult(va=va, ok=ok, perm=perm,
-                                  pa=va if ok else None, level=node.level,
+                                  pa=va if ok else None, level=level,
                                   is_pe=True, identity=ok, visited=visited)
-            if isinstance(entry, SwappedPTE):
+            if kind is SwappedPTE:
                 return WalkResult(va=va, ok=False, perm=entry.perm, pa=None,
-                                  level=node.level, is_pe=False,
+                                  level=level, is_pe=False,
                                   identity=False, visited=visited,
                                   swapped=True)
-            if isinstance(entry, LeafPTE):
-                offset = va - level_base(va, entry.level)
-                pa = entry.pa + offset
-                return WalkResult(va=va, ok=True, perm=entry.perm, pa=pa,
-                                  level=node.level, is_pe=False,
-                                  identity=(pa == va), visited=visited)
-            node = entry.node
+            return WalkResult(va=va, ok=False, perm=Perm.NONE, pa=None,
+                              level=level, is_pe=False,
+                              identity=False, visited=visited)
 
     def translate(self, va: int) -> int | None:
         """Convenience: translated PA for ``va`` or None if unmapped."""
@@ -653,3 +689,31 @@ class PageTable:
         for entry in node.entries.values():
             if isinstance(entry, TablePointer):
                 yield from self._iter_nodes(entry.node)
+
+
+def _leaf_level(va: int, pa: int, page_size: int) -> int:
+    """Validate a leaf mapping's page size and alignment; returns its level."""
+    level = LEAF_LEVEL_FOR_SIZE.get(page_size)
+    if level is None:
+        raise MappingError(f"unsupported page size {page_size}")
+    if not is_aligned(va, page_size) or not is_aligned(pa, page_size):
+        raise MappingError(
+            f"va {va:#x} / pa {pa:#x} not aligned to page size {page_size:#x}"
+        )
+    return level
+
+
+def _fill_leaves(entries: dict, first: int, va: int, pa: int, count: int,
+                 perm: Perm, level: int) -> None:
+    """Install ``count`` consecutive leaves into one node's ``entries``.
+
+    Entries go in ascending index order; a collision raises with the
+    earlier leaves already installed, as page-at-a-time mapping would.
+    """
+    page_size = LEVEL_SPAN[level]
+    for index in range(first, first + count):
+        if index in entries:
+            raise MappingError(f"va {va:#x} is already mapped")
+        entries[index] = LeafPTE(pa, perm, level)
+        va += page_size
+        pa += page_size

@@ -68,8 +68,7 @@ class Reclaimer:
             raise ReclaimError("victims must be identity-mapped allocations")
         pages = process.page_table.swap_out_range(alloc.va, alloc.size)
         freed = 0
-        for page_va, old_pa, was_identity in pages:
-            perm = process.page_table.walk(page_va).perm
+        for page_va, old_pa, was_identity, perm in pages:
             self._swap[(process.pid, page_va)] = SwapSlot(
                 perm=perm, was_identity=was_identity)
             self.kernel.phys.free_frame(old_pa)
@@ -121,7 +120,7 @@ class Reclaimer:
             raise ReclaimError(f"page {page_va:#x} is not in swap")
         frame = self.kernel.phys.alloc_frame()
         process.page_table.swap_in_page(page_va, frame)
-        alloc = self._owning_allocation(process, page_va)
+        alloc = process.vmm.allocation_at(page_va)
         if alloc is not None:
             alloc.phys_chunks.append((frame, PAGE_SIZE))
         self.stats.pages_swapped_in += 1
@@ -198,13 +197,6 @@ class Reclaimer:
         return True
 
     # -- internals --------------------------------------------------------------------
-
-    @staticmethod
-    def _owning_allocation(process: Process, va: int) -> Allocation | None:
-        for alloc in process.vmm.allocations():
-            if alloc.va <= va < alloc.va + alloc.size:
-                return alloc
-        return None
 
     @staticmethod
     def _demote_bookkeeping(process: Process, alloc: Allocation) -> None:

@@ -179,10 +179,8 @@ class VMM:
 
     def allocation_at(self, va: int) -> Allocation | None:
         """The live allocation containing ``va``, if any."""
-        for alloc in self._allocations.values():
-            if alloc.va <= va < alloc.va + alloc.size:
-                return alloc
-        return None
+        vma = self.aspace.find(va)
+        return None if vma is None else self._allocations.get(vma.start)
 
     def populate_for_fault(self, va: int) -> bool:
         """Back the policy-size chunk containing ``va`` (major fault).

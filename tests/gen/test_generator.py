@@ -2,16 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 
 from repro.common.consts import PAGE_SIZE
 from repro.gen import seeds
 from repro.gen.layout import PRESSURE_KINDS, gen_layout
-from repro.gen.oracle import (scenario_from_dict, scenario_from_seed,
-                              scenario_to_dict)
+from repro.gen.oracle import (check_scenario, scenario_from_dict,
+                              scenario_from_seed, scenario_to_dict)
 from repro.gen.perms import (GAP_PROBE_REGION, readable, writable)
 
 SEEDS = range(48)
+
+#: Seeds whose layout once munmapped the only readable region, leaving the
+#: benign stream nothing to target (gen_stream raised ValueError).
+ONCE_UNBUILDABLE = (1551, 1646, 2317, 12942, 19879)
+
+#: SHA-256 over the canonical JSON of the scenarios for seeds 0-255.  A
+#: generator change that moves any existing seed's scenario changes this.
+PINNED_DIGEST_0_255 = (
+    "19433450abcda35c247f1b98827139c2a05c74a2bd03eeabcc97cc5c597c4501")
 
 
 class TestSeedDiscipline:
@@ -24,6 +36,13 @@ class TestSeedDiscipline:
         a = seeds.rng_for(7, "layout").integers(0, 1 << 30, 8)
         b = seeds.rng_for(7, "stream").integers(0, 1 << 30, 8)
         assert (a != b).any()
+
+    def test_existing_seeds_keep_their_scenarios(self):
+        digest = hashlib.sha256()
+        for seed in range(256):
+            digest.update(json.dumps(scenario_to_dict(scenario_from_seed(seed)),
+                                     sort_keys=True).encode())
+        assert digest.hexdigest() == PINNED_DIGEST_0_255
 
     def test_scenario_is_a_pure_function_of_its_seed(self):
         for seed in (0, 3, 17):
@@ -41,6 +60,20 @@ class TestLayoutConstraints:
             if plan.unmap_region is not None:
                 assert 0 <= plan.unmap_region < len(plan.regions)
             assert plan.scale in ("default", "fuzz")
+
+    def test_unmap_never_removes_the_only_readable_region(self):
+        for seed in (*SEEDS, *ONCE_UNBUILDABLE):
+            plan = gen_layout(seeds.rng_for(seed, "layout"))
+            assert any(readable(r.perm) for i, r in enumerate(plan.regions)
+                       if i != plan.unmap_region), seed
+
+    def test_once_unbuildable_seeds_build_and_pass_the_oracle(self):
+        for seed in ONCE_UNBUILDABLE:
+            scenario = scenario_from_seed(seed)
+            assert scenario.plan.unmap_region is not None
+            assert len(scenario.stream) > 0
+            result = check_scenario(scenario)
+            assert result.ok, (seed, result.mismatches)
 
     def test_worst_case_config_fits_the_physical_budget(self):
         # conv_1g eagerly populates one scaled-1G chunk per region and
