@@ -17,14 +17,9 @@ edge-offset array, the edge list, and the active-vertex (frontier) list.
 from __future__ import annotations
 
 import hashlib
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from repro.common import integrity
-from repro.common.errors import CacheIntegrityError
 
 #: Stream identifiers.
 VPROP = 0        # vertex properties
@@ -128,39 +123,6 @@ class SymbolicTrace:
         """Access counts by stream name (for trace-composition reports)."""
         counts = np.bincount(self.streams, minlength=len(STREAM_NAMES))
         return {STREAM_NAMES[i]: int(c) for i, c in enumerate(counts) if c}
-
-    def save(self, path) -> None:
-        """Persist the trace as compressed numpy (.npz).
-
-        Trace generation is the functional half of a run; caching it lets
-        many timing configurations be explored without re-executing the
-        workload.
-        """
-        np.savez_compressed(path, streams=self.streams,
-                            offsets=self.offsets, writes=self.writes)
-
-    @classmethod
-    def load(cls, path, *, verify: bool = False) -> "SymbolicTrace":
-        """Load a trace saved by :meth:`save`.
-
-        With ``verify=True`` the file must carry a valid checksum
-        sidecar (:mod:`repro.common.integrity`) — a missing, stale, or
-        mismatched sidecar and any undecodable/truncated archive raise
-        :class:`CacheIntegrityError` so cache consumers can quarantine
-        the artifact and recompute instead of crashing on corrupt data.
-        """
-        if verify:
-            integrity.verify_sidecar(Path(path))
-        try:
-            data = np.load(path)
-            return cls(streams=data["streams"], offsets=data["offsets"],
-                       writes=data["writes"])
-        except (OSError, KeyError, ValueError, EOFError,
-                zipfile.BadZipFile) as exc:
-            if verify:
-                raise CacheIntegrityError(
-                    f"undecodable trace artifact {path}: {exc}") from exc
-            raise
 
 
 def interleave_chunks(values: np.ndarray, num_lanes: int) -> np.ndarray:

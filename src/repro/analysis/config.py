@@ -138,7 +138,6 @@ TAINT_SINK_PREFIXES = {
 #: the receiver's static type is unknown but its name states its role.
 TAINT_SINK_ATTRS = {
     ("append", "journal"): "journal",
-    ("record", "journal"): "journal",
     ("emit", "bus"): "bus-event",
 }
 

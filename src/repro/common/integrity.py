@@ -1,7 +1,7 @@
 """Artifact integrity: checksummed envelopes, quarantine, tmp reaping.
 
 Every artifact the pipeline persists (metrics JSON, sweep checkpoints,
-and — via a sidecar — binary trace ``.npz`` files) carries a schema
+and — via a sidecar — binary trace-column ``.npy`` files) carries a schema
 version and a SHA-256 digest of its payload.  Readers validate both;
 anything corrupt, truncated, or written under a different schema raises
 :class:`CacheIntegrityError`, and callers respond by *quarantining* the
@@ -31,7 +31,7 @@ from repro.common.errors import CacheIntegrityError
 SCHEMA_VERSION = 1
 
 #: Matches the writer-pid tmp naming used across the pipeline
-#: (``metrics-<key>.<pid>.<seq>.tmp``, ``trace-<key>.<pid>.<seq>.tmp.npz``,
+#: (``metrics-<key>.<pid>.<seq>.tmp``, ``streams.npy.<pid>.<seq>.tmp.npy``,
 #: ``_lru_<tag>.<pid>.tmp``); the sequence number keeps concurrent
 #: writers *within* one process from colliding and is optional.
 _TMP_RE = re.compile(r"\.(\d+)(?:\.\d+)?\.tmp(\.[A-Za-z0-9]+)?$")

@@ -8,22 +8,21 @@ append-only file so consumers (``python -m repro top``, the
 tooling) can observe a sweep *while it runs* instead of waiting for the
 final :class:`~repro.sim.resilience.ResilienceReport`.
 
-The discipline is the journal's (:mod:`repro.sweep.journal`), minus
-fsync-per-record — the bus is telemetry, never the source of truth:
+Records live in a :mod:`repro.common.recordlog` file, the journal's
+format (:mod:`repro.sweep.journal`) minus fsync-per-record — the bus is
+telemetry, never the source of truth:
 
-* **Self-validating records.**  One JSON object per line carrying a
-  monotonic ``seq``, the sweep's ``run_id``, an event ``kind``, a wall
-  timestamp ``t``, and a ``sha`` over the record's canonical form, so a
-  reader can reject any torn or corrupt line without trusting context::
+* **Self-validating records.**  One sealed record per line carrying a
+  monotonic ``seq``, the sweep's ``run_id``, an event ``kind`` and a
+  wall timestamp ``t``::
 
       {"kind":"started","key":"bfs/FR","run_id":"ab12","seq":7,
        "slot":2,"t":1754700000.1,"sha":"..."}
 
-* **Torn-tail tolerance, both sides.**  A writer that crashes mid-append
-  leaves a partial trailing line; the next writer *truncates* back to
-  the last newline-terminated record before appending (so the file never
-  accumulates garbage), and readers judge only newline-terminated lines
-  — an unterminated tail is "still being written", never yielded.
+* **Torn-tail tolerance, both sides.**  The next writer after a crash
+  *truncates* back to the record log's trusted prefix before appending
+  (so the file never accumulates garbage), and readers never yield
+  anything past that prefix.
 
 * **Zero overhead when disabled.**  :func:`sweep_bus` returns the
   module-level :data:`NULL_BUS` unless observability is enabled
@@ -40,13 +39,11 @@ journal still holds every completed task durably.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from pathlib import Path
 
-from repro.common import env
+from repro.common import env, recordlog
 from repro.obs import core
 
 #: Bus record format version carried by every record.
@@ -58,47 +55,6 @@ BUS_ENV_VAR = "REPRO_OBS_BUS"
 
 #: Default stream file name inside the observability directory.
 BUS_FILENAME = "bus.ndjson"
-
-
-def _digest(record: dict) -> str:
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def seal(record: dict) -> bytes:
-    """One canonical, self-validating bus line (newline-terminated)."""
-    record = dict(record)
-    record["sha"] = _digest(record)
-    return (json.dumps(record, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-def open_record(line: bytes) -> dict | None:
-    """Parse and validate one bus line; ``None`` when torn or corrupt."""
-    try:
-        record = json.loads(line.decode())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    sha = record.pop("sha", None)
-    if sha != _digest(record):
-        return None
-    return record
-
-
-def good_prefix_size(raw: bytes) -> int:
-    """Byte length of the newline-terminated valid prefix of ``raw``.
-
-    Everything past the first torn or corrupt line is untrustworthy —
-    the same first-bad-byte rule the journal applies.
-    """
-    good = 0
-    for line in raw.split(b"\n")[:-1]:       # only terminated lines
-        if line and open_record(line) is None:
-            break
-        good += len(line) + 1
-    return good
 
 
 class EventBus:
@@ -124,7 +80,7 @@ class EventBus:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
             raw = self.path.read_bytes()
-            good = good_prefix_size(raw)
+            _records, good = recordlog.scan(raw)
             if good < len(raw):
                 with open(self.path, "r+b") as handle:
                     handle.truncate(good)
@@ -141,7 +97,7 @@ class EventBus:
                       seq=self.seq, t=round(self.clock(), 3))
         try:
             handle = self._handle or self._open()
-            handle.write(seal(record))
+            handle.write(recordlog.seal(record))
             handle.flush()
         except (OSError, TypeError, ValueError):
             # ValueError: closed handle; TypeError: a caller passed an
@@ -221,60 +177,7 @@ def sweep_bus(run_id: str = "") -> EventBus | _NullBus:
 
 def read_events(path: str | os.PathLike, *, run_id: str | None = None
                 ) -> list[dict]:
-    """Every valid record currently in the stream (corrupt lines and an
-    unterminated tail are skipped, exactly like the tailer)."""
-    return list(tail_events(path, run_id=run_id, follow=False))
-
-
-def tail_events(path: str | os.PathLike, *, run_id: str | None = None,
-                follow: bool = True, poll: float = 0.05,
-                stop=None, timeout: float | None = None,
-                sleep=time.sleep, clock=time.monotonic):
-    """Yield bus records as they are appended; never yields a torn line.
-
-    Only newline-terminated lines are ever parsed — a partial trailing
-    record (a writer mid-append, or a crash) is treated as "not written
-    yet", so a consumer can never observe half an event.  Terminated
-    lines that fail validation are skipped, not fatal.  With ``follow``
-    the generator polls until ``stop()`` returns true (checked after
-    each drain) or ``timeout`` seconds elapse; ``follow=False`` drains
-    the current contents and returns.
-    """
-    path = Path(path)
-    offset = 0
-    buffer = b""
-    deadline = clock() + timeout if timeout is not None else None
-    while True:
-        chunk = b""
-        if path.exists():
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(0, os.SEEK_END)
-                    size = handle.tell()
-                    if size < offset:
-                        # Truncated (torn-tail repair by a new writer):
-                        # start over rather than yielding spliced bytes.
-                        offset = 0
-                        buffer = b""
-                    handle.seek(offset)
-                    chunk = handle.read()
-                    offset += len(chunk)
-            except OSError:
-                chunk = b""
-        if chunk:
-            buffer += chunk
-            *lines, buffer = buffer.split(b"\n")
-            for line in lines:
-                if not line:
-                    continue
-                record = open_record(line)
-                if record is None:
-                    continue
-                if run_id is not None and record.get("run_id") != run_id:
-                    continue
-                yield record
-        if not follow or (stop is not None and stop()):
-            return
-        if deadline is not None and clock() >= deadline:
-            return
-        sleep(poll)
+    """Every trusted record currently in the stream — what the next
+    writer's open keeps — optionally only ``run_id``'s."""
+    return [record for record in recordlog.read(path)
+            if run_id is None or record.get("run_id") == run_id]

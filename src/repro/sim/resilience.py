@@ -10,16 +10,12 @@ retries, resume, and degradation may change *how long* a sweep takes,
 never *what it computes* — merged metrics stay bit-identical to a
 fault-free serial run.
 
-Three pieces live here:
+Two pieces live here (the journal that lets an interrupted sweep resume
+is :mod:`repro.sweep.journal`):
 
 * :class:`RetryPolicy` / :func:`retry_call` — exponential backoff with
   *deterministic* jitter (a pure function of ``(seed, tag, attempt)``),
   so chaos tests replay exactly;
-* ``SweepCheckpoint`` — the sweep journal of completed pairs that lets
-  an interrupted ``run_pairs`` resume without recomputation.  Since
-  PR 8 this is :class:`repro.sweep.journal.SweepJournal` (fsynced
-  append-only records, torn-tail truncation, generation fencing),
-  re-exported here under its historical name;
 * :class:`ResilienceReport` — structured counters for everything the
   resilience machinery did, surfaced by the figure entry points.
 """
@@ -32,14 +28,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.common import faults
 from repro.common.errors import TransientError
-from repro.sweep.journal import StaleWriterError, SweepJournal
 
-#: Historical name for the sweep journal (PR 2's whole-file checkpoint;
-#: the call surface — pair_key/load/record/complete — is unchanged).
-SweepCheckpoint = SweepJournal
-
-__all__ = ["RetryPolicy", "retry_call", "ResilienceReport",
-           "SweepCheckpoint", "SweepJournal", "StaleWriterError"]
+__all__ = ["RetryPolicy", "retry_call", "ResilienceReport"]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ the paper's evaluation does:
   a :class:`~repro.sim.fastpath.PageRunBatch`.
 
 With ``cache_dir`` set the artifacts also persist across invocations:
-symbolic traces as compressed ``.npz`` (via ``SymbolicTrace.save``) and
-metrics as JSON, both under content keys covering every input that can
+symbolic traces as memmapped column stores (:mod:`repro.sweep.tracestore`)
+and metrics as JSON, both under content keys covering every input that can
 change the result (profile, workload knobs, hardware scale, system
 parameters and the full configuration fingerprint — never just a name).
 Every persisted artifact is integrity-protected (schema version +
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -50,7 +49,6 @@ import numpy as np
 
 from repro.accel.algorithms import prop_bytes_for, run_workload
 from repro.accel.graphicionado import ExecutionResult
-from repro.accel.trace import SymbolicTrace
 from repro.common import env, faults, integrity
 from repro.common.errors import (CacheIntegrityError, ConfigError, PageFault,
                                  ProtectionFault, TransientError)
@@ -60,12 +58,11 @@ from repro.obs import core as obs_core
 from repro.obs import progress as obs_progress
 from repro.obs import trace as obs_trace
 from repro.sim.metrics import Metrics
-from repro.sim.resilience import (ResilienceReport, RetryPolicy,
-                                  StaleWriterError, SweepCheckpoint,
-                                  retry_call)
+from repro.sim.resilience import ResilienceReport, RetryPolicy, retry_call
 from repro.sim.system import HeterogeneousSystem, SystemParams
 from repro.sweep import tracestore
 from repro.sweep.cache import ShardedCache
+from repro.sweep.journal import StaleWriterError, SweepJournal
 from repro.sweep.scheduler import SweepService
 from repro.sweep.tasks import TaskSpec
 
@@ -73,17 +70,9 @@ from repro.sweep.tasks import TaskSpec
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 PAIR_TIMEOUT_ENV_VAR = "REPRO_PAIR_TIMEOUT"
-#: Zero-copy trace sharing (memmapped column store); on by default.
-MEMMAP_ENV_VAR = "REPRO_SWEEP_MEMMAP"
 
 #: Artifact kind tag for metrics envelopes.
 METRICS_KIND = "metrics"
-
-
-def memmap_enabled() -> bool:
-    """Whether the memmapped trace tier is enabled (default: yes)."""
-    value = env.raw(MEMMAP_ENV_VAR)
-    return True if value is None else env.truthy_str(value)
 
 
 def workers_from_env() -> int:
@@ -212,13 +201,7 @@ class ExperimentRunner:
         return self._cache.path(kind, key, suffix)
 
     def _trace_path(self, workload: str, dataset: str) -> Path | None:
-        key = self._content_key(self._workload_content(workload, dataset))
-        return self._artifact_path("trace", key, ".npz")
-
-    def _memmap_path(self, workload: str, dataset: str) -> Path | None:
         """The memmapped column-store directory for a pair's trace."""
-        if not memmap_enabled():
-            return None
         key = self._content_key(self._workload_content(workload, dataset))
         return self._artifact_path("trace", key, ".mm")
 
@@ -251,29 +234,13 @@ class ExperimentRunner:
             return prepared
         graph, shape = datasets.load(dataset, self.profile)
         trace_path = self._trace_path(workload, dataset)
-        mm_path = self._memmap_path(workload, dataset)
         result = None
-        # Tier 1: the memmapped column store — zero-copy across pool
-        # workers (every process maps the same file-backed, read-only
-        # pages instead of inflating a private npz copy).
-        if mm_path is not None and tracestore.is_published(mm_path):
+        if trace_path is not None and tracestore.is_published(trace_path):
             try:
-                trace = tracestore.open_trace(mm_path)
-                result = ExecutionResult(
-                    trace=trace, prop=np.empty(0), iterations=0,
-                    converged=True, aux={"restored_from": str(mm_path)})
-            except CacheIntegrityError:
-                self._quarantine(mm_path)
-        # Tier 2: the archival compressed npz.
-        if result is None and trace_path is not None and trace_path.exists():
-            try:
-                trace = SymbolicTrace.load(trace_path, verify=True)
+                trace = tracestore.open_trace(trace_path)
                 result = ExecutionResult(
                     trace=trace, prop=np.empty(0), iterations=0,
                     converged=True, aux={"restored_from": str(trace_path)})
-                if mm_path is not None:
-                    # Promote so the next worker maps instead of copies.
-                    tracestore.publish(mm_path, trace)
             except CacheIntegrityError:
                 self._quarantine(trace_path)
         if result is not None:
@@ -294,14 +261,7 @@ class ExperimentRunner:
                     cf_passes=self.cf_passes,
                 )
             if trace_path is not None:
-                tmp = integrity.tmp_path(trace_path, suffix=".npz")
-                result.trace.save(tmp)
-                # Sidecar first (hashing the tmp bytes), then the atomic
-                # publish: readers never see a trace without its sidecar.
-                integrity.write_sidecar(trace_path, content_of=tmp)
-                os.replace(tmp, trace_path)
-            if mm_path is not None:
-                tracestore.publish(mm_path, result.trace)
+                tracestore.publish(trace_path, result.trace)
         prepared = PreparedWorkload(workload=workload, dataset=dataset,
                                     graph=graph, shape=shape, result=result)
         self._prepared[key] = prepared
@@ -469,7 +429,7 @@ class ExperimentRunner:
             if ckpt.fenced_records:
                 self.resilience.fenced_records += ckpt.fenced_records
             for pair in pairs:
-                entries = journal.get(SweepCheckpoint.pair_key(*pair))
+                entries = journal.get(SweepJournal.pair_key(*pair))
                 if entries is not None:
                     completed[pair] = [(name, payload)
                                        for name, payload in entries]
@@ -485,13 +445,14 @@ class ExperimentRunner:
             completed[pair] = entries
             if ckpt is not None:
                 try:
-                    ckpt.record(pair[0], pair[1], entries)
+                    ckpt.append(SweepJournal.pair_key(*pair), entries)
                 except StaleWriterError:
                     # A newer sweep incarnation resumed this journal and
-                    # fenced this writer off.  The in-memory results stay
+                    # fenced this writer off, or the journal at this path
+                    # is another sweep's.  The in-memory results stay
                     # valid, so finish the sweep from memory and stop
                     # checkpointing — the journal (and its cleanup in
-                    # complete()) now belongs to the new owner.
+                    # complete()) belongs to its owner.
                     self.resilience.fenced_records += 1
                     ckpt = None
             if heartbeat is not None:
@@ -626,7 +587,7 @@ class ExperimentRunner:
 
         return retry_call(lambda: self._run_pair_serial(pair, configs),
                           policy=self.retry,
-                          tag=SweepCheckpoint.pair_key(*pair),
+                          tag=SweepJournal.pair_key(*pair),
                           sleep=self._sleep, on_retry=on_retry)
 
     def _absorb_worker_payload(self, payload) -> list:
@@ -652,7 +613,7 @@ class ExperimentRunner:
         return payload["entries"]
 
     def _sweep_checkpoint(self, checkpoint, pairs, names
-                          ) -> SweepCheckpoint | None:
+                          ) -> SweepJournal | None:
         """The journal for this exact sweep, if anywhere to keep it.
 
         The sweep key covers everything that determines the merged
@@ -675,7 +636,7 @@ class ExperimentRunner:
             path = self._artifact_path("sweep", key, ".ckpt.jsonl")
             if path is None:
                 return None
-        return SweepCheckpoint(path, sweep_key=key)
+        return SweepJournal(path, sweep_key=key)
 
     # -- parallel tier (the supervised sweep service) -------------------------
 
@@ -691,9 +652,9 @@ class ExperimentRunner:
         payload absorption.  Pairs are sharded by dataset so the workers
         that share a dataset's memmapped trace keep it page-cache warm.
         """
-        key_to_pair = {SweepCheckpoint.pair_key(*pair): pair
+        key_to_pair = {SweepJournal.pair_key(*pair): pair
                        for pair in pending}
-        tasks = [TaskSpec(key=SweepCheckpoint.pair_key(*pair), kind="pair",
+        tasks = [TaskSpec(key=SweepJournal.pair_key(*pair), kind="pair",
                           payload=dict(workload=pair[0], dataset=pair[1],
                                        config_names=list(names)),
                           shard=pair[1])

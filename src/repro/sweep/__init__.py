@@ -8,9 +8,8 @@ content-addressed cache and zero-copy (memmap) trace sharing.  See
 ``docs/sweep.md`` for the architecture and recovery semantics.
 
 Submodules (imported directly to keep import-time dependencies narrow —
-``journal`` is imported by :mod:`repro.sim.resilience`, so this package
-``__init__`` must not pull in the scheduler, which imports the reverse
-direction):
+this package ``__init__`` must not pull in the scheduler, which imports
+:mod:`repro.sim.resilience`):
 
 * :mod:`repro.sweep.journal` — fenced append-only checkpoint journal
 * :mod:`repro.sweep.cache` — sharded content-addressed artifact layout

@@ -9,8 +9,8 @@ artifacts into 256 shard directories keyed by the first content-key
 byte, git-object style::
 
     <root>/ab/metrics-ab12....json
-    <root>/ab/trace-ab12....npz
-    <root>/sweep-....ckpt.json          # journals stay at the root
+    <root>/ab/trace-ab12....mm/
+    <root>/sweep-....ckpt.jsonl         # journals stay at the root
 
 Because the key is a content hash, the fan-out is uniform by
 construction, and because the shard is *derived from the key*, every
@@ -18,10 +18,6 @@ process (parent, pool workers, a resumed sweep) computes the same path
 with no coordination.  Sweep journals deliberately stay at the root:
 they are few, they are the first thing a resuming human looks for, and
 existing tooling discovers them by the ``sweep-`` prefix.
-
-Legacy flat-layout artifacts are still honored on read (one ``exists``
-check) so a pre-sharding cache keeps its hits; new writes always land
-in shards.
 """
 
 from __future__ import annotations
@@ -51,17 +47,11 @@ class ShardedCache:
         return self.reaped
 
     def path(self, kind: str, key: str, suffix: str) -> Path:
-        """The canonical (sharded) location of one artifact.
-
-        Creates the shard directory; prefers an existing legacy
-        flat-layout file so pre-sharding caches keep their hits.
-        """
+        """The canonical (sharded) location of one artifact; creates the
+        shard directory."""
         self.sweep_tmp()
         if kind in UNSHARDED_KINDS:
             return self.root / f"{kind}-{key}{suffix}"
-        flat = self.root / f"{kind}-{key}{suffix}"
         sharded = self.root / key[:2] / f"{kind}-{key}{suffix}"
-        if flat.exists() and not sharded.exists():
-            return flat
         sharded.parent.mkdir(exist_ok=True)
         return sharded

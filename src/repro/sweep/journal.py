@@ -1,21 +1,18 @@
 """Crash-consistent sweep checkpointing: a fenced, fsynced journal.
 
-The PR-2 :class:`~repro.sim.resilience.SweepCheckpoint` rewrote the whole
-checkpoint file after every completed pair — O(n²) bytes over a sweep,
-no fsync (a crash could lose or tear the entire journal), and no defense
-against a *zombie writer*: a wedged sweep process from a previous
-incarnation waking up and clobbering the journal a resumed sweep is
-appending to.  At the 10k-pair scale the sweep service targets, all
-three matter.  :class:`SweepJournal` replaces it with:
+A sweep journal lets an interrupted ``run_pairs`` resume without
+recomputation, survive a crash at any instant, and shut out a *zombie
+writer* (a wedged process from a previous incarnation waking up and
+appending to the journal a resumed sweep now owns).
 
-**Append-only records.**  One line per completed task::
+**Append-only records.**  The journal is a :mod:`repro.common.recordlog`
+file — one self-validating sealed record per completed task::
 
     {"gen": 2, "seq": 5, "key": "bfs/FR", "entries": [...], "sha": "..."}
 
-``sha`` is the SHA-256 of the record's canonical form (sans ``sha``), so
-every record self-validates.  The first record is a header carrying the
-``sweep_key`` (everything that determines the merged result); a journal
-written for a different sweep is ignored, never trusted.
+The first record is a header carrying the ``sweep_key`` (everything that
+determines the merged result); a journal written for a different sweep
+is ignored, never trusted, never appended to and never removed.
 
 **Durability.**  Every append is flushed and ``fsync``’d before
 :meth:`append` returns, and the generation file is fsync’d through a
@@ -23,10 +20,10 @@ tmp-file + ``os.replace`` + directory-fsync sequence, so a record the
 caller saw acknowledged survives a crash at any instant.
 
 **Torn-write recovery.**  A crash mid-append leaves a partial trailing
-line.  :meth:`load` validates records in order and *truncates* the file
-back to the last good record — one recomputed task — instead of
-discarding the journal (the pre-PR-8 behaviour trusted the tail
-outright; the ``checkpoint_torn`` fault site regression-tests this).
+line.  :meth:`load` keeps the record log's trusted prefix and
+*truncates* the file back to it — one recomputed task — instead of
+discarding the journal (the ``checkpoint_torn`` fault site
+regression-tests this).
 
 **Generation fencing.**  Opening a journal for writing bumps a
 generation counter in a ``.gen`` sidecar; every append re-reads it and
@@ -35,16 +32,18 @@ zombie writer therefore cannot interleave records into — or truncate —
 a journal a newer incarnation owns.  Records from a superseded
 generation appearing *after* a newer generation's records (a zombie that
 raced the fence check) are dropped at load time and counted.
+
+:class:`JournalFold` holds these header and generation rules once, for
+both :meth:`SweepJournal.load` and the live reader
+:meth:`repro.sweep.stream.SweepWatch.iter_results`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from pathlib import Path
 
-from repro.common import faults, integrity
+from repro.common import faults, integrity, recordlog
 from repro.common.errors import InjectedFault, ReproError
 
 #: Format tag carried by every record; bumping it invalidates old journals.
@@ -52,33 +51,8 @@ JOURNAL_SCHEMA = 1
 
 
 class StaleWriterError(ReproError):
-    """This journal writer has been fenced off by a newer generation."""
-
-
-def _digest(record: dict) -> str:
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _seal(record: dict) -> bytes:
-    record = dict(record)
-    record["sha"] = _digest(record)
-    return (json.dumps(record, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-def _open_record(line: bytes) -> dict | None:
-    """Parse and validate one journal line; ``None`` when torn/corrupt."""
-    try:
-        record = json.loads(line.decode())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    sha = record.pop("sha", None)
-    if sha != _digest(record):
-        return None
-    return record
+    """This journal writer has been fenced off by a newer generation, or
+    the journal at its path belongs to another sweep."""
 
 
 def _fsync_dir(path: Path) -> None:
@@ -95,16 +69,64 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+class JournalFold:
+    """The journal's trust rules, folded over a record log's records.
+
+    :meth:`step` returns ``(task key, entries)`` for each record the
+    journal vouches for.  The first record must be a ``sweep-journal``
+    header of :data:`JOURNAL_SCHEMA` (else ``header`` is ``"invalid"``)
+    naming ``sweep_key`` (else ``"foreign"``; ``None`` accepts any).
+    Behind an ``"ok"`` header, a record older than a generation already
+    seen is a zombie writer's and is dropped (counted in ``fenced``),
+    and each task key folds once — a re-journaled key is a recompute of
+    the same result.  :meth:`reset` starts the file over after its
+    writer truncated it, keeping the keys already folded.
+    """
+
+    def __init__(self, sweep_key: str | None):
+        self.sweep_key = sweep_key
+        self.seen: set[str] = set()
+        self.reset()
+
+    def reset(self) -> None:
+        self.header: str | None = None
+        self.high_gen = 0
+        self.fenced = 0
+
+    def step(self, record: dict) -> tuple[str, list] | None:
+        if self.header is None:
+            if record.get("kind") != "sweep-journal" \
+                    or record.get("schema") != JOURNAL_SCHEMA:
+                self.header = "invalid"
+            elif self.sweep_key is not None \
+                    and record.get("sweep_key") != self.sweep_key:
+                self.header = "foreign"
+            else:
+                self.header = "ok"
+                self.high_gen = record.get("gen", 0) or 0
+            return None
+        if self.header != "ok":
+            return None
+        gen = record.get("gen", 0) or 0
+        if gen < self.high_gen:
+            self.fenced += 1
+            return None
+        self.high_gen = gen
+        key = record.get("key")
+        if key is None or key in self.seen:
+            return None
+        self.seen.add(key)
+        return key, record.get("entries")
+
+
 class SweepJournal:
     """A resumable, crash-consistent journal of completed sweep tasks.
 
-    Drop-in successor to the PR-2 ``SweepCheckpoint``: same
-    ``load()`` / ``record()`` / ``complete()`` surface and the same
-    sweep-key hygiene, with append-only fsynced records, torn-tail
-    truncation and generation fencing as described in the module
-    docstring.  ``torn_records`` and ``fenced_records`` report what
-    :meth:`load` had to repair; the runner folds them into the
-    :class:`~repro.sim.resilience.ResilienceReport`.
+    ``load()`` / ``append()`` / ``complete()`` with append-only fsynced
+    records, torn-tail truncation and generation fencing as described
+    in the module docstring.  ``torn_records`` and ``fenced_records``
+    report what :meth:`load` had to repair; the runner folds them into
+    the :class:`~repro.sim.resilience.ResilienceReport`.
     """
 
     def __init__(self, path: Path, sweep_key: str):
@@ -114,6 +136,10 @@ class SweepJournal:
         self.torn_records = 0
         self.fenced_records = 0
         self._entries: dict[str, list] = {}
+        #: ``"ok"`` (this sweep's header), ``"foreign"`` or ``None`` (none
+        #: yet: the next append writes one), as :meth:`load` found it.
+        self._header: str | None = None
+        self._loaded = False
 
     @staticmethod
     def pair_key(workload: str, dataset: str) -> str:
@@ -163,69 +189,46 @@ class SweepJournal:
         """Replay the journal, repairing a torn tail and dropping
         zombie-generation records.
 
-        Returns ``{task key: entries}`` for every valid record whose
-        header matches this journal's ``sweep_key``.  A torn trailing
-        record is truncated away (the sweep recomputes that one task); a
-        journal whose header belongs to a different sweep is left
-        untouched and ignored; a journal whose *header* is unreadable is
-        quarantined wholesale.
+        Returns ``{task key: entries}`` for every record
+        :class:`JournalFold` vouches for.  A torn or corrupt record and
+        everything after it is truncated away (the sweep recomputes
+        those tasks); a journal whose header belongs to a different
+        sweep is left untouched and ignored; a journal without a valid
+        header is quarantined wholesale.
         """
         self._entries = {}
         self.torn_records = 0
         self.fenced_records = 0
+        self._header = None
+        self._loaded = True
         if not self.path.exists():
             return self._entries
         raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        # A well-formed journal ends with a newline, so the final split
-        # element is empty; a non-empty final element is a torn trailing
-        # record, and a record whose digest fails is treated the same —
-        # everything from the first bad byte on is untrustworthy.
-        good_bytes = 0
-        records: list[dict] = []
-        torn = False
-        for index, line in enumerate(lines):
-            terminated = index < len(lines) - 1
-            if not line:
-                if terminated:          # stray blank line; tolerate
-                    good_bytes += 1
-                continue
-            record = _open_record(line) if terminated else None
-            if record is None:
-                torn = True
-                break
-            records.append(record)
-            good_bytes += len(line) + 1
-        if not records:
+        records, good_bytes = recordlog.scan(raw)
+        torn = good_bytes < len(raw)
+        fold = JournalFold(self.sweep_key)
+        for record in records:
+            item = fold.step(record)
+            if item is not None:
+                self._entries[item[0]] = item[1]
+        if fold.header is None:
             if torn:
                 # Even the header is unreadable: nothing to salvage.
                 integrity.quarantine(self.path)
                 self.torn_records += 1
             return self._entries
-        header = records[0]
-        if header.get("kind") != "sweep-journal" \
-                or header.get("schema") != JOURNAL_SCHEMA:
+        if fold.header == "invalid":
             integrity.quarantine(self.path)
             return self._entries
-        if header.get("sweep_key") != self.sweep_key:
+        self._header = fold.header
+        if fold.header == "foreign":
             # A different sweep's journal at the same path: not corrupt,
             # merely inapplicable.  Start fresh without destroying it.
             return self._entries
         if torn:
             self.torn_records += 1
             self._truncate(good_bytes)
-        high_gen = header.get("gen", 0)
-        for record in records[1:]:
-            gen = record.get("gen", 0)
-            if gen < high_gen:
-                # Zombie writer from a fenced-off generation raced its
-                # final append past the takeover: drop, never trust.
-                self.fenced_records += 1
-                continue
-            high_gen = max(high_gen, gen)
-            key = record.get("key")
-            if key is not None:
-                self._entries[key] = record.get("entries")
+        self.fenced_records = fold.fenced
         return self._entries
 
     def _truncate(self, size: int) -> None:
@@ -236,27 +239,30 @@ class SweepJournal:
 
     # -- write side -----------------------------------------------------------
 
-    def record(self, workload: str, dataset: str, entries: list) -> None:
-        """Append one completed pair (compat shim over :meth:`append`)."""
-        self.append(self.pair_key(workload, dataset),
-                    [[name, payload] for name, payload in entries])
-
     def append(self, key: str, entries) -> None:
         """Durably append one completed task's entries.
 
         The record is on disk (written, flushed, fsynced) before this
         returns; a crash at any later instant cannot lose it.  Raises
-        :class:`StaleWriterError` if a newer writer has fenced this one
-        off — the record is *not* written in that case.
+        :class:`StaleWriterError` — without touching the journal or its
+        fence — if the journal belongs to another sweep or a newer
+        writer has fenced this one off.
         """
+        if not self._loaded:
+            self.load()
+        if self._header == "foreign":
+            raise StaleWriterError(
+                f"journal {self.path} belongs to another sweep; this "
+                f"sweep ({self.sweep_key}) will not append to it")
         self._check_fence()
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        payload = _seal({"gen": self.generation, "seq": len(self._entries),
-                         "key": key, "entries": entries})
-        if fresh:
-            header = _seal({"kind": "sweep-journal",
-                            "schema": JOURNAL_SCHEMA, "gen": self.generation,
-                            "sweep_key": self.sweep_key})
+        payload = recordlog.seal({"gen": self.generation,
+                                  "seq": len(self._entries),
+                                  "key": key, "entries": entries})
+        if self._header is None:
+            header = recordlog.seal({"kind": "sweep-journal",
+                                     "schema": JOURNAL_SCHEMA,
+                                     "gen": self.generation,
+                                     "sweep_key": self.sweep_key})
             payload = header + payload
         if faults.should_fire("checkpoint_torn"):
             # Simulate a crash mid-append: persist a prefix of the record
@@ -272,11 +278,14 @@ class SweepJournal:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
+        self._header = "ok"
         self._entries[key] = entries
 
     def complete(self) -> None:
         """Remove the journal (and its generation fence) after a fully
-        merged sweep."""
+        merged sweep — only when its header names this sweep."""
+        if self._header != "ok":
+            return
         for path in (self.path, self.gen_path):
             try:
                 path.unlink()

@@ -34,7 +34,7 @@ rebuild domain → in-process serial degradation (which cannot break and
 therefore always completes the sweep).
 
 **Hedged retries.**  A task in flight past ``1.5 x`` the
-``REPRO_SWEEP_HEDGE_QUANTILE`` completion quantile is speculatively
+:data:`HEDGE_QUANTILE` completion quantile is speculatively
 re-dispatched to an idle worker; the first finisher wins and the
 loser's entire payload — entries, counters, obs events — is discarded
 by content-key dedup, so hedging (and the ``steal_race`` /
@@ -42,7 +42,7 @@ by content-key dedup, so hedging (and the ``steal_race`` /
 
 **Backpressure.**  At most ``REPRO_SWEEP_QUEUE_BOUND`` tasks are
 resident in deques + flight; the rest wait in a backlog with a
-deadline — if the scheduler cannot admit for ``REPRO_SWEEP_ADMIT_TIMEOUT``
+deadline — if the scheduler cannot admit for :data:`ADMIT_TIMEOUT`
 seconds (every domain wedged), the backlog degrades to the serial tier
 rather than waiting forever.
 
@@ -71,18 +71,21 @@ from repro.sweep.tasks import TaskSpec, _sweep_worker_main
 
 #: Environment knobs (documented in docs/configuration.md).
 HEARTBEAT_ENV_VAR = "REPRO_SWEEP_HEARTBEAT"
-HEDGE_QUANTILE_ENV_VAR = "REPRO_SWEEP_HEDGE_QUANTILE"
 DOMAIN_ENV_VAR = "REPRO_SWEEP_DOMAIN"
 QUEUE_BOUND_ENV_VAR = "REPRO_SWEEP_QUEUE_BOUND"
-ADMIT_TIMEOUT_ENV_VAR = "REPRO_SWEEP_ADMIT_TIMEOUT"
 STARTUP_GRACE_ENV_VAR = "REPRO_SWEEP_STARTUP_GRACE"
 
+#: Completion-latency quantile past which a straggler may be hedged.
+HEDGE_QUANTILE = 0.95
 #: Hedge only once a task runs this multiple past the quantile.
 HEDGE_MULTIPLIER = 1.5
 #: Completed-duration samples required before the quantile is trusted.
 HEDGE_MIN_SAMPLES = 5
 #: A worker is hung when its beat is staler than this many intervals.
 LIVENESS_GRACE_INTERVALS = 2.0
+#: Seconds without admission progress before the backlog degrades to
+#: the serial tier.
+ADMIT_TIMEOUT = 30.0
 
 
 def _stable_slot(shard: str, nslots: int) -> int:
@@ -144,11 +147,8 @@ class SweepService:
     def __post_init__(self):
         self.heartbeat = max(
             env.floating(HEARTBEAT_ENV_VAR, 0.25), 0.01)
-        self.hedge_quantile = min(
-            max(env.floating(HEDGE_QUANTILE_ENV_VAR, 0.95), 0.5), 1.0)
         self.domain_size = max(env.integer(DOMAIN_ENV_VAR, 4), 1)
         self.queue_bound = max(env.integer(QUEUE_BOUND_ENV_VAR, 64), 1)
-        self.admit_timeout = env.floating(ADMIT_TIMEOUT_ENV_VAR, 30.0)
         self.grace = LIVENESS_GRACE_INTERVALS * self.heartbeat
         # Until a worker's *first* beat lands, the tight beat grace
         # would race process startup: forking a large parent (or a
@@ -332,7 +332,7 @@ class SweepService:
         """Feed the backlog into shard-affine deques within the bound.
 
         If the scheduler makes no admission progress for
-        ``admit_timeout`` seconds while a backlog waits (every domain
+        :data:`ADMIT_TIMEOUT` seconds while a backlog waits (every domain
         wedged or dead), the backlog's deadline expires and it degrades
         to the serial tier instead of waiting forever.
         """
@@ -346,7 +346,7 @@ class SweepService:
             admitted = True
         if admitted or not self.backlog:
             self._admit_progress = now
-        elif now - self._admit_progress > self.admit_timeout:
+        elif now - self._admit_progress > ADMIT_TIMEOUT:
             while self.backlog:
                 key = self.backlog.popleft().key
                 self.shelved.add(key)
@@ -675,7 +675,7 @@ class SweepService:
             return None
         ordered = sorted(self.durations)
         index = min(len(ordered) - 1,
-                    int(self.hedge_quantile * len(ordered)))
+                    int(HEDGE_QUANTILE * len(ordered)))
         return ordered[index] * HEDGE_MULTIPLIER
 
     def _maybe_hedge(self) -> None:

@@ -10,10 +10,9 @@ it tails the two crash-consistent streams the sweep already writes:
   ``iter_events()`` yields every validated bus record as it lands;
 * the **journal** (:mod:`repro.sweep.journal`) for completed results —
   ``iter_results()`` yields ``(task key, entries)`` as each durable
-  journal record appears, applying the journal's own validation rules
-  incrementally: self-digest per line, header ``sweep_key`` hygiene,
-  zombie-generation drop, and the torn-tail rule (an unterminated final
-  line is "still being written", never yielded).
+  journal record appears, folding the record log's tail through the same
+  :class:`~repro.sweep.journal.JournalFold` the journal's own ``load()``
+  applies, so a watcher and a resume always agree.
 
 Both iterators are pure readers over append-only files, so a consumer
 can run in a different process — or on a different machine over a
@@ -37,8 +36,9 @@ import os
 import time
 from pathlib import Path
 
+from repro.common import recordlog
 from repro.obs import bus as obs_bus
-from repro.sweep import journal as journal_mod
+from repro.sweep.journal import JournalFold
 
 
 class SweepWatch:
@@ -75,18 +75,19 @@ class SweepWatch:
                     timeout: float | None = None, stop=None):
         """Yield validated bus records as the scheduler appends them.
 
-        Torn or corrupt lines are skipped and an unterminated tail is
-        never yielded (see :func:`repro.obs.bus.tail_events`).  With
-        ``follow`` the iterator polls until ``stop()`` returns true or
-        ``timeout`` seconds elapse; ``follow=False`` drains what exists
-        and returns.
+        An unterminated tail and anything after a corrupt line are never
+        yielded (see :func:`repro.common.recordlog.tail`); ``run_id``
+        keeps only that sweep's events.  With ``follow`` the iterator
+        polls until ``stop()`` returns true or ``timeout`` seconds
+        elapse; ``follow=False`` drains what exists and returns.
         """
         if self.bus_path is None:
             return
-        yield from obs_bus.tail_events(
-            self.bus_path, run_id=self.run_id, follow=follow,
-            poll=self.poll, stop=stop, timeout=timeout,
-            sleep=self._sleep, clock=self._clock)
+        for record in recordlog.tail(
+                self.bus_path, follow=follow, poll=self.poll, stop=stop,
+                timeout=timeout, sleep=self._sleep, clock=self._clock):
+            if self.run_id is None or record.get("run_id") == self.run_id:
+                yield record
 
     # -- results --------------------------------------------------------------
 
@@ -94,13 +95,12 @@ class SweepWatch:
                      timeout: float | None = None, stop=None):
         """Yield ``(task key, entries)`` per durable journal record.
 
-        Incremental replay of the journal with the same trust rules as
-        :meth:`repro.sweep.journal.SweepJournal.load`: every line must
-        self-validate, the header must name this watch's ``sweep_key``
-        (when one is set), zombie-generation records are dropped, and a
-        torn tail is treated as not-yet-written.  Each key is yielded at
-        most once — a re-journaled key after a torn-tail repair is a
-        recompute of the same result, not news.
+        Exactly the records :meth:`repro.sweep.journal.SweepJournal.load`
+        would return, in order, as they land: the record log's trust
+        rules (:func:`repro.common.recordlog.tail`) folded through
+        :class:`~repro.sweep.journal.JournalFold` (header, schema,
+        ``sweep_key`` when one is set, zombie generations, one yield per
+        key — also across a writer's torn-tail truncation).
 
         The iterator ends when the journal disappears after having been
         seen (the sweep merged and called ``complete()``), when
@@ -108,69 +108,11 @@ class SweepWatch:
         """
         if self.journal_path is None:
             return
-        path = self.journal_path
-        offset = 0
-        buffer = b""
-        seen_file = False
-        seen_header = False
-        header_ok = self.sweep_key is None
-        high_gen = 0
-        yielded: set[str] = set()
-        deadline = (self._clock() + timeout
-                    if timeout is not None else None)
-        while True:
-            chunk = b""
-            if path.exists():
-                seen_file = True
-                try:
-                    with open(path, "rb") as handle:
-                        handle.seek(0, os.SEEK_END)
-                        size = handle.tell()
-                        if size < offset:
-                            # Torn-tail truncation by the writer: replay
-                            # from the top (``yielded`` dedups).
-                            offset = 0
-                            buffer = b""
-                            seen_header = False
-                            header_ok = self.sweep_key is None
-                            high_gen = 0
-                        handle.seek(offset)
-                        chunk = handle.read()
-                        offset += len(chunk)
-                except OSError:
-                    chunk = b""
-            elif seen_file:
-                return      # journal merged and removed: sweep complete
-            if chunk:
-                buffer += chunk
-                *lines, buffer = buffer.split(b"\n")
-                for line in lines:
-                    if not line:
-                        continue
-                    record = journal_mod._open_record(line)
-                    if record is None:
-                        continue
-                    if not seen_header:
-                        seen_header = True
-                        if record.get("kind") == "sweep-journal":
-                            header_ok = (
-                                self.sweep_key is None
-                                or record.get("sweep_key") == self.sweep_key)
-                            high_gen = record.get("gen", 0) or 0
-                            continue
-                    if not header_ok:
-                        continue
-                    gen = record.get("gen", 0) or 0
-                    if gen < high_gen:
-                        continue        # fenced-off zombie writer
-                    high_gen = max(high_gen, gen)
-                    key = record.get("key")
-                    if key is None or key in yielded:
-                        continue
-                    yielded.add(key)
-                    yield key, record.get("entries")
-            if not follow or (stop is not None and stop()):
-                return
-            if deadline is not None and self._clock() >= deadline:
-                return
-            self._sleep(self.poll)
+        fold = JournalFold(self.sweep_key)
+        for record in recordlog.tail(
+                self.journal_path, follow=follow, poll=self.poll, stop=stop,
+                timeout=timeout, sleep=self._sleep, clock=self._clock,
+                on_reset=fold.reset):
+            item = fold.step(record)
+            if item is not None:
+                yield item

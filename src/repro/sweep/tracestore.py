@@ -1,14 +1,13 @@
-"""Zero-copy symbolic-trace sharing for pool workers.
+"""The on-disk symbolic-trace cache, shared zero-copy by pool workers.
 
 The functional half of a run — executing a workload on the accelerator
 model — produces a :class:`~repro.accel.trace.SymbolicTrace` of three
-numpy columns that every timing configuration then consumes.  PR 1
-cached it as compressed ``.npz``, which is the right *archival* format
-but the wrong *sharing* format: every pool worker that loads it inflates
-a private copy of all three columns, so an N-worker sweep holds N copies
-of a multi-million-access trace in anonymous memory.
+numpy columns that every timing configuration then consumes.  A
+compressed archive would make every pool worker that loads it inflate a
+private copy of all three columns, so an N-worker sweep would hold N
+copies of a multi-million-access trace in anonymous memory.
 
-This store publishes the same trace as a directory of raw uncompressed
+This store publishes the trace as a directory of raw uncompressed
 ``.npy`` files::
 
     trace-<key>.mm/
@@ -27,8 +26,7 @@ neighbor's run.
 Integrity follows the repo's sidecar discipline: each column is hashed,
 publication is tmp + ``os.replace`` per file with a final ``.ok`` marker
 making the directory's completeness atomic, and any mismatch quarantines
-the whole directory for recomputation.  The ``.npz`` remains the
-portable fallback (``REPRO_SWEEP_MEMMAP=0`` disables the memmap tier).
+the whole directory for recomputation.
 """
 
 from __future__ import annotations
@@ -82,8 +80,7 @@ def open_trace(path: Path, *, verify: bool = True) -> SymbolicTrace:
 
     Raises :class:`CacheIntegrityError` for an incomplete directory, a
     missing column, a sidecar mismatch, or an undecodable file — the
-    caller quarantines and falls back to recomputation (or the ``.npz``
-    tier), never crashes.
+    caller quarantines and falls back to recomputation, never crashes.
     """
     if not is_published(path):
         raise CacheIntegrityError(f"incomplete trace store {path}")

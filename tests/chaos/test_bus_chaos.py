@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.common import faults
+from repro.common import faults, recordlog
 from repro.obs import bus as obs_bus
 from repro.obs import core as obs_core
 from repro.sweep.cli import merged_digest, run_probe_sweep
@@ -66,7 +66,7 @@ class TestBusUnderChaos:
         assert merged_digest(results) == probe_reference
         bus_file = obs_enabled / obs_bus.BUS_FILENAME
         assert bus_file.exists()
-        records = [obs_bus.open_record(line)
+        records = [recordlog.open_record(line)
                    for line in _bus_lines(bus_file)]
         assert records and all(r is not None for r in records)
         kinds = {r["kind"] for r in records}
@@ -104,16 +104,16 @@ class TestBusUnderChaos:
         the stream the next sweep appends to."""
         bus_file = obs_enabled / obs_bus.BUS_FILENAME
         bus_file.parent.mkdir(parents=True, exist_ok=True)
-        good = obs_bus.seal({"kind": "sweep-begin", "run_id": "dead",
+        good = recordlog.seal({"kind": "sweep-begin", "run_id": "dead",
                              "seq": 0})
-        torn = obs_bus.seal({"kind": "admitted", "run_id": "dead",
+        torn = recordlog.seal({"kind": "admitted", "run_id": "dead",
                              "seq": 1})[:17]
         bus_file.write_bytes(good + torn)
         faults.configure(CHAOS_SPEC, seed=7)
         results, _service = run_probe_sweep(PROBES, workers=4,
                                             pair_timeout=PAIR_TIMEOUT)
         assert merged_digest(results) == probe_reference
-        records = [obs_bus.open_record(line)
+        records = [recordlog.open_record(line)
                    for line in _bus_lines(bus_file)]
         assert all(r is not None for r in records)
         # The predecessor's good prefix survived; the torn tail did not.

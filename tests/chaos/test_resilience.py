@@ -7,9 +7,8 @@ import json
 import pytest
 
 from repro.common.errors import TransientError, WorkerCrashError
-from repro.sim.resilience import (ResilienceReport, RetryPolicy,
-                                  SweepCheckpoint, retry_call)
-from repro.sweep.journal import JOURNAL_SCHEMA
+from repro.sim.resilience import ResilienceReport, RetryPolicy, retry_call
+from repro.sweep.journal import JOURNAL_SCHEMA, SweepJournal
 
 
 class TestRetryPolicy:
@@ -89,28 +88,27 @@ class TestSweepCheckpoint:
 
     def test_record_load_round_trip(self, tmp_path):
         path = tmp_path / "sweep.ckpt.json"
-        ckpt = SweepCheckpoint(path, sweep_key="k1")
-        ckpt.record("bfs", "FR", self.entries("a"))
-        ckpt.record("cf", "NF", self.entries("b"))
-        loaded = SweepCheckpoint(path, sweep_key="k1").load()
+        ckpt = SweepJournal(path, sweep_key="k1")
+        ckpt.append("bfs/FR", self.entries("a"))
+        ckpt.append("cf/NF", self.entries("b"))
+        loaded = SweepJournal(path, sweep_key="k1").load()
         assert loaded == {"bfs/FR": self.entries("a"),
                           "cf/NF": self.entries("b")}
 
     def test_wrong_sweep_key_ignored_but_preserved(self, tmp_path):
         path = tmp_path / "sweep.ckpt.json"
-        SweepCheckpoint(path, sweep_key="k1").record(
-            "bfs", "FR", self.entries("a"))
-        assert SweepCheckpoint(path, sweep_key="other").load() == {}
+        SweepJournal(path, sweep_key="k1").append("bfs/FR", self.entries("a"))
+        assert SweepJournal(path, sweep_key="other").load() == {}
         assert path.exists()      # not corrupt, merely inapplicable
 
     def test_corrupt_checkpoint_quarantined(self, tmp_path):
         # Corruption that destroys even the header is beyond salvage:
         # the whole journal is quarantined, never trusted.
         path = tmp_path / "sweep.ckpt.json"
-        ckpt = SweepCheckpoint(path, sweep_key="k1")
-        ckpt.record("bfs", "FR", self.entries("a"))
+        ckpt = SweepJournal(path, sweep_key="k1")
+        ckpt.append("bfs/FR", self.entries("a"))
         path.write_text(path.read_text()[:30])
-        assert SweepCheckpoint(path, sweep_key="k1").load() == {}
+        assert SweepJournal(path, sweep_key="k1").load() == {}
         assert not path.exists()
         assert (tmp_path / "sweep.ckpt.json.corrupt").exists()
 
@@ -120,26 +118,26 @@ class TestSweepCheckpoint:
         # it resumes.  (The pre-PR-8 whole-file checkpoint lost
         # everything on any corruption.)
         path = tmp_path / "sweep.ckpt.json"
-        ckpt = SweepCheckpoint(path, sweep_key="k1")
-        ckpt.record("bfs", "FR", self.entries("a"))
-        ckpt.record("cf", "NF", self.entries("b"))
+        ckpt = SweepJournal(path, sweep_key="k1")
+        ckpt.append("bfs/FR", self.entries("a"))
+        ckpt.append("cf/NF", self.entries("b"))
         raw = path.read_bytes()
         path.write_bytes(raw[:-20])         # tear the final record
-        fresh = SweepCheckpoint(path, sweep_key="k1")
+        fresh = SweepJournal(path, sweep_key="k1")
         assert fresh.load() == {"bfs/FR": self.entries("a")}
         assert fresh.torn_records == 1
         # The truncation is durable: a second load sees a clean journal.
-        again = SweepCheckpoint(path, sweep_key="k1")
+        again = SweepJournal(path, sweep_key="k1")
         assert again.load() == {"bfs/FR": self.entries("a")}
         assert again.torn_records == 0
 
     def test_missing_checkpoint_is_empty(self, tmp_path):
-        assert SweepCheckpoint(tmp_path / "none.json", "k").load() == {}
+        assert SweepJournal(tmp_path / "none.json", "k").load() == {}
 
     def test_complete_removes_journal(self, tmp_path):
         path = tmp_path / "sweep.ckpt.json"
-        ckpt = SweepCheckpoint(path, sweep_key="k1")
-        ckpt.record("bfs", "FR", self.entries("a"))
+        ckpt = SweepJournal(path, sweep_key="k1")
+        ckpt.append("bfs/FR", self.entries("a"))
         ckpt.complete()
         assert not path.exists()
         assert not ckpt.gen_path.exists()   # fence removed with it
@@ -149,8 +147,7 @@ class TestSweepCheckpoint:
         # Append-only JSONL: a header record carrying the sweep key and
         # schema, then one self-validating (sha-sealed) record per task.
         path = tmp_path / "sweep.ckpt.json"
-        SweepCheckpoint(path, sweep_key="k1").record(
-            "bfs", "FR", self.entries("a"))
+        SweepJournal(path, sweep_key="k1").append("bfs/FR", self.entries("a"))
         lines = [json.loads(line) for line in
                  path.read_text().splitlines()]
         header, record = lines

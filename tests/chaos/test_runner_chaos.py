@@ -106,21 +106,6 @@ class TestCacheIntegrity:
         assert any(p.name.endswith(".corrupt")
                    for p in tmp_path.rglob("*"))
 
-    def test_corrupt_trace_quarantined_and_recomputed(self, baseline,
-                                                      tmp_path, monkeypatch):
-        # Memmap off: this test targets the archival npz tier (the
-        # memmapped store has its own corruption test below).
-        monkeypatch.setenv("REPRO_SWEEP_MEMMAP", "0")
-        bench_runner(cache_dir=str(tmp_path)).run_pairs(pairs=PAIRS)
-        self.corrupt(tmp_path, "trace-", suffix=".npz",
-                     mutate=lambda p: p.write_bytes(b"\x00garbage\x00"))
-        # Drop the metrics artifacts so recomputation must reload traces.
-        for p in list(tmp_path.rglob("metrics-*")):
-            p.unlink()
-        runner = bench_runner(cache_dir=str(tmp_path))
-        assert_identical(runner.run_pairs(pairs=PAIRS), baseline)
-        assert runner.resilience.quarantined >= 1
-
     def test_corrupt_memmap_store_quarantined(self, baseline, tmp_path):
         bench_runner(cache_dir=str(tmp_path)).run_pairs(pairs=PAIRS)
         stores = sorted(p for p in tmp_path.rglob("trace-*.mm")

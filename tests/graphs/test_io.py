@@ -119,17 +119,3 @@ class TestCSRSerialization:
         save_csr(graph, path)
         result = run_workload("bfs", load_csr(path))
         assert len(result.trace) > 0
-
-
-class TestTraceSerialization:
-    def test_roundtrip(self, tmp_path):
-        from repro.accel.algorithms import run_workload
-        graph = rmat_graph(scale=7, edge_factor=4, seed=62)
-        result = run_workload("pagerank", graph)
-        path = tmp_path / "trace.npz"
-        result.trace.save(path)
-        from repro.accel.trace import SymbolicTrace
-        loaded = SymbolicTrace.load(path)
-        assert np.array_equal(loaded.streams, result.trace.streams)
-        assert np.array_equal(loaded.offsets, result.trace.offsets)
-        assert np.array_equal(loaded.writes, result.trace.writes)

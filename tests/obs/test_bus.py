@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.common import recordlog
 from repro.obs import bus, core
 
 
@@ -15,16 +16,16 @@ def _lines(path):
 
 class TestRecords:
     def test_seal_round_trips(self):
-        sealed = bus.seal({"kind": "started", "key": "bfs/FR", "seq": 0})
+        sealed = recordlog.seal({"kind": "started", "key": "bfs/FR", "seq": 0})
         assert sealed.endswith(b"\n")
-        record = bus.open_record(sealed.rstrip(b"\n"))
+        record = recordlog.open_record(sealed.rstrip(b"\n"))
         assert record == {"kind": "started", "key": "bfs/FR", "seq": 0}
 
     def test_corrupt_line_rejected(self):
-        sealed = bus.seal({"kind": "started", "seq": 0}).rstrip(b"\n")
-        assert bus.open_record(sealed[:-4] + b"beef") is None
-        assert bus.open_record(b"not json at all") is None
-        assert bus.open_record(b"[1, 2]") is None
+        sealed = recordlog.seal({"kind": "started", "seq": 0}).rstrip(b"\n")
+        assert recordlog.open_record(sealed[:-4] + b"beef") is None
+        assert recordlog.open_record(b"not json at all") is None
+        assert recordlog.open_record(b"[1, 2]") is None
 
     def test_emit_carries_schema_run_id_and_seq(self, tmp_path):
         with bus.EventBus(tmp_path / "bus.ndjson", "run42",
@@ -47,26 +48,26 @@ class TestTornTail:
             writer.emit("admitted", key="k")
         # Simulate a crash mid-append: a partial trailing record.
         good = path.read_bytes()
-        torn = bus.seal({"kind": "started", "key": "k"})[:10]
+        torn = recordlog.seal({"kind": "started", "key": "k"})[:10]
         path.write_bytes(good + torn)
         with bus.EventBus(path, "b") as writer:
             writer.emit("sweep-begin")
         records = bus.read_events(path)
         assert [r["kind"] for r in records] \
             == ["sweep-begin", "admitted", "sweep-begin"]
-        assert all(bus.open_record(line) for line in _lines(path))
+        assert all(recordlog.open_record(line) for line in _lines(path))
 
     def test_good_prefix_stops_at_first_bad_line(self, tmp_path):
-        good = bus.seal({"kind": "a"}) + bus.seal({"kind": "b"})
-        bad = b'{"kind": "forged"}\n' + bus.seal({"kind": "c"})
-        assert bus.good_prefix_size(good + bad) == len(good)
-        assert bus.good_prefix_size(good) == len(good)
-        assert bus.good_prefix_size(good + b"partial") == len(good)
+        good = recordlog.seal({"kind": "a"}) + recordlog.seal({"kind": "b"})
+        bad = b'{"kind": "forged"}\n' + recordlog.seal({"kind": "c"})
+        assert recordlog.scan(good + bad)[1] == len(good)
+        assert recordlog.scan(good)[1] == len(good)
+        assert recordlog.scan(good + b"partial")[1] == len(good)
 
     def test_reader_never_yields_unterminated_tail(self, tmp_path):
         path = tmp_path / "bus.ndjson"
-        sealed = bus.seal({"kind": "started", "key": "k"})
-        path.write_bytes(bus.seal({"kind": "sweep-begin"}) + sealed[:-5])
+        sealed = recordlog.seal({"kind": "started", "key": "k"})
+        path.write_bytes(recordlog.seal({"kind": "sweep-begin"}) + sealed[:-5])
         records = bus.read_events(path)
         assert [r["kind"] for r in records] == ["sweep-begin"]
         # The writer finishes the append: the record appears whole.
@@ -91,8 +92,8 @@ class TestTailer:
                 writer.emit("sweep-end")
                 appended["done"] = True
 
-        tail = bus.tail_events(path, sleep=fake_sleep,
-                               stop=lambda: appended["done"])
+        tail = recordlog.tail(path, sleep=fake_sleep,
+                              stop=lambda: appended["done"])
         for record in tail:
             seen.append(record["kind"])
         writer.close()
@@ -117,9 +118,9 @@ class TestTailer:
         def fake_sleep(dt):
             clock["now"] += dt
 
-        records = list(bus.tail_events(tmp_path / "missing.ndjson",
-                                       timeout=1.0, sleep=fake_sleep,
-                                       clock=fake_clock))
+        records = list(recordlog.tail(tmp_path / "missing.ndjson",
+                                      timeout=1.0, sleep=fake_sleep,
+                                      clock=fake_clock))
         assert records == []
         assert clock["now"] >= 1.0
 
@@ -130,14 +131,14 @@ class TestTailer:
             writer.emit("admitted", key="k")
         first = list(bus.read_events(path))
         # A new writer truncates back past what we already read.
-        path.write_bytes(bus.seal({"kind": "fresh"}))
+        path.write_bytes(recordlog.seal({"kind": "fresh"}))
         state = {"rounds": 0}
 
         def fake_sleep(_):
             state["rounds"] += 1
 
-        tail = bus.tail_events(path, sleep=fake_sleep,
-                               stop=lambda: state["rounds"] >= 1)
+        tail = recordlog.tail(path, sleep=fake_sleep,
+                              stop=lambda: state["rounds"] >= 1)
         replayed = [r["kind"] for r in tail]
         assert [r["kind"] for r in first] == ["sweep-begin", "admitted"]
         assert replayed[-1] == "fresh"

@@ -51,13 +51,8 @@ class TestDiskCache:
         first = bench_runner(cache_dir=str(tmp_path)).run_pairs(pairs=PAIRS)
         # Artifacts land in two-hex-char shard subdirectories.
         names = sorted(p.name for p in tmp_path.rglob("*") if p.is_file())
-        assert sum(n.startswith("trace-") and n.endswith(".npz")
-                   for n in names) == len(PAIRS)
-        # every binary trace carries a checksum sidecar
-        assert sum(n.startswith("trace-") and n.endswith(".npz.sha256")
-                   for n in names) == len(PAIRS)
         assert sum(n.startswith("metrics-") for n in names) == len(PAIRS) * 7
-        # plus the published memmapped column store per trace
+        # one published memmapped column store per trace
         stores = [p for p in tmp_path.rglob("trace-*.mm") if p.is_dir()]
         assert len(stores) == len(PAIRS)
         # a completed sweep leaves no checkpoint journal behind (the

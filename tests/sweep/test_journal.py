@@ -11,7 +11,8 @@ import pytest
 
 from repro.common import faults
 from repro.common.errors import InjectedFault
-from repro.sweep.journal import StaleWriterError, SweepJournal, _seal
+from repro.common.recordlog import seal as _seal
+from repro.sweep.journal import StaleWriterError, SweepJournal
 
 KEY = "probe-sweep-test"
 
@@ -149,3 +150,37 @@ class TestGenerationFencing:
         loaded = resumed.load()
         assert set(loaded) == {"probe/0", "probe/1"}
         assert resumed.fenced_records == 1
+
+
+class TestForeignJournal:
+    """A journal at a reused path that belongs to another sweep: never
+    appended to, never adopted, never removed."""
+
+    def test_resume_gets_only_own_entries(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        owner = fill(path, 2)
+        before = path.read_bytes()
+        gen_before = owner.gen_path.read_bytes()
+        other = SweepJournal(path, "some-other-sweep")
+        assert other.load() == {}
+        with pytest.raises(StaleWriterError):
+            other.append("probe/9", entries_for(9))
+        assert path.read_bytes() == before
+        assert owner.gen_path.read_bytes() == gen_before
+        # Also without a prior load(): the first append reads the header.
+        with pytest.raises(StaleWriterError):
+            SweepJournal(path, "some-other-sweep").append(
+                "probe/9", entries_for(9))
+        assert path.read_bytes() == before
+        resumed = SweepJournal(path, KEY).load()
+        assert resumed == {f"probe/{s}": entries_for(s) for s in range(2)}
+
+    def test_survives_other_sweeps_complete(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        owner = fill(path, 2)
+        other = SweepJournal(path, "some-other-sweep")
+        other.load()
+        other.complete()
+        assert path.exists() and owner.gen_path.exists()
+        resumed = SweepJournal(path, KEY).load()
+        assert resumed == {f"probe/{s}": entries_for(s) for s in range(2)}

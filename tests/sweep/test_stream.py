@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from repro.obs import bus
-from repro.sweep.journal import SweepJournal, _seal
+from repro.common.recordlog import seal as _seal
+from repro.sweep.journal import SweepJournal
 from repro.sweep.stream import SweepWatch
 
 
