@@ -17,14 +17,15 @@ Usage::
     python benchmarks/perf_timing.py --quick       # bench profile smoke
     python benchmarks/perf_timing.py --pairs 4     # first N pairs only
 
-Fault-enabled pairs exercise segment replay: the same trace runs under
-demand faulting (conv_4k, frames arrive on first touch) and under
+Fault-enabled pairs exercise fault pre-delivery: the same trace runs
+under demand faulting (conv_4k, frames arrive on first touch) and under
 reclaim pressure (dvm_pe, half the heap swapped out), so the recorded
-speedup covers traces the fast engine must stitch around live fault
-services.  Each fault row also carries a per-phase wall-time breakdown
-of the fast run — batched segment ``replay`` vs scalar ``fault_service``
-bridges vs screening/planning ``accounting`` — from the engine's
-opt-in :data:`repro.sim.fastpath.PHASE_PROFILE` hook.
+speedup covers traces whose faults the fast engine services up front
+through the real fault machinery before one batched replay.  Each fault
+row also carries a per-phase wall-time breakdown of the fast run —
+``fault_service`` (delivery) vs ``accounting`` (the post-delivery
+re-screen) vs batched ``replay`` — from the engine's opt-in
+:data:`repro.sim.fastpath.PHASE_PROFILE` hook.
 
 ``--check [BASELINE]`` turns a run into a perf smoke test: each timed
 fault-free pair's fastpath speedup is compared against the matching pair
@@ -99,7 +100,7 @@ def time_fault_pair(runner: ExperimentRunner, workload: str, dataset: str,
     Preparation (dataset build, functional execution, system build,
     reclaim pressure, page-run batch binding) happens outside the timer
     — the timed region is exactly one trace run through the selected
-    engine, which is where segment replay either pays off or doesn't.
+    engine, which is where fault pre-delivery either pays off or doesn't.
     Binding counts as preparation because the sweep amortizes it: one
     pair's batch serves all seven configurations (``batch_cache`` in
     :meth:`HeterogeneousSystem.run_trace`), so callers share

@@ -20,10 +20,10 @@ argument end-to-end:
   chunk costs one full fault service.
 
 Fault-bearing runs stay on the fast timing path: the engine delivers the
-predicted faults through the real fault queue and kernel handler (or
-stitches fault-free segments around them) and is bit-identical to the
-scalar loops either way, so every row here matches a scalar rerun and
-the fault-free rows stay bit-identical to every other experiment.
+predicted faults through the real fault queue and kernel handler, then
+replays the trace batched, bit-identical to the scalar loops, so every
+row here matches a scalar rerun and the fault-free rows stay
+bit-identical to every other experiment.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ DEFAULT_WALK_LATENCY = 70
 
 #: Row-locality model: 16 banks, bank = low page bits, row = high page
 #: bits.  Derived from the *virtual* 4 KB page stream so both timing
-#: engines (and their fault-segment replays) account identically.
+#: engines account identically.
 NUM_BANKS = 16
 _BANK_MASK = NUM_BANKS - 1
 _BANK_SHIFT = 4
@@ -94,8 +94,8 @@ class DRAMModel:
         ``pages`` are the virtual page numbers of the demand-data accesses,
         in trace order.  Per bank, an access hits iff it targets the row
         left open by the previous access to that bank; the open-row state
-        persists across calls, so a trace split into fault-bounded
-        segments accounts identically to one unsegmented pass.
+        persists across calls, so a trace split into several calls
+        accounts identically to one pass.
         """
         n = int(len(pages))
         if not n:

@@ -42,16 +42,15 @@ On top of the scalar loops sits a batched engine
 into page runs and resolves guaranteed LRU hits vectorially, replaying
 only the residual accesses through the same dict operations.  The fast
 engine produces bit-identical :class:`TimingStats` and final structure
-state (``tests/sim/test_fastpath_equivalence.py``).  Traces that could
-fault are segmented at predicted fault sites: fault-free segments replay
-batched, while the fault-bearing spans run through the scalar loops —
-and the real fault-delivery machinery (:mod:`repro.hw.fault_queue`,
-:mod:`repro.kernel.fault`) — as scalar bridges.  Only a few shapes
-still refuse outright (an L2 TLB, vector-budget overruns, raw IOMMUs
-without a fault path on faulting traces); the scalar loops remain the
-ground truth either way.  Select the engine per call
-(``engine="scalar"``) or globally via the ``REPRO_TIMING_ENGINE``
-environment variable.
+state (``tests/sim/test_fastpath_equivalence.py``).  A trace that could
+fault has its faults pre-delivered at their predicted sites through the
+real fault-delivery machinery (:mod:`repro.hw.fault_queue`,
+:mod:`repro.kernel.fault`) and then replays batched.  Traces whose
+faults cannot be pinned to sites (permission mosaics), an L2 TLB,
+vector-budget overruns and raw IOMMUs without a fault path on faulting
+traces are refused to the scalar loops, which remain the ground truth.
+Select the engine per call (``engine="scalar"``) or globally via the
+``REPRO_TIMING_ENGINE`` environment variable.
 """
 
 from __future__ import annotations
@@ -226,10 +225,9 @@ class IOMMU:
         selects ``"fast"`` (batched page-run engine, the default) or
         ``"scalar"`` (the per-access loops); unset, the
         ``REPRO_TIMING_ENGINE`` environment variable decides.  The fast
-        engine replays fault-bearing traces as fault-free segments
-        stitched by scalar bridges, and falls back to the scalar loops
-        entirely for the few shapes it refuses — results are identical
-        either way.
+        engine pre-delivers a trace's faults and replays it batched, and
+        falls back to the scalar loops entirely for the shapes it
+        refuses — results are identical either way.
         """
         from repro.sim import fastpath
         if engine is None:
@@ -254,7 +252,9 @@ class IOMMU:
         The batched entry point: callers that already hold a page-run batch
         (the parallel runner shares them across configurations) skip the
         pre-pass.  Falls back to the scalar loops when the fast engine
-        declines the trace.
+        declines the trace; after a ``"predelivery_miss"`` they run over
+        the healed state, with the delivered faults' charges already in
+        ``stats``.
         """
         from repro.sim import fastpath
         stats = TimingStats()
@@ -262,8 +262,7 @@ class IOMMU:
         if outcome:
             self._finalize_energy(stats)
             if obs_core.ENABLED:
-                obs_record.record_fastpath(self.config.mech, accepted=True,
-                                           segments=outcome.segments)
+                obs_record.record_fastpath(self.config.mech, accepted=True)
                 obs_record.record_trace_run(self, stats)
             return stats
         # The fast engine declines every batch while an injector is
@@ -280,9 +279,10 @@ class IOMMU:
                     stats: TimingStats | None = None) -> TimingStats:
         """Dispatch to the per-access loops (the ground-truth engine).
 
-        ``stats`` lets an entry point that already charged fault-injection
-        stall pass its accumulator through; the loops assign (not add) the
-        trace-wide counters, so pre-charged fault fields survive.
+        ``stats`` lets an entry point that already charged fault stall
+        (the chaos hook, or the faults delivered before a pre-delivery
+        miss) pass its accumulator through; the loops assign (not add)
+        the trace-wide counters, so pre-charged fault fields survive.
         """
         if stats is None:
             stats = TimingStats()
@@ -759,8 +759,7 @@ class IOMMU:
         """Fill the MMU dynamic-energy account (Figure 9's methodology).
 
         Finalization is additive over the trace-wide totals, so it runs
-        exactly once per trace — segment replay and scalar bridges defer
-        to the batch-level caller, which finalizes the summed stats.
+        exactly once per trace, from the batch-level caller.
         """
         if self.config.mech == "ideal":
             return

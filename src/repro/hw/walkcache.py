@@ -51,8 +51,8 @@ class PageWalkCache(SetAssocCache):
         :meth:`caches_level` when the walker built its walk info), in
         last-touch order.  Contents are installed without touching the
         hit/miss counters — those are accounted in bulk from the LRU
-        replay — so a scalar run and a segmented batched run leave the
-        cache bit-identical.
+        replay — so a scalar run and a batched run leave the cache
+        bit-identical.
         """
         self.install_blocks(blocks)
 

@@ -131,23 +131,17 @@ def record_fault_service(config: str, kind: str, stall_cycles: int,
                   page=va >> 12, stall_cycles=stall_cycles)
 
 
-def record_fastpath(mech: str, accepted: bool, reason: str | None = None,
-                    segments: int = 0) -> None:
+def record_fastpath(mech: str, accepted: bool,
+                    reason: str | None = None) -> None:
     """Count a fast-engine batch acceptance or scalar fallback.
 
-    Accepted batches also count their replayed segments (1 for a
-    fault-free trace, more when fault-bounded segment replay stitched
-    the trace); refusals attribute the fallback to the engine's refusal
-    ``reason`` so ``python -m repro obs`` shows *why* traces left the
-    fast path.
+    Refusals attribute the fallback to the engine's refusal ``reason``
+    so ``python -m repro obs`` shows *why* traces left the fast path.
     """
     if not core.ENABLED:
         return
     reg = core.REGISTRY
     name = "fastpath.accepted" if accepted else "fastpath.fallbacks"
     reg.counter(name, mech=mech).inc()
-    if accepted:
-        if segments:
-            reg.counter("fastpath.segments", mech=mech).inc(segments)
-    elif reason is not None:
+    if not accepted and reason is not None:
         reg.counter(f"fastpath.refused.{reason}", mech=mech).inc()

@@ -38,37 +38,27 @@ DESIGN.md, "Key design decisions"):
     reductions, so the end-of-trace dicts are rebuilt bit-identically
     without replaying the stream.
 
-Fault-bearing traces stay on the fast path.  A vectorized pre-screen
-predicts every position where the scalar loop could take a fault (demand
-page-in, swap-in, permission mosaics), then one of two strategies
-replays the trace:
+Fault-bearing traces stay on the fast path when their faults are
+*site-exact*.  A vectorized pre-screen predicts every position where the
+scalar loop could take a fault — demand page-ins and swap-ins at a
+page's first TLB-miss walk or first DAV access, write-violations at a
+page's first store.  The engine services them all up front, in trace
+order, through :class:`~repro.hw.fault_queue.FaultPath` and
+:mod:`repro.kernel.fault` exactly as the scalar loop would, then
+re-screens against the healed state and replays the whole trace as a
+single clean batch.  Sound because fault delivery touches no replayed
+LRU state, and the scalar loops charge a faulting access entirely from
+its post-service walk info (see :func:`_run_predelivered`).  Fault-stall
+cycles, major/swap fault counts and energy events are bit-identical to
+the scalar loop by construction.
 
-* **Pre-delivery** (the common case): when every predicted fault is
-  *site-exact* — demand page-ins and swap-ins at a page's first
-  TLB-miss walk or first DAV access, write-violations at a page's first
-  store — the engine services them all up front, in trace order,
-  through :class:`~repro.hw.fault_queue.FaultPath` and
-  :mod:`repro.kernel.fault` exactly as the scalar loop would, then
-  re-screens against the healed state and replays the whole trace as a
-  single clean batch.  Sound because fault delivery touches no replayed
-  LRU state, and the scalar loops charge a faulting access entirely
-  from its post-service walk info (see :func:`_run_predelivered`).
-* **Segment replay**: faults whose position depends on interleaving
-  (e.g. a TLB region holding a permission mosaic) cut the stream at the
-  candidate positions; each fault-free segment replays through the
-  batched kernels above (warm lookup structures are *primed* into the
-  LRU replay, so a mid-trace segment start is exact), and the candidate
-  positions themselves are bridged through the real scalar loops.
-
-Fault-stall cycles, major/swap fault counts and energy events are
-bit-identical to the scalar loop by construction either way.
-
-The engine refuses (an :class:`EngineOutcome` that is falsy) only when the
-trace needs machinery it cannot replay: a potential fault with no fault
-path attached (the legacy raise-on-fault contract), an L2 TLB, an
-analysis exceeding its vector-work budget, or fault segmentation disabled
-via ``REPRO_FASTPATH_FAULTS=0``.  The caller then falls back to the
-scalar loops, which remain the ground truth.
+Everything else is refused (an :class:`EngineOutcome` that is falsy)
+and the caller runs the scalar loops, which remain the ground truth:
+faults whose position depends on interleaving (``order_dependent``: a
+TLB region holding a permission mosaic, a violating DVM-BM identity
+store), a potential fault with no fault path attached (the legacy
+raise-on-fault contract), an L2 TLB, an analysis exceeding its
+vector-work budget, and the rare pre-delivery miss.
 """
 
 from __future__ import annotations
@@ -97,27 +87,12 @@ def default_engine() -> str:
     return engine
 
 
-#: Set to ``0`` to refuse fault-bearing traces instead of segmenting them
-#: (the pre-PR behaviour: any predicted fault falls back to scalar).
-FAULT_SEGMENTS_ENV_VAR = "REPRO_FASTPATH_FAULTS"
-
-
-def fault_segments_enabled() -> bool:
-    """Whether fault-bearing traces run segmented on the fast path."""
-    return env.raw(FAULT_SEGMENTS_ENV_VAR, "1") != "0"
-
-
-#: Minimum accesses for a fault-free stretch to be worth a batched
-#: segment; shorter stretches are absorbed into the neighbouring scalar
-#: bridge (per-segment analysis has fixed overhead).
-_MIN_SEGMENT = 256
-
 #: When a profiler (``benchmarks/perf_timing.py``) replaces this with a
-#: dict, segment replay accumulates wall seconds per phase into it:
-#: ``"replay"`` (batched fast-span kernels), ``"fault_service"`` (scalar
-#: bridges through the real fault machinery) and ``"accounting"``
-#: (screening, segment planning and state snapshots).  ``None`` — the
-#: default — keeps the engine free of timer calls.
+#: dict, fault pre-delivery accumulates wall seconds per phase into it:
+#: ``"fault_service"`` (delivery through the real fault machinery),
+#: ``"accounting"`` (the post-delivery re-screen) and ``"replay"`` (the
+#: batched kernels).  ``None`` — the default — keeps the engine free of
+#: timer calls.
 PHASE_PROFILE: dict | None = None
 
 
@@ -129,23 +104,28 @@ def _charge_phase(key: str, seconds: float) -> None:
 class EngineOutcome:
     """Result of one fast-engine attempt on a batch.
 
-    Truthiness is acceptance.  ``reason`` names the refusal
-    (``"tlb_l2"``, ``"legacy_fault_path"``, ``"budget"``,
-    ``"fault_segments_disabled"``) and feeds the
-    ``fastpath.refused.<reason>`` observability counters; ``segments``
-    counts batched replay segments (1 for an unsegmented accept) and
-    ``bridged_accesses`` the accesses replayed through the scalar
-    bridges.
+    Truthiness is acceptance.  ``reason`` names the refusal and feeds the
+    ``fastpath.refused.<reason>`` observability counters: ``"chaos"``
+    (an injector is configured), ``"tlb_l2"``, ``"legacy_fault_path"``,
+    ``"budget"``, ``"walk_set_pressure"``, ``"order_dependent"`` (a
+    fault the screen cannot pin to a site) or ``"predelivery_miss"``.
+    A refused batch left no state modified — except ``"predelivery_miss"``,
+    whose delivered faults stay serviced and charged to ``stats``; the
+    scalar loops then run over the healed state (see
+    :func:`_run_predelivered`).
     """
 
-    __slots__ = ("accepted", "reason", "segments", "bridged_accesses")
+    __slots__ = ("accepted", "reason")
 
-    def __init__(self, accepted: bool, reason: str | None = None,
-                 segments: int = 0, bridged_accesses: int = 0):
+    #: Every accepted batch is one whole replay.  Kept as read-only
+    #: constants because the benchmark's span recorder
+    #: (``benchmarks/dvmbench/spans.py``) still reads both names.
+    segments = 1
+    bridged_accesses = 0
+
+    def __init__(self, accepted: bool, reason: str | None = None):
         self.accepted = accepted
         self.reason = reason
-        self.segments = segments
-        self.bridged_accesses = bridged_accesses
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -209,9 +189,8 @@ class PageRunBatch:
     skeleton batch stays run-scale from bind to replay: the screens, the
     batched kernels and fault pre-delivery read run columns, per-page
     columns and :meth:`va_at`, never :attr:`addrs`.  Only the scalar
-    fallback (a declined batch, or a configured chaos injector) and the
-    segment bridges of :func:`_run_segmented` build the per-access
-    address column.
+    fallback (a refused batch, or a configured chaos injector) builds
+    the per-access address column.
     """
 
     __slots__ = ("_addrs", "writes", "_runs", "_upages", "_lazy",
@@ -550,8 +529,8 @@ class _WalkTable:
         if not self.ok.all():
             # A chunk-granular fault service (demand page-in, swap-in)
             # can heal a page after this eager memoization; drop not-ok
-            # outcomes so post-service accesses — and the walk tables of
-            # later replay segments — re-walk authoritatively instead of
+            # outcomes so post-service accesses — and pre-delivery's
+            # re-screen — re-walk authoritatively instead of
             # faulting on a stale memo entry the pure scalar engine
             # would never have held.
             memo = walker._memo
@@ -562,15 +541,16 @@ class _WalkTable:
     @classmethod
     def narrowed(cls, base: "_WalkTable", base_upages: np.ndarray,
                  walker, upages: np.ndarray) -> "_WalkTable":
-        """Rows of ``base`` gathered for a sub-batch's pages.
+        """Rows of ``base`` gathered for a re-screen's pages.
 
-        Segment re-screens narrow the trace-wide table instead of
-        re-walking every page: a page whose walk was ``ok`` at base-build
-        time keeps an immutable walk outcome for the rest of the trace
-        (fault services only *create* mappings — existing entries never
-        move), so only the not-ok rows — pages an intervening bridge may
-        have healed — are re-queried through the walker.  ``upages`` must
-        be a subset of ``base_upages`` (any slice of the base trace is).
+        Pre-delivery's re-screen narrows the first screen's table instead
+        of re-walking every page: a page whose walk was ``ok`` at
+        base-build time keeps an immutable walk outcome for the rest of
+        the trace (fault services only *create* mappings — existing
+        entries never move), so only the not-ok rows — pages the
+        delivered faults may have healed — are re-queried through the
+        walker.  ``upages`` must be a subset of ``base_upages`` (a DVM-BM
+        swap-in can move a page from the fallback set to the bitmap).
         """
         self = object.__new__(cls)
         pos = np.searchsorted(base_upages, upages)
@@ -627,9 +607,8 @@ def _compact(values: np.ndarray):
     lo = int(values.min())
     span = int(values.max()) - lo + 1
     # The presence table costs O(span) regardless of input size, which
-    # loses badly for short streams over a wide heap (segment replay
-    # factorizes thousands of trace slices): keep it for streams dense
-    # in their span, sort the sparse ones.
+    # loses badly for short streams over a wide heap: keep it for
+    # streams dense in their span, sort the sparse ones.
     if span <= _COMPACT_SPAN_BUDGET and span <= 64 * values.size:
         shifted = values - lo          # only ever used as an index column
         present = np.zeros(span, bool)
@@ -945,7 +924,7 @@ def _residents(lru: _StreamLRU) -> np.ndarray:
 
 
 def _rebuild_cache(cache, lru: _StreamLRU, ukeys: np.ndarray) -> None:
-    """Recreate a block cache's end-of-segment contents (last-touch order).
+    """Recreate a block cache's end-of-trace contents (last-touch order).
 
     Pre-existing (warm) blocks were primed into the replay, so they are
     part of ``lru``'s recency order: flush and reinstall everything.
@@ -992,8 +971,8 @@ def _walk_lru(cache, table: _WalkTable, page_idx: np.ndarray,
     Event ``e`` walks page ``page_idx[e]``, touching its blocks in walk
     order.  ``prime_blocks`` (resident block ids, LRU-to-MRU within each
     set) prepends one pseudo single-block event per warm block, so a warm
-    cache — a mid-trace replay segment's starting state — replays exactly
-    as if those blocks had just been touched.  Returns ``(lru, ublocks,
+    cache — a rerun's starting state — replays exactly as if those
+    blocks had just been touched.  Returns ``(lru, ublocks,
     event_miss)`` — the stream's :class:`_StreamLRU` (totals come from
     ``event_miss``; its ``miss`` mask may be ``None``) plus per-real-event
     miss counts — or ``None`` when exact classification would exceed the
@@ -1117,9 +1096,8 @@ def _post_perms(iommu, upages: np.ndarray, table: _WalkTable) -> np.ndarray:
     a swapped page returns at its pre-swap permission when a reclaimer
     exists; an unmapped page inside a non-identity allocation comes in at
     its VMA's protection.  Everything else services to 0 — meaning the
-    first delivered fault escalates, which the segment plan handles by
-    bridging the fault site (the scalar bridge aborts exactly as the
-    scalar engine would).
+    first delivered fault escalates, which pre-delivery turns into the
+    scalar loop's abort at that site.
     """
     post = np.where(table.ok, table.perm, 0)
     bad = np.flatnonzero(~table.ok)
@@ -1193,23 +1171,6 @@ def _first_fault_heads(iommu, upages: np.ndarray, table: _WalkTable,
     return np.array(sorted(singles + list(chunks.values())), np.int64)
 
 
-def _page_positions_mask(batch: PageRunBatch,
-                         flag_u: np.ndarray) -> np.ndarray:
-    """Boolean per-access mask covering every access to flagged pages.
-
-    ``flag_u`` is indexed like the batch's unique pages.  Built from run
-    boundary deltas (one bincount pair), never a per-access scatter.
-    """
-    n = batch.num_accesses
-    _upages, uidx = batch.unique_pages()
-    sel = np.flatnonzero(flag_u[uidx])
-    starts = batch.starts[sel]
-    ends = starts + batch.lengths[sel]
-    delta = np.bincount(starts, minlength=n + 1)
-    delta -= np.bincount(ends, minlength=n + 1)
-    return np.cumsum(delta)[:n] > 0
-
-
 def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
                            uidx: np.ndarray, written_u: np.ndarray,
                            head_positions: np.ndarray, table: _WalkTable):
@@ -1218,18 +1179,19 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
     ``upages``/``uidx``/``table`` describe the substream's unique pages
     and each run's page; ``written_u`` flags pages with any written run;
     ``head_positions`` holds each run head's global access position.
-    Returns ``(status, cand_positions, flag_pages)``:
+    Returns ``(status, sites)``:
 
     * ``"clean"`` — no access of the substream can fault;
-    * ``"legacy"`` — faults are possible but no fault path is attached
-      (the raise-on-fault contract needs the scalar loops end to end);
+    * ``"legacy_fault_path"`` — faults are possible but no fault path is
+      attached (the raise-on-fault contract needs the scalar loops end
+      to end);
+    * ``"order_dependent"`` — a TLB region can hold an entry that
+      write-faults on a hit: a mosaic the region-granular TLB makes
+      order-dependent, so no fault site can be pinned;
     * ``"budget"`` — the TLB replay exceeded the vector budgets;
-    * ``"faulty"`` — ``cand_positions`` are the sorted global positions
-      of predicted fault sites (first TLB-miss walk of each faultable
-      page, reduced by heal window) and ``flag_pages`` marks unique
-      pages whose *every* access must run on the scalar bridge (their
-      TLB region can hold an entry that write-faults on a hit — a
-      mosaic the region-granular TLB makes order-dependent).
+    * ``"faulty"`` — ``sites`` are the sorted global positions of the
+      predicted fault sites (first TLB-miss walk of each faultable page,
+      reduced by heal window).
     """
     eff0 = np.where(table.ok, table.perm, 0)
     bad = eff0 < 1
@@ -1243,7 +1205,7 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
     # holds — filled at some member page's post-service permission, or
     # pre-trace (warm).  If any such entry can carry perm != 2, a store
     # can hit-fault, and the service/refill order is only defined by the
-    # scalar loop: bridge every access of R's member pages.
+    # scalar loop.
     counts_r = np.bincount(vid_of_upage, minlength=nvr)
     nonempty = counts_r > 0
     order = np.argsort(vid_of_upage, kind="stable")
@@ -1260,34 +1222,36 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
     unsafe_r[vids_ne] = any_written & ((min_post != 2)
                                        | warm_unsafe[vids_ne])
     if not bad.any() and not unsafe_r.any():
-        return "clean", None, None
+        return "clean", None
     if fault_path is None:
-        return "legacy", None, None
-    flag_pages = unsafe_r[vid_of_upage]
-    # Remaining faultable pages can only fault at their first TLB-miss
-    # walk (a region hit serves them at the entry's permission, and
-    # entry permissions are always >= 1): find each page's first miss
-    # with a warm-primed exact replay, then merge heal windows.
-    need = bad & ~flag_pages
-    cand = np.empty(0, np.int64)
-    if need.any():
-        vids = vid_of_upage[uidx]
-        if prime_vids.size:
-            vids = np.concatenate((prime_vids, vids))
-        sid_u = ((u_vpns % tlb.num_sets).astype(np.int16)
-                 if tlb.num_sets > 1 else None)
-        tlb_lru = _simulate_lru(vids, nvr, tlb.num_sets, tlb.ways, sid_u)
-        if tlb_lru is None:
-            return "budget", None, None
-        miss_heads = np.flatnonzero(tlb_lru.miss[prime_vids.shape[0]:])
-        # Each page's first miss, via reverse fancy assignment (last
-        # write wins) — O(#misses) instead of a sort.
-        first_pos = np.full(u, -1, np.int64)
-        rev = miss_heads[::-1]
-        first_pos[uidx[rev]] = head_positions[rev]
-        first_pos[~need] = -1
-        cand = _first_fault_heads(iommu, upages, table, first_pos)
-    return "faulty", cand, flag_pages
+        return "legacy_fault_path", None
+    if unsafe_r.any():
+        return "order_dependent", None
+    # Faultable pages can only fault at their first TLB-miss walk (a
+    # region hit serves them at the entry's permission, and entry
+    # permissions are always >= 1): find each page's first miss with a
+    # warm-primed exact replay, then merge heal windows.
+    vids = vid_of_upage[uidx]
+    if prime_vids.size:
+        vids = np.concatenate((prime_vids, vids))
+    sid_u = ((u_vpns % tlb.num_sets).astype(np.int16)
+             if tlb.num_sets > 1 else None)
+    tlb_lru = _simulate_lru(vids, nvr, tlb.num_sets, tlb.ways, sid_u)
+    if tlb_lru is None:
+        return "budget", None
+    miss_heads = np.flatnonzero(tlb_lru.miss[prime_vids.shape[0]:])
+    # Each page's first miss, via reverse fancy assignment (last write
+    # wins) — O(#misses) instead of a sort.
+    first_pos = np.full(u, -1, np.int64)
+    rev = miss_heads[::-1]
+    first_pos[uidx[rev]] = head_positions[rev]
+    first_pos[~bad] = -1
+    sites = _first_fault_heads(iommu, upages, table, first_pos)
+    if not sites.size:
+        # Every faultable page hides behind a warm region entry: whether
+        # its accesses fault depends on that entry surviving until then.
+        return "order_dependent", None
+    return "faulty", sites
 
 
 # ---------------------------------------------------------------------------
@@ -1295,8 +1259,8 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _walk_table(walker, upages: np.ndarray, parent) -> _WalkTable:
-    """A batch's walk table — narrowed from the trace-wide parent screen's
-    when segment replay provides one, built from the walker otherwise."""
+    """A batch's walk table — narrowed from the first screen's when
+    pre-delivery re-screens, built from the walker otherwise."""
     if parent is not None and "table" in parent:
         return _WalkTable.narrowed(parent["table"], parent["upages"],
                                    walker, upages)
@@ -1307,24 +1271,14 @@ def _screen_conventional(iommu, batch: PageRunBatch, parent=None):
     """Fault screen for the conventional TLB + PWC configuration."""
     upages, uidx = batch.unique_pages()
     table = _walk_table(iommu.walker, upages, parent)
-    status, cand, flag_pages = _conv_fault_candidates(
+    status, sites = _conv_fault_candidates(
         iommu, iommu.tlb, upages, uidx, batch.written_pages(), batch.starts,
         table)
     if status == "clean":
-        return "clean", None, {"table": table}
+        return "clean", {"table": table}
     if status != "faulty":
-        return status, None, None
-    mask = np.zeros(batch.num_accesses, bool)
-    if cand.size:
-        mask[cand] = True
-    # Site-exact faults (first TLB-miss walk of each faultable page) are
-    # eligible for pre-delivery; a flagged region's hit-faults are order-
-    # dependent and need the scalar bridge.
-    sites = cand if not flag_pages.any() else None
-    if flag_pages.any():
-        mask |= _page_positions_mask(batch, flag_pages)
-    return "faulty", mask, {"upages": upages, "table": table,
-                            "sites": sites}
+        return status, None
+    return "faulty", {"upages": upages, "table": table, "sites": sites}
 
 
 def _screen_bitmap(iommu, batch: PageRunBatch, parent=None):
@@ -1345,8 +1299,8 @@ def _screen_bitmap(iommu, batch: PageRunBatch, parent=None):
         fb_runs = np.empty(0, np.int64)
     else:
         fb_runs = np.flatnonzero(~identity_u[uidx])
-    fb_status, fb_cand, fb_flag = "clean", None, None
-    fb_umask = fb_upages = remap = table = None
+    fb_status, fb_sites = "clean", None
+    fb_upages = remap = table = None
     if fb_runs.size:
         fb_umask = np.zeros(u, bool)
         fb_umask[uidx[fb_runs]] = True
@@ -1357,44 +1311,25 @@ def _screen_bitmap(iommu, batch: PageRunBatch, parent=None):
         fb_pidx = remap[uidx[fb_runs]]
         fb_written = np.zeros(fb_upages.shape[0], bool)
         fb_written[fb_pidx[batch.run_writes[fb_runs] > 0]] = True
-        fb_status, fb_cand, fb_flag = _conv_fault_candidates(
+        fb_status, fb_sites = _conv_fault_candidates(
             iommu, iommu.tlb, fb_upages, fb_pidx, fb_written,
             batch.starts[fb_runs], table)
     if fb_status == "budget":
-        return "budget", None, None
+        return "budget", None
     if not bad_ident.any() and fb_status == "clean":
         carry = {"bitmap_perm": bitmap_perm,
-                 "fb": (fb_runs, fb_umask, fb_upages, remap, table)}
-        return "clean", None, carry
-    if iommu.fault_path is None or fb_status == "legacy":
-        return "legacy", None, None
-    flag_u = np.zeros(u, bool)
-    if bad_ident.any():
-        # A violating identity store's fault delivery pops its vpn's TLB
-        # entry, which can evict a resident *fallback* translation —
-        # bridge every access sharing a TLB region with a bad identity
-        # page so the replay never has to model that pop.
-        tshift = iommu.tlb.page_shift
-        u_vpns, vid_of_upage = _compact(upages >> (tshift - PAGE_SHIFT))
-        bad_vids = np.zeros(u_vpns.shape[0], bool)
-        bad_vids[vid_of_upage[bad_ident]] = True
-        flag_u |= bad_vids[vid_of_upage]
-    if fb_flag is not None and fb_flag.any():
-        flag_u[np.flatnonzero(fb_umask)[fb_flag]] = True
-    mask = np.zeros(batch.num_accesses, bool)
-    if flag_u.any():
-        mask |= _page_positions_mask(batch, flag_u)
-    if fb_cand is not None and fb_cand.size:
-        mask[fb_cand] = True
-    # Pre-delivery needs every fault site-exact: fallback-page first-miss
-    # walks qualify; bad identity stores and flagged regions are order-
-    # dependent (hit faults) and need the scalar bridge.
-    sites = (fb_cand if not bad_ident.any() and not flag_u.any()
-             else None)
-    if fb_upages is None:
-        return "faulty", mask, {"sites": sites}
-    return "faulty", mask, {"upages": fb_upages, "table": table,
-                            "sites": sites}
+                 "fb": (fb_runs, fb_upages, remap, table)}
+        return "clean", carry
+    if iommu.fault_path is None or fb_status == "legacy_fault_path":
+        return "legacy_fault_path", None
+    if bad_ident.any() or fb_status == "order_dependent":
+        # A violating identity store faults on a bitmap hit, and its
+        # delivery pops its vpn's TLB entry, which can evict a resident
+        # *fallback* translation: the scalar loop alone orders that.
+        return "order_dependent", None
+    # Only fallback-page first-miss walks remain: site-exact.
+    return "faulty", {"upages": fb_upages, "table": table,
+                      "sites": fb_sites}
 
 
 def _walks_fit_sets(cache, table: "_WalkTable") -> bool:
@@ -1431,17 +1366,16 @@ def _screen_dav(iommu, batch: PageRunBatch, parent=None):
     u = upages.shape[0]
     table = _walk_table(iommu.walker, upages, parent)
     if not _walks_fit_sets(iommu.walker.cache, table):
-        return "walk_set_pressure", None, None
+        return "walk_set_pressure", None
     eff0 = np.where(table.ok, table.perm, 0)
     bad = eff0 < 1
     fault_path = iommu.fault_path
     post = eff0 if fault_path is None else _post_perms(iommu, upages, table)
     wbad = batch.written_pages() & (post != 2)
     if not bad.any() and not wbad.any():
-        return "clean", None, {"table": table}
+        return "clean", {"table": table}
     if fault_path is None:
-        return "legacy", None, None
-    mask = np.zeros(batch.num_accesses, bool)
+        return "legacy_fault_path", None
     # Every access walks, so a faultable page faults at its very first
     # access; merge heal windows as usual.  Reverse fancy assignment
     # (last write wins) finds each page's first run in O(m) — the runs
@@ -1449,14 +1383,10 @@ def _screen_dav(iommu, batch: PageRunBatch, parent=None):
     first_of = np.empty(u, np.int64)
     first_of[uidx[::-1]] = np.arange(uidx.shape[0] - 1, -1, -1)
     first_pos = np.where(bad, batch.starts[first_of], -1)
-    cand = _first_fault_heads(iommu, upages, table, first_pos)
-    if cand.size:
-        mask[cand] = True
+    sites = _first_fault_heads(iommu, upages, table, first_pos)
     # A store without write permission always escalates (a spurious
     # service would need perm == 2, contradicting wbad), so the scalar
-    # run never gets past a page's first written run: bridging that run
-    # covers the abort site.
-    sites = cand
+    # run never gets past a page's first written access.
     if wbad.any():
         wr = np.flatnonzero(batch.run_writes > 0)
         first_w = np.full(u, -1, np.int64)
@@ -1468,14 +1398,12 @@ def _screen_dav(iommu, batch: PageRunBatch, parent=None):
         for r in wruns.tolist():
             s = int(batch.starts[r])
             end = s + int(batch.lengths[r])
-            mask[s:end] = True
             # DAV checks permissions on every access, so the page's
             # first written access — first store of its first written
             # run — is exactly where the scalar loop faults.
             wsites.append(s + int(np.argmax(writes_arr[s:end] > 0)))
-        sites = np.sort(np.concatenate((cand, np.array(wsites, np.int64))))
-    return "faulty", mask, {"upages": upages, "table": table,
-                            "sites": sites}
+        sites = np.sort(np.concatenate((sites, np.array(wsites, np.int64))))
+    return "faulty", {"upages": upages, "table": table, "sites": sites}
 
 
 def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
@@ -1483,12 +1411,11 @@ def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
 
     Fills ``stats`` (a :class:`~repro.hw.iommu.TimingStats` without
     energy, which the caller finalizes once) and mutates the IOMMU's
-    lookup structures to their exact end-of-trace state.  Fault-bearing
-    traces replay by pre-delivering site-exact faults, or as fault-free
-    segments stitched by scalar bridges (see the module docstring).
-    Returns an :class:`EngineOutcome`; a falsy
-    outcome means **no** state was modified and the caller must run the
-    scalar loops.
+    lookup structures to their exact end-of-trace state.  A batch that
+    can fault replays after its site-exact faults are pre-delivered (see
+    the module docstring).  Returns an :class:`EngineOutcome`; a falsy
+    outcome means the caller must run the scalar loops, and that no
+    state was modified unless the reason is ``"predelivery_miss"``.
     """
     if faults.active():
         # A chaos injector is configured: perturbing injections
@@ -1499,7 +1426,7 @@ def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
     mech = iommu.config.mech
     if mech == "ideal":
         _fast_ideal(iommu, batch, stats)
-        return EngineOutcome(True, segments=1)
+        return EngineOutcome(True)
     if mech == "conventional":
         if iommu.tlb_l2 is not None:
             return EngineOutcome(False, reason="tlb_l2")
@@ -1509,30 +1436,19 @@ def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
     else:
         screen, fast = _screen_dav, functools.partial(
             _fast_dav, preload=(mech == "dvm_pe_plus"))
-    status, mask, carry = screen(iommu, batch)
+    status, carry = screen(iommu, batch)
     if status == "clean":
         if not fast(iommu, batch, stats, carry):
             return EngineOutcome(False, reason="budget")
-        return EngineOutcome(True, segments=1)
-    if status == "legacy":
-        return EngineOutcome(False, reason="legacy_fault_path")
-    if status == "budget":
-        return EngineOutcome(False, reason="budget")
-    if status == "walk_set_pressure":
-        # A single walk overflows an AVC set (see _walks_fit_sets): the
-        # per-head replay's residency assumption is unsound, so the
-        # scalar loop is the only exact model of the thrashing cache.
-        return EngineOutcome(False, reason="walk_set_pressure")
-    if not fault_segments_enabled():
-        return EngineOutcome(False, reason="fault_segments_disabled")
-    sites = carry.get("sites") if carry else None
-    if sites is not None and sites.size:
-        outcome = _run_predelivered(iommu, batch, stats, sites, screen,
-                                    fast, carry)
-        if outcome is not None:
-            return outcome
-    return _run_segmented(iommu, batch, stats, mask, screen, fast,
-                          parent=carry)
+        return EngineOutcome(True)
+    if status == "faulty":
+        return _run_predelivered(iommu, batch, stats, screen, fast, carry)
+    # Every other status is a refusal reason: "legacy_fault_path",
+    # "budget", "order_dependent", or "walk_set_pressure" — a single walk
+    # overflows an AVC set (see _walks_fit_sets), so the per-head
+    # replay's residency assumption is unsound and the scalar loop is
+    # the only exact model of the thrashing cache.
+    return EngineOutcome(False, reason=status)
 
 
 def _fast_ideal(iommu, batch: PageRunBatch, stats) -> None:
@@ -1556,8 +1472,8 @@ def _tlb_walk_analysis(tlb, walker, upages: np.ndarray, uidx: np.ndarray,
 
     ``uidx`` indexes each head's page into ``upages``/``table``.  Warm
     TLB entries and resident walk-cache blocks are primed into the LRU
-    replays, so the analysis is exact from any mid-trace state — a
-    segment start, or a rerun over warm structures.  Pure: returns
+    replays, so the analysis is exact from any warm state — a rerun over
+    warm structures, or a batch after pre-delivered faults.  Pure: returns
     ``None`` for scalar fallback (vector budgets), else ``(walks,
     walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns, prime, warm,
     cache_lru, ublocks)`` with the rebuild inputs for the caller's
@@ -1651,7 +1567,7 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
         return True
     upages, uidx = batch.unique_pages()
     bitmap_perm = carry["bitmap_perm"]
-    fb_runs, fb_umask, fb_upages, remap, table = carry["fb"]
+    fb_runs, fb_upages, remap, table = carry["fb"]
     _run_count, access_count, write_count = batch.page_aggregates()
     identity_pages = bitmap_perm > 0
     fb_analysis = None
@@ -1665,7 +1581,7 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
         if fb_analysis is None:
             return False
     # Bitmap-cache stream: one probe per head (interiors re-touch at
-    # MRU).  Resident bitmap words prime the replay so warm segments
+    # MRU).  Resident bitmap words prime the replay so warm reruns
     # evolve exactly like the scalar probe sequence.
     bm_base_block = bitmap.base_pa >> 3
     warm_words = np.asarray(bm_cache.resident_blocks(), np.int64)
@@ -1740,7 +1656,7 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
     # AVC block stream: the blocks each *head* touches, in walk order.
     # Interior accesses re-touch the same blocks back to the same dict
     # order, so the head stream alone determines the cache's evolution.
-    # Resident blocks prime the replay for warm segments.
+    # Resident blocks prime the replay for warm reruns.
     res = _walk_lru(cache, table, uidx,
                     prime_blocks=cache.resident_blocks())
     if res is None:
@@ -1763,7 +1679,7 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
         # walk memory, so their reads expose nothing.  Writes (head or
         # interior) behave like dvm_pe; non-identity reads squash.  The
         # per-head AVC miss counts are the walk analysis's per-event
-        # output, no segment sums needed.
+        # output, no further reduction needed.
         mem_per_head = table.fixed[uidx] + event_miss
         head_reads = 1 - batch.head_writes
         exposed = mem_per_head * walk_latency - data_latency
@@ -1798,71 +1714,19 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
 
 
 # ---------------------------------------------------------------------------
-# Fault-bounded segment replay
+# Fault pre-delivery
 # ---------------------------------------------------------------------------
 
-def _plan_segments(mask: np.ndarray):
-    """Cut the access stream at fault-candidate positions.
-
-    ``mask`` flags accesses that must run through the scalar engine
-    (predicted faults and their heal windows, bridged mosaics).  Returns
-    ``[(start, end, is_bridge), ...]`` covering ``[0, n)`` in order:
-    bridge spans absorb nearby candidates (gaps below ``_MIN_SEGMENT``
-    are not worth a batched replay) and fast spans fill the rest.  The
-    mask is a *heuristic* — every fast span is re-screened against live
-    state before replay, so a stale or wrong mask costs speed, never
-    correctness.
-    """
-    n = int(mask.shape[0])
-    cand = np.flatnonzero(mask)
-    if not cand.size:
-        return [(0, n, False)]
-    gaps = np.flatnonzero(np.diff(cand) > _MIN_SEGMENT)
-    starts = np.concatenate(([0], gaps + 1))
-    ends = np.concatenate((gaps, [cand.size - 1]))
-    bridges = [(int(cand[s]), int(cand[e]) + 1)
-               for s, e in zip(starts, ends)]
-    if bridges[0][0] < _MIN_SEGMENT:
-        bridges[0] = (0, bridges[0][1])
-    if n - bridges[-1][1] < _MIN_SEGMENT:
-        bridges[-1] = (bridges[-1][0], n)
-    plan = []
-    pos = 0
-    for bs, be in bridges:
-        if bs > pos:
-            plan.append((pos, bs, False))
-        plan.append((bs, be, True))
-        pos = be
-    if pos < n:
-        plan.append((pos, n, False))
-    return plan
-
-
-def _fold_stats(stats, sub) -> None:
-    """Fold a bridge segment's TimingStats into the master accumulator.
-
-    Additive over every counter except ``energy``: the scalar bridges
-    run with energy finalization deferred, so the caller finalizes once
-    from the summed totals and the ``if count:`` guards in
-    ``_finalize_energy`` see exactly what an unsegmented scalar run
-    would have seen.
-    """
-    for name, value in vars(sub).items():
-        if name != "energy":
-            setattr(stats, name, getattr(stats, name) + value)
-
-
 def _snapshot_state(iommu):
-    """Snapshot every bulk-committed hardware counter before segmenting.
+    """Snapshot every bulk-committed hardware counter before delivery.
 
     The scalar loops accumulate structure counters in locals and commit
     them *after* the loop, so a scalar abort (fault escalation,
-    ``OutOfMemoryError``) never commits partial counts.  Segment replay
-    commits per segment; restoring this snapshot on abort gives the
-    segmented engine the same abort semantics.  LRU dicts, fault-queue
-    and fault-handler stats are deliberately *not* snapshotted — the
-    scalar engine mutates those live in-loop, so leaving them is exactly
-    scalar behaviour.
+    ``OutOfMemoryError``) never commits partial counts.  Restoring this
+    snapshot when pre-delivery aborts gives the fast engine the same
+    abort semantics.  LRU dicts, fault-queue and fault-handler stats are
+    deliberately *not* snapshotted — the scalar engine mutates those
+    live in-loop, so leaving them is exactly scalar behaviour.
     """
     snap = {"rows": list(iommu.dram._last_rows),
             "walks": iommu.walker.walks, "stats": []}
@@ -1885,24 +1749,8 @@ def _restore_state(iommu, snap) -> None:
             setattr(stats_obj, name, value)
 
 
-def _scalar_bridge(iommu):
-    """The scalar per-access loop for the IOMMU's mechanism.
-
-    Bridges call the raw loop — not ``_run_scalar`` — so energy
-    finalization and observability recording stay with the batch-level
-    caller and happen exactly once.
-    """
-    mech = iommu.config.mech
-    if mech == "conventional":
-        return iommu._run_conventional
-    if mech == "dvm_bm":
-        return iommu._run_bitmap
-    return functools.partial(iommu._run_dav,
-                             preload=(mech == "dvm_pe_plus"))
-
-
-def _run_predelivered(iommu, batch: PageRunBatch, stats, sites, screen,
-                      fast, parent):
+def _run_predelivered(iommu, batch: PageRunBatch, stats, screen, fast,
+                      parent) -> EngineOutcome:
     """Deliver site-exact faults up front, then replay the trace whole.
 
     Fault delivery mutates no LRU state the replay models: it pops TLB
@@ -1913,12 +1761,16 @@ def _run_predelivered(iommu, batch: PageRunBatch, stats, sites, screen,
     the real fault machinery, exactly as the scalar loop would — leaves
     a trace the batched kernels replay in one clean pass.  An
     escalation aborts with the scalar loop's abort semantics (committed
-    counters restored, live kernel state kept).  Returns ``None`` when
-    the post-delivery screen still is not clean — the prediction missed
-    (it never should; the screens refuse with "budget" rather than
-    guess) — and the caller falls back to segment stitching against the
-    now-partially-healed state.
+    counters restored, live kernel state kept).
+
+    Refuses with ``"predelivery_miss"`` when the post-delivery screen is
+    not clean (the prediction missed; it never should, the screens
+    refuse rather than guess) or the replay declines on budget.  The
+    delivered faults stay serviced and their charges stay in ``stats``,
+    so the caller's scalar loops over the healed state see exactly what
+    they would have seen after servicing those faults in-loop.
     """
+    sites = parent["sites"]
     vas = batch.va_at(sites).tolist()
     site_writes = np.asarray(batch.writes)[sites].tolist()
     walker = iommu.walker
@@ -1934,68 +1786,15 @@ def _run_predelivered(iommu, batch: PageRunBatch, stats, sites, screen,
                 iommu._perm_fault(va, w, stats)
         _charge_phase("fault_service", tick() - mark)
         mark = tick()
-        status, _mask, carry = screen(iommu, batch, parent)
+        status, carry = screen(iommu, batch, parent)
         _charge_phase("accounting", tick() - mark)
         if status == "clean":
             mark = tick()
             replayed = fast(iommu, batch, stats, carry)
             _charge_phase("replay", tick() - mark)
             if replayed:
-                return EngineOutcome(True, segments=1)
+                return EngineOutcome(True)
     except BaseException:
         _restore_state(iommu, snap)
         raise
-    return None
-
-
-def _run_segmented(iommu, batch: PageRunBatch, stats, mask, screen,
-                   fast, parent=None) -> EngineOutcome:
-    """Replay fault-free segments batched, bridge the faulty spans scalar.
-
-    Each fast span is re-screened against *live* warm state before its
-    batched replay — the planning mask only places the cuts.  A span
-    whose fresh screen is not clean (a fault the global screen could not
-    see, e.g. TLB-set contamination from an earlier segment's fault
-    delivery) degrades to a scalar bridge, preserving bit-identical
-    results.  Bridge segments raise through the real fault machinery;
-    on any abort the pre-batch counter snapshot is restored so the
-    outcome matches a scalar abort exactly.
-    """
-    from repro.hw.iommu import TimingStats
-    tick = time.perf_counter
-    mark = tick()
-    plan = _plan_segments(mask)
-    addrs = batch.addrs
-    writes = np.asarray(batch.writes)
-    snap = _snapshot_state(iommu)
-    bridge = _scalar_bridge(iommu)
-    segments = 0
-    bridged = 0
-    _charge_phase("accounting", tick() - mark)
-    try:
-        for start, end, is_bridge in plan:
-            if not is_bridge:
-                mark = tick()
-                sub = PageRunBatch.from_trace(addrs[start:end],
-                                              writes[start:end])
-                status, _mask, carry = screen(iommu, sub, parent)
-                _charge_phase("accounting", tick() - mark)
-                if status == "clean":
-                    mark = tick()
-                    replayed = fast(iommu, sub, stats, carry)
-                    _charge_phase("replay", tick() - mark)
-                    if replayed:
-                        segments += 1
-                        continue
-            bridged += end - start
-            mark = tick()
-            sub_stats = TimingStats()
-            bridge(addrs[start:end].tolist(),
-                   writes[start:end].tolist(), sub_stats)
-            _fold_stats(stats, sub_stats)
-            _charge_phase("fault_service", tick() - mark)
-    except BaseException:
-        _restore_state(iommu, snap)
-        raise
-    return EngineOutcome(True, segments=segments,
-                         bridged_accesses=bridged)
+    return EngineOutcome(False, reason="predelivery_miss")

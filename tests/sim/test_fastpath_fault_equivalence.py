@@ -1,15 +1,16 @@
-"""Fault-bearing equivalence: segment replay vs the scalar loops.
+"""Fault-bearing equivalence: fault pre-delivery vs the scalar loops.
 
-The fast engine no longer refuses traces that can fault: it cuts the
-access stream at predicted fault sites, replays fault-free segments
-batched and runs the fault-bearing spans through the scalar loops — and
-the real fault machinery (`repro.hw.fault_queue`, `repro.kernel.fault`)
-— as bridges.  These tests pin the contract across all seven standard
-configurations and both LRU backends: demand page-in, swap-in under
-reclaim pressure, permission mosaics, warm reruns and chaos-injected
-faults must all produce bit-identical :class:`TimingStats` (fault and
-stall counters included), energy events, hardware-structure state and
-fault-machinery counters, engine for engine.
+The fast engine does not refuse traces that can fault: it services the
+predicted faults up front, at their exact sites, through the real fault
+machinery (`repro.hw.fault_queue`, `repro.kernel.fault`), then replays
+the whole trace batched.  A trace whose faults cannot be pinned to sites
+is refused to the scalar loops.  These tests pin the contract across
+all seven standard configurations and both LRU backends: demand
+page-in, swap-in under reclaim pressure, permission mosaics, warm
+reruns and chaos-injected faults must all produce bit-identical
+:class:`TimingStats` (fault and stall counters included), energy
+events, hardware-structure state and fault-machinery counters, engine
+for engine.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.config import demand_faulting_config, standard_configs
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
 from repro.hw.fault_queue import FaultPath, FaultQueue
-from repro.hw.iommu import IOMMU
+from repro.hw.iommu import IOMMU, TimingStats
 from repro.kernel.fault import FaultHandler
 from repro.kernel.kernel import Kernel
 from repro.kernel.reclaim import Reclaimer
@@ -119,17 +120,29 @@ def fuzz_trace(alloc, n=4000, seed=7, write_frac=0.3):
     return addrs, writes
 
 
+def mosaic_violation_trace(sys_):
+    """A fuzz trace over the heap with one store to a read-only page."""
+    addrs, writes = fuzz_trace(sys_.alloc, n=2000, seed=19)
+    addrs = addrs.copy()
+    addrs[1100] = sys_.extra.va + (3 << 12)
+    writes = writes.copy()
+    writes[1100] = 1
+    return addrs, writes
+
+
 def run_both(make_system, addrs, writes, repeat=1, prepare=None,
              compare_contents=True):
     """Run both engines on twin systems; everything observable must match.
 
     ``prepare`` runs on each twin before the trace (reclaim pressure,
     chaos configuration...).  ``compare_contents=False`` skips the
-    structure *contents* comparison for runs that abort mid-trace: the
-    scalar loop leaves live-mutated dicts from its partial pass while the
-    segmented engine leaves rebuilt segments plus a partial bridge —
-    counters are restored to the identical pre-call values either way,
-    but the unobservable in-flight dict contents legitimately differ.
+    structure *contents* comparison for runs whose fault pre-delivery
+    aborts: the scalar loop leaves live-mutated dicts from its partial
+    pass while pre-delivery aborts before any replay — counters are
+    restored to the identical pre-call values either way, but the
+    unobservable in-flight dict contents legitimately differ.  A batch
+    the fast engine refuses runs the scalar loops, so its contents are
+    always compared.
     """
     results = []
     for engine in ("scalar", "fast"):
@@ -199,7 +212,8 @@ class TestFaultEquivalence:
 
     def test_reclaim_then_warm_rerun(self, name, engine_backend):
         # Second pass runs fault-free on warm structures: the engine must
-        # stitch the first pass and then replay the second in one segment.
+        # pre-deliver the first pass's swap-ins and then replay the second
+        # as one clean batch.
         probe = build(name)
         addrs, writes = fuzz_trace(probe.alloc, n=2000, seed=3)
         run_both(lambda: build(name), addrs, writes, repeat=2,
@@ -227,13 +241,20 @@ class TestFaultEquivalence:
         # A store to a read-only page escalates: both engines must raise
         # the identical AccessViolation and leave identical counters.
         probe = build(name, extra=256 << 10)
-        addrs, writes = fuzz_trace(probe.alloc, n=2000, seed=19)
-        addrs = addrs.copy()
-        addrs[1100] = probe.extra.va + (3 << 12)
-        writes = writes.copy()
-        writes[1100] = 1
+        addrs, writes = mosaic_violation_trace(probe)
+        # The TLB-fronted configs cannot pin the violation to a site (a
+        # region entry may hit-fault), so the fast engine refuses them;
+        # DAV pins it to the page's first store and pre-delivery aborts.
+        if name.startswith("conv") or name == "dvm_bm":
+            outcome = fastpath.run_batch(
+                probe.iommu, fastpath.PageRunBatch.from_trace(addrs, writes),
+                TimingStats())
+            assert not outcome
+            assert outcome.reason == "order_dependent"
         stats, _ = run_both(lambda: build(name, extra=256 << 10),
-                            addrs, writes, compare_contents=False)
+                            addrs, writes,
+                            compare_contents=name not in ("dvm_pe",
+                                                          "dvm_pe_plus"))
         if name != "ideal":
             assert stats is None
 
@@ -255,11 +276,30 @@ class TestFaultEquivalence:
             assert stats.faults > 0
 
 
+def test_mosaic_refusal_is_counted():
+    # With observability on, a refused mosaic batch is attributed to its
+    # refusal reason in the registry.
+    from repro import obs
+    from repro.obs import core as obs_core
+    sys_ = build("conv_4k", extra=256 << 10)
+    addrs, writes = mosaic_violation_trace(sys_)
+    obs_core.configure(enabled=True)
+    obs.reset()
+    try:
+        with pytest.raises(AccessViolation):
+            sys_.iommu.run_trace(addrs, writes, engine="fast")
+        refused = obs_core.REGISTRY.counter(
+            "fastpath.refused.order_dependent", mech="conventional")
+        assert refused.value == 1
+    finally:
+        obs_core.configure(enabled=False)
+        obs.reset()
+
+
 class TestSegmentStitching:
-    """Regression tests pinning segment-boundary access ordering."""
+    """Regression tests pinning access ordering around mid-stream faults."""
 
     def outcome_for(self, sys_, addrs, writes):
-        from repro.hw.iommu import TimingStats
         batch = fastpath.PageRunBatch.from_trace(addrs, writes)
         stats = TimingStats()
         outcome = fastpath.run_batch(sys_.iommu, batch, stats)
@@ -282,9 +322,8 @@ class TestSegmentStitching:
         # Demand pages' first touches land mid-stream between long
         # same-page runs; the screen's fault sites are exact here, so
         # pre-delivery services them up front and replays the whole
-        # trace as one clean batch — no bridged accesses — with the
-        # exact access order (TLB / cache recency, DRAM row state,
-        # fault positions) intact.
+        # trace as one clean batch with the exact access order (TLB /
+        # cache recency, DRAM row state, fault positions) intact.
         def make():
             return build("conv_4k", demand=True, heap=4 * MB)
 
@@ -296,38 +335,41 @@ class TestSegmentStitching:
         sys_ = make()
         outcome, stats = self.outcome_for(sys_, addrs, writes)
         assert outcome.accepted
-        assert outcome.segments == 1
-        assert outcome.bridged_accesses == 0
         assert asdict(stats) == asdict(scalar_stats)
 
-    def test_stitched_replay_preserves_ordering(self, engine_backend,
-                                                monkeypatch):
-        # Force the same trace down the segment stitcher (as if the
-        # screen could not pin exact sites): the cut splits neighbouring
-        # runs and the stitched replay must keep the exact access order.
-        monkeypatch.setattr(fastpath, "_run_predelivered",
-                            lambda *args, **kwargs: None)
-
+    def test_predelivery_miss_runs_scalar_over_healed_state(
+            self, engine_backend, monkeypatch):
+        # Make the replay decline after the faults are delivered: the
+        # engine must refuse with "predelivery_miss", and the scalar loops
+        # over the healed state (delivered faults' charges kept) must
+        # reproduce the scalar run exactly.
         def make():
             return build("conv_4k", demand=True, heap=4 * MB)
 
         probe = make()
         addrs, writes = self._mid_stream_trace(probe)
-
-        scalar_stats, _ = run_both(make, addrs, writes)
+        scalar_sys = make()
+        scalar_stats = scalar_sys.iommu.run_trace(addrs, writes,
+                                                  engine="scalar")
         assert scalar_stats.major_faults > 0
-        # The fast engine must have actually segmented (not fallen back).
+
+        monkeypatch.setattr(fastpath, "_fast_conventional",
+                            lambda *args, **kwargs: False)
         sys_ = make()
-        outcome, stats = self.outcome_for(sys_, addrs, writes)
-        assert outcome.accepted
-        assert outcome.segments >= 1
-        assert outcome.bridged_accesses > 0
-        assert asdict(stats) == asdict(scalar_stats)
+        outcome, _ = self.outcome_for(sys_, addrs, writes)
+        assert not outcome
+        assert outcome.reason == "predelivery_miss"
+        fast_sys = make()
+        fast_stats = fast_sys.iommu.run_trace(addrs, writes, engine="fast")
+        assert asdict(fast_stats) == asdict(scalar_stats)
+        assert fault_state(fast_sys) == fault_state(scalar_sys)
+        assert (structure_state(fast_sys.iommu)
+                == structure_state(scalar_sys.iommu))
 
     def test_swap_fault_mid_stream_dav(self, engine_backend):
         # Same shape under DVM-PE: reclaim swaps the identity heap, so
         # every page's first touch swap-faults mid-stream and the walk
-        # table changes under the engine's feet between segments.
+        # table changes under the engine's feet during pre-delivery.
         def make():
             return build("dvm_pe", heap=4 * MB)
 
@@ -351,8 +393,7 @@ class TestSegmentStitching:
         # conv_2m demand faulting: one major fault populates a whole
         # policy-size chunk, so sibling pages touched later in the same
         # batch must *not* be predicted (or serviced) as faults.  Pins
-        # the memo purge + heal-window grouping across a segment
-        # boundary.
+        # the memo purge + heal-window grouping.
         def make():
             return build("conv_2m", demand=True, heap=8 * MB)
 
@@ -372,13 +413,3 @@ class TestSegmentStitching:
         scalar_stats, _ = run_both(make, addrs, writes)
         # One major fault per touched chunk, not per touched page.
         assert scalar_stats.major_faults == 2
-
-    def test_disable_knob_forces_scalar(self, engine_backend, monkeypatch):
-        monkeypatch.setenv(fastpath.FAULT_SEGMENTS_ENV_VAR, "0")
-        probe = build("conv_4k", demand=True)
-        addrs, writes = fuzz_trace(probe.alloc, n=1500, seed=29)
-        run_both(lambda: build("conv_4k", demand=True), addrs, writes)
-        sys_ = build("conv_4k", demand=True)
-        outcome, _ = self.outcome_for(sys_, addrs, writes)
-        assert not outcome
-        assert outcome.reason == "fault_segments_disabled"

@@ -3,7 +3,7 @@
 A batch bound from a :class:`~repro.sim.fastpath.TraceRunSkeleton` stays
 run-scale from bind to replay: screens, batched kernels and fault
 pre-delivery read run columns and ``va_at``.  Only the scalar fallback
-and the segment bridges may build the per-access VA column.  These tests
+may build the per-access VA column.  These tests
 run a graph workload through every standard configuration (fault-free)
 and through the demand / swap fault modes whose faults are pre-delivered,
 and check that the cached batches still hold no address column, that
