@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import (
-    HardwareScale,
     MMUConfig,
     standard_configs,
     two_level_tlb_config,
@@ -262,8 +261,7 @@ def render(title: str, rows: list[AblationRow]) -> str:
 
 def main(profile: str = "full") -> str:
     """Run all three ablations on one shared runner."""
-    scale = HardwareScale() if profile == "full" else HardwareScale.bench()
-    runner = ExperimentRunner(profile=profile, scale=scale)
+    runner = ExperimentRunner.from_env(profile=profile)
     parts = [
         render("Ablation: AVC capacity (DVM-PE)", avc_size_sweep(runner)),
         render("Ablation: Permission Entries' contribution",

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.accel.algorithms import prop_bytes_for
-from repro.core.config import HardwareScale, demand_faulting_config
+from repro.core.config import demand_faulting_config
 from repro.experiments.reporting import render_table
 from repro.sim.metrics import execution_cycles
 from repro.sim.runner import ExperimentRunner
@@ -127,8 +127,7 @@ def main(profile: str = "full") -> str:
     restored from the memmapped store a figure sweep already published
     instead of being rematerialized.
     """
-    scale = HardwareScale() if profile == "full" else HardwareScale.bench()
-    runner = ExperimentRunner.from_env(profile=profile, scale=scale)
+    runner = ExperimentRunner.from_env(profile=profile)
     text = render(eager_vs_demand(runner))
     print(text)
     return text

@@ -139,9 +139,7 @@ def render(rows: list[MultiplexRow]) -> str:
 
 def main(profile: str = "full") -> str:
     """Regenerate the multiplexing table."""
-    from repro.core.config import HardwareScale
-    scale = HardwareScale() if profile == "full" else HardwareScale.bench()
-    runner = ExperimentRunner(profile=profile, scale=scale)
+    runner = ExperimentRunner.from_env(profile=profile)
     text = render(multiplexing(runner))
     print(text)
     return text

@@ -88,24 +88,27 @@ class DRAMModel:
 
     # -- row-buffer accounting (demand-data stream) -------------------------
 
-    def account_rows(self, pages: np.ndarray) -> None:
+    def account_rows(self, pages: np.ndarray, idx=None) -> None:
         """Account row-buffer hits/misses for an in-order 4 KB page stream.
 
         ``pages`` are the virtual page numbers of the demand-data accesses,
-        in trace order.  Per bank, an access hits iff it targets the row
-        left open by the previous access to that bank; the open-row state
-        persists across calls, so a trace split into several calls
-        accounts identically to one pass.
+        in trace order — or, when ``idx`` is given, a page table the
+        stream reads as ``pages[idx]``.  Per bank, an access hits iff it
+        targets the row left open by the previous access to that bank;
+        the open-row state persists across calls, so a trace split into
+        several calls accounts identically to one pass.
         """
-        n = int(len(pages))
+        n = int(len(pages if idx is None else idx))
         if not n:
             return
         from repro.sim import _native
-        native = _native.row_hits(pages, self._last_rows)
+        native = _native.row_hits(pages, self._last_rows, idx)
         if native is not None:
             hits = native
         else:
             pages = np.asarray(pages, dtype=np.int64)
+            if idx is not None:
+                pages = pages[idx]
             banks = pages & _BANK_MASK
             rows = pages >> _BANK_SHIFT
             hits = 0
@@ -121,13 +124,14 @@ class DRAMModel:
         self.stats.row_hits += hits
         self.stats.row_misses += n - hits
 
-    def account_rows_runs(self, head_pages: np.ndarray,
-                          lengths: np.ndarray) -> None:
+    def account_rows_runs(self, upages: np.ndarray, uidx: np.ndarray,
+                          accesses: int) -> None:
         """Run-compressed :meth:`account_rows` for the batched engine.
 
-        A page run's interior accesses repeat the head's page, so they are
-        guaranteed open-row hits and never move any bank's open row; only
-        the run heads need the per-bank comparison.
+        Run ``i`` of an ``accesses``-long trace is on page
+        ``upages[uidx[i]]``.  A run's interior accesses repeat the head's
+        page, so they are guaranteed open-row hits and never move any
+        bank's open row; only the run heads need the per-bank comparison.
         """
-        self.account_rows(head_pages)
-        self.stats.row_hits += int(lengths.sum()) - int(len(lengths))
+        self.account_rows(upages, uidx)
+        self.stats.row_hits += accesses - int(len(uidx))

@@ -186,15 +186,19 @@ class PageRunBatch:
     Batches come in two flavors: :meth:`from_trace` wraps an already
     concretized address column, while :meth:`from_skeleton` relocates a
     layout-independent :class:`TraceRunSkeleton` to one layout.  A
-    skeleton batch stays run-scale from bind to replay: the screens, the
-    batched kernels and fault pre-delivery read run columns, per-page
-    columns and :meth:`va_at`, never :attr:`addrs`.  Only the scalar
+    skeleton batch holds no run-scale array of its own: its run columns
+    and its run -> unique-page index are the skeleton's, shared by
+    identity with every other layout and configuration, and binding
+    only relocates the page alphabet.  Its unique pages are therefore in
+    alphabet order, not sorted.  The screens, the batched kernels and
+    fault pre-delivery read runs through that index plus page-scale
+    tables, and access addresses through :meth:`va_at`; only the scalar
     fallback (a refused batch, or a configured chaos injector) builds
-    the per-access address column.
+    the per-access address column :attr:`addrs`.
     """
 
     __slots__ = ("_addrs", "writes", "_runs", "_upages", "_lazy",
-                 "_head_vas", "_written", "_paggs")
+                 "_written", "_paggs")
 
     def __init__(self, addrs: np.ndarray | None, writes: np.ndarray,
                  lazy=None):
@@ -202,10 +206,8 @@ class PageRunBatch:
         self.writes = writes     # int[n] 0/1 store flag per access
         self._runs = None
         self._upages = None
-        # (skeleton, bases_arr, order) for skeleton batches: order[j] is
-        # the skeleton page-alphabet index of sorted unique page j.
+        # (skeleton, bases_arr) for skeleton batches.
         self._lazy = lazy
-        self._head_vas = None
         self._written = None
         self._paggs = None
 
@@ -214,7 +216,7 @@ class PageRunBatch:
         """int64[n] VA column, built and kept on first use for skeleton
         batches — only the scalar loops should ask for it."""
         if self._addrs is None:
-            skel, bases, _order = self._lazy
+            skel, bases = self._lazy
             self._addrs = bases[skel.streams] + skel.offsets
         return self._addrs
 
@@ -223,7 +225,7 @@ class PageRunBatch:
         building the address column."""
         if self._addrs is not None:
             return self._addrs[positions]
-        skel, bases, _order = self._lazy
+        skel, bases = self._lazy
         return bases[skel.streams[positions]] + skel.offsets[positions]
 
     @property
@@ -237,6 +239,13 @@ class PageRunBatch:
         return int(self.starts.shape[0])
 
     @property
+    def num_writes(self) -> int:
+        """Stores in the trace (the skeleton's total when bound)."""
+        if self._lazy is not None:
+            return self._lazy[0].num_writes
+        return int(self.run_writes.sum())
+
+    @property
     def starts(self) -> np.ndarray:
         """int64[m] index of each run's head access."""
         return self._compress()[0]
@@ -247,19 +256,14 @@ class PageRunBatch:
         return self._compress()[1]
 
     @property
-    def pages(self) -> np.ndarray:
-        """int64[m] 4 KB page number of the run."""
-        return self._compress()[2]
-
-    @property
     def run_writes(self) -> np.ndarray:
         """int64[m] stores in the run."""
-        return self._compress()[3]
+        return self._compress()[2]
 
     @property
     def head_writes(self) -> np.ndarray:
         """int64[m] store flag of the head access."""
-        return self._compress()[4]
+        return self._compress()[3]
 
     @classmethod
     def from_trace(cls, addrs, writes) -> "PageRunBatch":
@@ -279,35 +283,24 @@ class PageRunBatch:
         already verified (:func:`_skeleton_layout_ok`) that the layout
         keeps the skeleton's run decomposition exact, so the skeleton's
         page alphabet maps one to one onto the batch's unique pages.
-        Relocating and sorting it is page-scale work; the run -> unique
-        page index and the run pages are the only per-run gathers.
+        Relocating it is the only work: page-scale, no per-run gather.
         """
-        upages = (bases_arr >> PAGE_SHIFT)[skel.u_streams] + skel.u_opages
-        order = np.argsort(upages, kind="stable")
-        upages = upages[order]
-        rank = np.empty(order.shape[0], np.int32)
-        rank[order] = np.arange(order.shape[0], dtype=np.int32)
-        uidx = rank[skel.uidx]
-        batch = cls(None, skel.writes, lazy=(skel, bases_arr, order))
-        batch._runs = (skel.starts, skel.lengths, upages[uidx],
-                       skel.run_writes, skel.head_writes)
-        batch._upages = (upages, uidx)
+        upages = (bases_arr >> PAGE_SHIFT)[skel.u_streams]
+        upages += skel.u_opages
+        batch = cls(None, skel.writes, lazy=(skel, bases_arr))
+        batch._runs = (skel.starts, skel.lengths, skel.run_writes,
+                       skel.head_writes)
+        batch._upages = (upages, skel.uidx)
         return batch
 
-    def head_vas(self) -> np.ndarray:
-        """int64[m] VA of each run's head access, memoized."""
-        if self._head_vas is None:
-            if self._addrs is None:
-                self._head_vas = self.pages << PAGE_SHIFT
-                self._head_vas |= self._lazy[0].head_poffs
-            else:
-                self._head_vas = self._addrs[self.starts]
-        return self._head_vas
-
     def unique_pages(self):
-        """(unique pages, int32 run->unique index), memoized per batch."""
+        """(unique pages, int32 run->unique index), memoized per batch.
+
+        Sorted for :meth:`from_trace` batches, in the skeleton's alphabet
+        order for skeleton batches (whose index is the skeleton's own).
+        """
         if self._upages is None:
-            self._upages = _compact(self.pages)
+            self._compress()
         return self._upages
 
     def written_pages(self) -> np.ndarray:
@@ -315,8 +308,7 @@ class PageRunBatch:
         like :meth:`unique_pages`), memoized per batch."""
         if self._written is None:
             if self._lazy is not None:
-                skel, _bases, order = self._lazy
-                self._written = skel.written_pages()[order]
+                self._written = self._lazy[0].written_pages()
             else:
                 upages, uidx = self.unique_pages()
                 self._written = _written_flags(uidx, upages.shape[0],
@@ -333,9 +325,7 @@ class PageRunBatch:
         """
         if self._paggs is None:
             if self._lazy is not None:
-                skel, _bases, order = self._lazy
-                self._paggs = tuple(col[order]
-                                    for col in skel.page_aggregates())
+                self._paggs = self._lazy[0].page_aggregates()
             else:
                 upages, uidx = self.unique_pages()
                 self._paggs = _run_aggregates(
@@ -350,15 +340,16 @@ class PageRunBatch:
         n = addrs.shape[0]
         if n == 0:
             empty = np.empty(0, np.int64)
-            self._runs = (empty, empty, empty, empty, empty)
+            self._runs = (empty, empty, empty, empty)
+            self._upages = (empty, np.empty(0, np.int32))
             return self._runs
         pages_all = addrs >> PAGE_SHIFT
         change = np.empty(n, bool)
         change[0] = True
         np.not_equal(pages_all[1:], pages_all[:-1], out=change[1:])
         starts, lengths, run_writes, head_writes = _page_runs(change, writes)
-        self._runs = (starts, lengths, pages_all[starts], run_writes,
-                      head_writes)
+        self._runs = (starts, lengths, run_writes, head_writes)
+        self._upages = _compact(pages_all[starts])
         return self._runs
 
 
@@ -373,13 +364,14 @@ class TraceRunSkeleton:
     accesses, the run decomposition and the *page alphabet*: the sorted
     unique ``(stream, in-stream page)`` pairs (``u_streams``/``u_opages``)
     with each run's index into it (``uidx``).  In an eligible layout
-    distinct pairs are distinct pages, so per-page aggregates computed
-    here are every layout's, up to the order
-    :meth:`PageRunBatch.from_skeleton` sorts them into.
+    distinct pairs are distinct pages, so the run columns, ``uidx`` and
+    the per-page aggregates computed here are every layout's, in
+    alphabet order: they are the trace's one run stream, which every
+    bound batch shares.
     """
 
     __slots__ = ("streams", "offsets", "writes", "starts", "lengths",
-                 "run_writes", "head_writes", "head_poffs", "max_opage",
+                 "run_writes", "head_writes", "num_writes", "max_opage",
                  "min_opage", "u_streams", "u_opages", "uidx", "_written",
                  "_paggs")
 
@@ -396,8 +388,8 @@ class TraceRunSkeleton:
             empty = np.empty(0, np.int64)
             self.starts = self.lengths = self.run_writes = empty
             self.head_writes = self.u_streams = self.u_opages = empty
-            self.head_poffs = np.empty(0, np.uint16)
             self.uidx = np.empty(0, np.int32)
+            self.num_writes = 0
             self.max_opage = {}
             self.min_opage = 0
             return
@@ -408,12 +400,10 @@ class TraceRunSkeleton:
         change[1:] |= opage[1:] != opage[:-1]
         (self.starts, self.lengths, self.run_writes,
          self.head_writes) = _page_runs(change, writes)
+        self.num_writes = int(self.run_writes.sum())
         # Runs never span streams or pages, so the heads alone carry every
         # access's (stream, page) pair.
-        head_offsets = offsets[self.starts]
-        self.head_poffs = (head_offsets & ((1 << PAGE_SHIFT) - 1)).astype(
-            np.uint16)
-        head_opage = head_offsets >> PAGE_SHIFT
+        head_opage = opage[self.starts]
         self.min_opage = int(head_opage.min())
         span = max(int(head_opage.max()), 0) + 1
         keys = np.multiply(streams[self.starts], span, dtype=np.int64)
@@ -521,7 +511,7 @@ class _WalkTable:
             fixed.append(info[5])
         self.ok = np.array(ok, dtype=bool)
         self.perm = np.array(perm, dtype=np.int64)
-        self.pa_base = pa_base          # python ints, used scalar-only
+        self.pa_base = pa_base          # python ints, read by _rebuild_tlb
         self.identity = np.array(identity, dtype=bool)
         self.blocks = blocks            # list of block-id tuples
         self.fixed = np.array(fixed, dtype=np.int64)
@@ -550,10 +540,12 @@ class _WalkTable:
         entries never move), so only the not-ok rows — pages the
         delivered faults may have healed — are re-queried through the
         walker.  ``upages`` must be a subset of ``base_upages`` (a DVM-BM
-        swap-in can move a page from the fallback set to the bitmap).
+        swap-in can move a page from the fallback set to the bitmap);
+        neither needs to be sorted.
         """
         self = object.__new__(cls)
-        pos = np.searchsorted(base_upages, upages)
+        order = np.argsort(base_upages, kind="stable")
+        pos = order[np.searchsorted(base_upages, upages, sorter=order)]
         self.ok = base.ok[pos]
         self.perm = base.perm[pos]
         self.identity = base.identity[pos]
@@ -634,6 +626,12 @@ class _StreamLRU:
 
     __slots__ = ("miss", "k", "counts", "last_occ", "last_fill", "sid_u",
                  "nsets", "ways")
+
+    def __init__(self, k, nsets, ways, sid_u, miss, counts, last_occ,
+                 last_fill):
+        self.k, self.nsets, self.ways, self.sid_u = k, nsets, ways, sid_u
+        self.miss, self.counts = miss, counts
+        self.last_occ, self.last_fill = last_occ, last_fill
 
 
 def _pcum(flags: np.ndarray) -> np.ndarray:
@@ -758,6 +756,51 @@ def _tier_decide(cand, prev, gap, ways):
     return decided_miss
 
 
+def _spread(values: np.ndarray, member: np.ndarray, fill) -> np.ndarray:
+    """``values`` (one per ``member`` page) scattered onto every page."""
+    out = np.full(member.shape[0], fill, values.dtype)
+    out[member] = values
+    return out
+
+
+def _replay_lru(idx: np.ndarray, key_of: np.ndarray, prime_ids: np.ndarray,
+                k: int, nsets: int, ways: int, sid_u) -> _StreamLRU | None:
+    """Exact LRU outcome of the key stream ``prime_ids`` then
+    ``key_of[idx]``.
+
+    ``idx`` is a run -> page index, ``key_of`` a page-scale key table and
+    ``prime_ids`` the warm residents (LRU-to-MRU within each set), so
+    stream position ``prime + i`` is run ``i``.  A negative key marks a
+    page the structure never sees: its runs miss 0 and record nothing.
+    The compiled kernel reads the stream through the index — the
+    literal scalar algorithm, with O(1) recency lists instead of
+    insertion-ordered dicts; the numpy fallback gathers it and runs the
+    distance engine over the seen positions.  ``None`` when an exact
+    classification would exceed the vector budgets.
+    """
+    native = _native.lru_sim(idx, key_of, prime_ids, k, nsets, ways, sid_u)
+    if native is not None:
+        return _StreamLRU(k, nsets, ways, sid_u, *native)
+    prime = prime_ids.shape[0]
+    ids = key_of[idx]
+    seen = None
+    if ids.size and ids.min() < 0:
+        seen = np.flatnonzero(ids >= 0)
+        ids = ids[seen]
+    lru = _simulate_lru(np.concatenate((prime_ids.astype(ids.dtype), ids)),
+                        k, nsets, ways, sid_u)
+    if lru is None or seen is None:
+        return lru
+    pos = np.concatenate((np.arange(prime), seen + prime))
+    miss = np.zeros(prime + idx.shape[0], bool)
+    miss[pos] = lru.miss
+    lru.miss = miss
+    for col in (lru.last_occ, lru.last_fill):
+        hit = col >= 0
+        col[hit] = pos[col[hit]]
+    return lru
+
+
 def _simulate_lru(ids: np.ndarray, k: int, nsets: int, ways: int,
                   sid_u) -> _StreamLRU | None:
     """Exact per-access LRU hit/miss for a compact-id key stream.
@@ -765,33 +808,18 @@ def _simulate_lru(ids: np.ndarray, k: int, nsets: int, ways: int,
     ``ids`` holds key ids in ``0..k-1``; ``sid_u`` maps each id to its set
     (``None`` when ``nsets == 1``).  Pure — touches no simulator state.
     Returns ``None`` when an exact classification would exceed the vector
-    budgets (the caller then falls back to the scalar engine).
+    budgets (the caller then falls back to the scalar engine).  This is
+    the numpy distance engine behind :func:`_replay_lru` and
+    :func:`_walk_lru`, used when the compiled kernels are unavailable.
     """
     m = ids.shape[0]
-    out = _StreamLRU()
-    out.k = k
-    out.sid_u = sid_u
-    out.nsets = nsets
-    out.ways = ways
     if m == 0:
-        out.miss = np.zeros(0, bool)
-        out.counts = np.zeros(k, np.int64)
-        out.last_occ = np.full(k, -1, np.int64)
-        out.last_fill = np.full(k, -1, np.int64)
-        return out
-    # The compiled replay kernel is the literal scalar algorithm (O(1)
-    # recency lists instead of insertion-ordered dicts) and needs no
-    # distance analysis at all; use it whenever the host can build it.
-    native = _native.lru_sim(ids, k, nsets, ways, sid_u)
-    if native is not None:
-        out.miss, out.counts, out.last_occ, out.last_fill = native
-        return out
+        return _StreamLRU(k, nsets, ways, sid_u, np.zeros(0, bool),
+                          np.zeros(k, np.int64), np.full(k, -1, np.int64),
+                          np.full(k, -1, np.int64))
     if nsets == 1:
         fa = _fa_lru(ids, k, ways)
-        if fa is None:
-            return None
-        out.miss, out.counts, out.last_occ, out.last_fill = fa
-        return out
+        return None if fa is None else _StreamLRU(k, nsets, ways, sid_u, *fa)
     # Each set is an independent fully-associative LRU over its own
     # subsequence, so process sets one at a time: peak memory is one
     # set's arrays, and each set picks its own distance method.  The
@@ -823,11 +851,8 @@ def _simulate_lru(ids: np.ndarray, k: int, nsets: int, ways: int,
         lfp = lf_s[present]
         last_fill[ukp] = np.where(
             lfp >= 0, gpos[np.maximum(lfp, 0)], -1)
-    out.miss = miss
-    out.counts = counts
-    out.last_occ = last_occ
-    out.last_fill = last_fill
-    return out
+    return _StreamLRU(k, nsets, ways, sid_u, miss, counts, last_occ,
+                      last_fill)
 
 
 def _fa_lru(ids: np.ndarray, k: int, ways: int):
@@ -936,19 +961,23 @@ def _rebuild_cache(cache, lru: _StreamLRU, ukeys: np.ndarray) -> None:
 
 
 def _rebuild_tlb(tlb, lru: _StreamLRU, u_vpns: np.ndarray,
-                 head_vas: np.ndarray, page_idx: np.ndarray,
-                 table: _WalkTable, prime_count: int = 0,
+                 upages: np.ndarray, uidx: np.ndarray, table: _WalkTable,
+                 member=None, prime_count: int = 0,
                  warm_entries=None) -> None:
     """Recreate the TLB's contents, entries recomputed at each last fill.
 
-    Stream positions below ``prime_count`` are the warm-resident priming
-    prefix: a resident whose last fill is a prime touch was never
-    re-walked, so it keeps its pre-trace entry value from
-    ``warm_entries``.
+    ``lru`` replayed the run stream ``uidx`` (see :func:`_replay_lru`);
+    ``table`` holds the walk outcome of every page, or of the ``member``
+    pages only.  A fill at run ``r`` walked page ``upages[uidx[r]]``, so
+    only the resident entries' runs are gathered.  Stream positions
+    below ``prime_count`` are the warm-resident priming prefix: a
+    resident whose last fill is a prime touch was never re-walked, so it
+    keeps its pre-trace entry value from ``warm_entries``.
     """
     tshift = tlb.page_shift
     install = tlb.install
     bases = table.pa_base
+    rows = None if member is None else np.cumsum(member) - 1
     warm_value = dict(warm_entries) if warm_entries else None
     tlb.invalidate_all()
     for u in _residents(lru).tolist():
@@ -957,39 +986,50 @@ def _rebuild_tlb(tlb, lru: _StreamLRU, u_vpns: np.ndarray,
         if h < prime_count:
             install(vpn, warm_value[vpn])
             continue
-        h -= prime_count
-        pidx = int(page_idx[h])
-        va = int(head_vas[h])
-        install(vpn, (bases[pidx] - ((va & ~0xFFF) - (vpn << tshift)),
+        page_i = int(uidx[h - prime_count])
+        pidx = page_i if rows is None else int(rows[page_i])
+        va_page = int(upages[page_i]) << PAGE_SHIFT
+        install(vpn, (bases[pidx] - (va_page - (vpn << tshift)),
                       int(table.perm[pidx])))
 
 
-def _walk_lru(cache, table: _WalkTable, page_idx: np.ndarray,
-              prime_blocks=None):
-    """Exact LRU analysis of the walk-block stream selected by ``page_idx``.
+def _walk_lru(cache, table: _WalkTable, idx: np.ndarray, sel=None,
+              member=None, wflag=None, prime_blocks=None):
+    """Exact LRU analysis of the walk-block stream of the runs ``idx``.
 
-    Event ``e`` walks page ``page_idx[e]``, touching its blocks in walk
-    order.  ``prime_blocks`` (resident block ids, LRU-to-MRU within each
-    set) prepends one pseudo single-block event per warm block, so a warm
+    Run ``i`` walks page ``idx[i]`` (an index into the batch's unique
+    pages) when ``sel[i]`` is set — every run when ``sel`` is ``None`` —
+    touching its blocks in walk order.  ``table`` covers every page, or
+    only the ``member`` pages (the others are never walked).
+    ``prime_blocks`` (resident block ids, LRU-to-MRU within each set)
+    prepends one pseudo single-block walk per warm block, so a warm
     cache — a rerun's starting state — replays exactly as if those
-    blocks had just been touched.  Returns ``(lru, ublocks,
-    event_miss)`` — the stream's :class:`_StreamLRU` (totals come from
-    ``event_miss``; its ``miss`` mask may be ``None``) plus per-real-event
-    miss counts — or ``None`` when exact classification would exceed the
-    vector budgets.  The compiled indirect kernel is preferred: it replays
-    straight from the per-page block table and never materializes the
-    expanded stream.
+    blocks had just been touched.
+
+    Returns ``(lru, ublocks, walks_of, hist)`` — the stream's
+    :class:`_StreamLRU` (its ``miss`` mask is ``None``), the real walks
+    per page of ``table``, and ``hist[v, w]``: the real walks counted by
+    their walk memory ``v`` (the page's fixed, uncached fetches plus the
+    walk's cache misses) and their ``wflag`` entry ``w`` (0 without
+    ``wflag``) — or ``None`` when exact classification would exceed the
+    vector budgets.  The compiled kernel replays straight from the run
+    index and the per-page block table; the numpy fallback gathers the
+    walked pages and materializes the expanded stream.
     """
     flat_blocks = np.array(
         [b for blocks in table.blocks for b in blocks], np.int64)
-    counts = table.counts
+    counts, fixed = table.counts, table.fixed
+    if member is not None:
+        counts, fixed = _spread(counts, member, 0), _spread(fixed, member, 0)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
     nf = int(flat_blocks.shape[0])
     npages = int(counts.shape[0])
+    walks_of = np.zeros(npages, np.int64)
+    hist = np.zeros((int((fixed + counts).max(initial=0)) + 1, 2), np.int64)
     prime = len(prime_blocks) if prime_blocks else 0
     if prime:
         # Warm blocks become pseudo pages npages..npages+prime-1, one flat
-        # slot each; the priming events touch them first, in residency
+        # slot each; the priming walks touch them first, in residency
         # order, so the replay starts from the cache's true warm state.
         all_blocks = np.concatenate(
             (flat_blocks, np.asarray(prime_blocks, np.int64)))
@@ -997,38 +1037,40 @@ def _walk_lru(cache, table: _WalkTable, page_idx: np.ndarray,
         offsets = np.concatenate(
             (offsets, (nf + np.arange(1, prime + 1)).astype(np.int32)))
         counts = np.concatenate((counts, np.ones(prime, np.int64)))
-        page_idx = np.concatenate(
-            (npages + np.arange(prime, dtype=np.int64),
-             np.asarray(page_idx, np.int64)))
     else:
         ublocks, flat_ids = _compact(flat_blocks)
     k = ublocks.shape[0]
     sid_u = ((ublocks % cache.num_sets).astype(np.int16)
              if cache.num_sets > 1 else None)
-    native = _native.lru_walk(page_idx, offsets, flat_ids, k,
-                              cache.num_sets, cache.ways, sid_u)
+    nsets, ways = cache.num_sets, cache.ways
+    native = _native.lru_walk(idx, sel, wflag, prime, offsets, flat_ids,
+                              fixed, walks_of, hist, k, nsets, ways, sid_u)
     if native is not None:
-        event_miss, counts_k, last_occ, last_fill = native
-        lru = _StreamLRU()
+        lru = _StreamLRU(k, nsets, ways, sid_u, None, *native)
+    else:
+        runs = None if sel is None else np.flatnonzero(sel)
+        walked = idx if runs is None else idx[runs]
+        page_idx = np.concatenate(
+            (npages + np.arange(prime, dtype=np.int64), walked))
+        stream, out_off = _walk_block_stream(counts, page_idx, flat_ids,
+                                             offsets)
+        lru = _simulate_lru(stream, k, nsets, ways, sid_u)
+        if lru is None:
+            return None
+        cs = np.empty(lru.miss.shape[0] + 1, np.int64)
+        cs[0] = 0
+        np.cumsum(lru.miss, dtype=np.int64, out=cs[1:])
+        cell = cs[out_off[prime + 1:]] - cs[out_off[prime:-1]]
+        cell += fixed[walked]
+        cell *= 2
+        if wflag is not None:
+            cell += (wflag if runs is None else wflag[runs]) != 0
+        hist += np.bincount(cell, minlength=hist.size).reshape(hist.shape)
+        walks_of += np.bincount(walked, minlength=npages)
         lru.miss = None
-        lru.k = k
-        lru.counts = counts_k
-        lru.last_occ = last_occ
-        lru.last_fill = last_fill
-        lru.sid_u = sid_u
-        lru.nsets = cache.num_sets
-        lru.ways = cache.ways
-        return lru, ublocks, event_miss[prime:]
-    stream, out_off = _walk_block_stream(counts, page_idx, flat_ids, offsets)
-    lru = _simulate_lru(stream, k, cache.num_sets, cache.ways, sid_u)
-    if lru is None:
-        return None
-    cs = np.empty(lru.miss.shape[0] + 1, np.int64)
-    cs[0] = 0
-    np.cumsum(lru.miss, dtype=np.int64, out=cs[1:])
-    event_miss = cs[out_off[1:]]
-    event_miss -= cs[out_off[:-1]]
-    return lru, ublocks, event_miss[prime:]
+    if member is not None:
+        walks_of = walks_of[member]
+    return lru, ublocks, walks_of, hist
 
 
 def _walk_block_stream(counts: np.ndarray, page_idx: np.ndarray,
@@ -1173,13 +1215,15 @@ def _first_fault_heads(iommu, upages: np.ndarray, table: _WalkTable,
 
 def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
                            uidx: np.ndarray, written_u: np.ndarray,
-                           head_positions: np.ndarray, table: _WalkTable):
+                           starts: np.ndarray, table: _WalkTable,
+                           member=None):
     """Fault-candidate analysis of one TLB-fronted (sub)stream.
 
-    ``upages``/``uidx``/``table`` describe the substream's unique pages
-    and each run's page; ``written_u`` flags pages with any written run;
-    ``head_positions`` holds each run head's global access position.
-    Returns ``(status, sites)``:
+    ``upages``/``uidx``/``written_u``/``starts`` are the batch's unique
+    pages, run -> page index, per-page written flags and run head
+    positions.  The substream is the runs of the ``member`` pages (every
+    run when ``member`` is ``None``), and ``table`` holds exactly those
+    pages' walk outcomes.  Returns ``(status, sites)``:
 
     * ``"clean"`` — no access of the substream can fault;
     * ``"legacy_fault_path"`` — faults are possible but no fault path is
@@ -1193,9 +1237,10 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
       predicted fault sites (first TLB-miss walk of each faultable page,
       reduced by heal window).
     """
+    if member is not None:
+        upages, written_u = upages[member], written_u[member]
     eff0 = np.where(table.ok, table.perm, 0)
     bad = eff0 < 1
-    u = upages.shape[0]
     warm = _warm_tlb_entries(tlb)
     u_vpns, vid_of_upage, prime_vids = _vpn_alphabet(tlb, upages, warm)
     nvr = u_vpns.shape[0]
@@ -1231,20 +1276,22 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
     # region hit serves them at the entry's permission, and entry
     # permissions are always >= 1): find each page's first miss with a
     # warm-primed exact replay, then merge heal windows.
-    vids = vid_of_upage[uidx]
-    if prime_vids.size:
-        vids = np.concatenate((prime_vids, vids))
+    key_of = (vid_of_upage if member is None
+              else _spread(vid_of_upage, member, -1))
     sid_u = ((u_vpns % tlb.num_sets).astype(np.int16)
              if tlb.num_sets > 1 else None)
-    tlb_lru = _simulate_lru(vids, nvr, tlb.num_sets, tlb.ways, sid_u)
+    tlb_lru = _replay_lru(uidx, key_of, prime_vids, nvr, tlb.num_sets,
+                          tlb.ways, sid_u)
     if tlb_lru is None:
         return "budget", None
     miss_heads = np.flatnonzero(tlb_lru.miss[prime_vids.shape[0]:])
     # Each page's first miss, via reverse fancy assignment (last write
     # wins) — O(#misses) instead of a sort.
-    first_pos = np.full(u, -1, np.int64)
+    first_pos = np.full(key_of.shape[0], -1, np.int64)
     rev = miss_heads[::-1]
-    first_pos[uidx[rev]] = head_positions[rev]
+    first_pos[uidx[rev]] = starts[rev]
+    if member is not None:
+        first_pos = first_pos[member]
     first_pos[~bad] = -1
     sites = _first_fault_heads(iommu, upages, table, first_pos)
     if not sites.size:
@@ -1284,41 +1331,30 @@ def _screen_conventional(iommu, batch: PageRunBatch, parent=None):
 def _screen_bitmap(iommu, batch: PageRunBatch, parent=None):
     """Fault screen for DVM-BM (bitmap identity + conventional fallback)."""
     bitmap = iommu.perm_bitmap
-    walker = iommu.walker
     upages, uidx = batch.unique_pages()
-    u = upages.shape[0]
     perms = bitmap._perms
     bitmap_perm = np.array([int(perms.get(p, 0)) for p in upages.tolist()],
                            np.int64)
     identity_u = bitmap_perm > 0
-    bad_ident = identity_u & batch.written_pages() & (bitmap_perm != 2)
-    # Fallback (non-identity) substream: the conventional machinery,
-    # over only the fallback runs — the scalar loop never walks or TLB-
-    # probes identity pages, so neither may the screen.
-    if identity_u.all():
-        fb_runs = np.empty(0, np.int64)
-    else:
-        fb_runs = np.flatnonzero(~identity_u[uidx])
+    written = batch.written_pages()
+    bad_ident = identity_u & written & (bitmap_perm != 2)
+    # Fallback (non-identity) pages: the conventional machinery, over
+    # only their runs — the scalar loop never walks or TLB-probes
+    # identity pages, so neither may the screen.
+    fallback = None if identity_u.all() else ~identity_u
     fb_status, fb_sites = "clean", None
-    fb_upages = remap = table = None
-    if fb_runs.size:
-        fb_umask = np.zeros(u, bool)
-        fb_umask[uidx[fb_runs]] = True
-        fb_upages = upages[fb_umask]
-        remap = np.full(u, -1, np.int32)
-        remap[fb_umask] = np.arange(fb_upages.shape[0], dtype=np.int32)
-        table = _walk_table(walker, fb_upages, parent)
-        fb_pidx = remap[uidx[fb_runs]]
-        fb_written = np.zeros(fb_upages.shape[0], bool)
-        fb_written[fb_pidx[batch.run_writes[fb_runs] > 0]] = True
+    fb_upages = table = None
+    if fallback is not None:
+        fb_upages = upages[fallback]
+        table = _walk_table(iommu.walker, fb_upages, parent)
         fb_status, fb_sites = _conv_fault_candidates(
-            iommu, iommu.tlb, fb_upages, fb_pidx, fb_written,
-            batch.starts[fb_runs], table)
+            iommu, iommu.tlb, upages, uidx, written, batch.starts, table,
+            member=fallback)
     if fb_status == "budget":
         return "budget", None
     if not bad_ident.any() and fb_status == "clean":
-        carry = {"bitmap_perm": bitmap_perm,
-                 "fb": (fb_runs, fb_upages, remap, table)}
+        carry = {"bitmap_perm": bitmap_perm, "fallback": fallback,
+                 "table": table}
         return "clean", carry
     if iommu.fault_path is None or fb_status == "legacy_fault_path":
         return "legacy_fault_path", None
@@ -1453,13 +1489,13 @@ def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
 
 def _fast_ideal(iommu, batch: PageRunBatch, stats) -> None:
     n = batch.num_accesses
-    nwrites = int(batch.run_writes.sum())
+    nwrites = batch.num_writes
     stats.accesses += n
     stats.writes += nwrites
     stats.reads += n - nwrites
     iommu.dram.stats.data_accesses += n
     if n:
-        iommu.dram.account_rows_runs(batch.pages, batch.lengths)
+        iommu.dram.account_rows_runs(*batch.unique_pages(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -1467,43 +1503,43 @@ def _fast_ideal(iommu, batch: PageRunBatch, stats) -> None:
 # ---------------------------------------------------------------------------
 
 def _tlb_walk_analysis(tlb, walker, upages: np.ndarray, uidx: np.ndarray,
-                       table: _WalkTable):
+                       table: _WalkTable, member=None):
     """Analyse a TLB-fronted walk stream (the conventional hot path).
 
-    ``uidx`` indexes each head's page into ``upages``/``table``.  Warm
-    TLB entries and resident walk-cache blocks are primed into the LRU
-    replays, so the analysis is exact from any warm state — a rerun over
-    warm structures, or a batch after pre-delivered faults.  Pure: returns
-    ``None`` for scalar fallback (vector budgets), else ``(walks,
-    walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns, prime, warm,
-    cache_lru, ublocks)`` with the rebuild inputs for the caller's
+    Every run of ``uidx`` probes the TLB — or only the runs of the
+    ``member`` pages, the ones ``table`` covers; each TLB miss walks.
+    Warm TLB entries and resident walk-cache blocks are primed into the
+    LRU replays, so the analysis is exact from any warm state — a rerun
+    over warm structures, or a batch after pre-delivered faults.  Pure:
+    returns ``None`` for scalar fallback (vector budgets), else
+    ``(walks, walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns, prime,
+    warm, cache_lru, ublocks)`` with the rebuild inputs for the caller's
     commit.
     """
     # vpn = va >> tshift == page >> (tshift - 12), so the TLB alphabet is
     # derived from the (small) unique-page table, not the head stream.
     warm = _warm_tlb_entries(tlb)
-    u_vpns, vid_of_upage, prime_vids = _vpn_alphabet(tlb, upages, warm)
+    probed = upages if member is None else upages[member]
+    u_vpns, vid_of_upage, prime_vids = _vpn_alphabet(tlb, probed, warm)
+    if member is not None:
+        vid_of_upage = _spread(vid_of_upage, member, -1)
     prime = int(prime_vids.shape[0])
-    vids = vid_of_upage[uidx]
-    if prime:
-        vids = np.concatenate((prime_vids, vids))
     sid_u = ((u_vpns % tlb.num_sets).astype(np.int16)
              if tlb.num_sets > 1 else None)
-    tlb_lru = _simulate_lru(vids, u_vpns.shape[0], tlb.num_sets, tlb.ways,
-                            sid_u)
+    tlb_lru = _replay_lru(uidx, vid_of_upage, prime_vids, u_vpns.shape[0],
+                          tlb.num_sets, tlb.ways, sid_u)
     if tlb_lru is None:
         return None
-    miss_heads = np.flatnonzero(tlb_lru.miss[prime:])
-    walks = int(miss_heads.shape[0])
-    walked_pidx = uidx[miss_heads]
-    walk_sram = int(table.counts[walked_pidx].sum())
-    fixed_total = int(table.fixed[walked_pidx].sum())
-    res = _walk_lru(walker.cache, table, walked_pidx,
+    res = _walk_lru(walker.cache, table, uidx, sel=tlb_lru.miss[prime:],
+                    member=member,
                     prime_blocks=walker.cache.resident_blocks())
     if res is None:
         return None
-    cache_lru, ublocks, event_miss = res
-    walk_mem = fixed_total + int(event_miss.sum())
+    cache_lru, ublocks, walks_of, hist = res
+    walks = int(walks_of.sum())
+    walk_sram = int(walks_of @ table.counts)
+    fixed_total = int(walks_of @ table.fixed)
+    walk_mem = int(hist.sum(axis=1) @ np.arange(hist.shape[0]))
     return (walks, walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns,
             prime, warm, cache_lru, ublocks)
 
@@ -1524,20 +1560,19 @@ def _fast_conventional(iommu, batch: PageRunBatch, stats, carry) -> bool:
     (walks, walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns,
      prime, warm, cache_lru, ublocks) = analysis
     # --- analyses done (pure); state mutation may begin ------------------
-    head_vas = batch.head_vas()
     _rebuild_cache(walker.cache, cache_lru, ublocks)
-    _rebuild_tlb(tlb, tlb_lru, u_vpns, head_vas, uidx, table,
+    _rebuild_tlb(tlb, tlb_lru, u_vpns, upages, uidx, table,
                  prime_count=prime, warm_entries=warm)
     cache_misses = walk_mem - fixed_total
     dram.stats.data_accesses += n
     dram.stats.walk_accesses += walk_mem
-    dram.account_rows_runs(batch.pages, batch.lengths)
+    dram.account_rows_runs(upages, uidx, n)
     tlb.stats.hits += n - walks
     tlb.stats.misses += walks
     cache = walker.cache
     cache.stats.hits += walk_sram - cache_misses
     cache.stats.misses += cache_misses
-    nwrites = int(batch.run_writes.sum())
+    nwrites = batch.num_writes
     stats.accesses += n
     stats.writes += nwrites
     stats.reads += n - nwrites
@@ -1567,17 +1602,15 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
         return True
     upages, uidx = batch.unique_pages()
     bitmap_perm = carry["bitmap_perm"]
-    fb_runs, fb_upages, remap, table = carry["fb"]
+    fallback, table = carry["fallback"], carry["table"]
     _run_count, access_count, write_count = batch.page_aggregates()
     identity_pages = bitmap_perm > 0
     fb_analysis = None
-    fb_pidx = None
-    if fb_runs.shape[0]:
+    if fallback is not None:
         # Walk state evolves only for fallback pages — the scalar loop
         # never walks identity pages, so neither may the replay.
-        fb_pidx = remap[uidx[fb_runs]]
-        fb_analysis = _tlb_walk_analysis(tlb, walker, fb_upages, fb_pidx,
-                                         table)
+        fb_analysis = _tlb_walk_analysis(tlb, walker, upages, uidx, table,
+                                         member=fallback)
         if fb_analysis is None:
             return False
     # Bitmap-cache stream: one probe per head (interiors re-touch at
@@ -1587,34 +1620,29 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
     warm_words = np.asarray(bm_cache.resident_blocks(), np.int64)
     u_words, wid_ids = _compact(
         np.concatenate((bm_base_block + (upages >> 5), warm_words)))
-    wid_of_upage = wid_ids[:upages.shape[0]]
-    prime_wids = wid_ids[upages.shape[0]:]
-    wids = wid_of_upage[uidx]
-    if prime_wids.shape[0]:
-        wids = np.concatenate((prime_wids, wids))
+    u = upages.shape[0]
     bm_sid_u = ((u_words % bm_cache.num_sets).astype(np.int16)
                 if bm_cache.num_sets > 1 else None)
-    bm_lru = _simulate_lru(wids, u_words.shape[0], bm_cache.num_sets,
-                           bm_cache.ways, bm_sid_u)
+    bm_lru = _replay_lru(uidx, wid_ids[:u], wid_ids[u:], u_words.shape[0],
+                         bm_cache.num_sets, bm_cache.ways, bm_sid_u)
     if bm_lru is None:
         return False
-    bm_mem = int(bm_lru.miss[prime_wids.shape[0]:].sum())
+    bm_mem = int(np.count_nonzero(bm_lru.miss[warm_words.shape[0]:]))
     # --- analyses done (pure); state mutation may begin ------------------
     _rebuild_cache(bm_cache, bm_lru, u_words)
     walks = walk_sram = walk_mem = 0
     if fb_analysis is not None:
         (walks, walk_sram, walk_mem, _fixed, tlb_lru, u_vpns,
          prime, warm, cache_lru, ublocks) = fb_analysis
-        fb_head_vas = batch.head_vas()[fb_runs]
         _rebuild_cache(walker.cache, cache_lru, ublocks)
-        _rebuild_tlb(tlb, tlb_lru, u_vpns, fb_head_vas, fb_pidx, table,
-                     prime_count=prime, warm_entries=warm)
+        _rebuild_tlb(tlb, tlb_lru, u_vpns, upages, uidx, table,
+                     member=fallback, prime_count=prime, warm_entries=warm)
     walk_latency = dram.walk_latency
     identity = int(access_count[identity_pages].sum())
     tlb_lookups = n - identity
     dram.stats.data_accesses += n
     dram.stats.walk_accesses += walk_mem + bm_mem
-    dram.account_rows_runs(batch.pages, batch.lengths)
+    dram.account_rows_runs(upages, uidx, n)
     bm_cache.stats.hits += n - bm_mem
     bm_cache.stats.misses += bm_mem
     tlb.stats.hits += tlb_lookups - walks
@@ -1656,18 +1684,21 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
     # AVC block stream: the blocks each *head* touches, in walk order.
     # Interior accesses re-touch the same blocks back to the same dict
     # order, so the head stream alone determines the cache's evolution.
-    # Resident blocks prime the replay for warm reruns.
+    # Resident blocks prime the replay for warm reruns.  DVM-PE+ splits
+    # the walk histogram by whether the head stores.
     res = _walk_lru(cache, table, uidx,
+                    wflag=batch.head_writes if preload else None,
                     prime_blocks=cache.resident_blocks())
     if res is None:
         return False
-    avc_lru, ublocks, event_miss = res
+    avc_lru, ublocks, _walks_of, hist = res
     # --- analyses done (pure); state mutation may begin ------------------
     _rebuild_cache(cache, avc_lru, ublocks)
     walk_latency = dram.walk_latency
     data_latency = dram.data_latency
     walk_sram = int((table.counts * access_count).sum())
-    walk_mem = int((table.fixed * run_count).sum()) + int(event_miss.sum())
+    mem_per_head = np.arange(hist.shape[0])
+    walk_mem = int(hist.sum(axis=1) @ mem_per_head)
     identity = int(access_count[table.identity].sum())
     if not preload:
         sram_stall = walk_sram
@@ -1677,24 +1708,21 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
         # Head reads overlap DAV with the preload; only walk memory time
         # beyond the data fetch is exposed.  Interior accesses have zero
         # walk memory, so their reads expose nothing.  Writes (head or
-        # interior) behave like dvm_pe; non-identity reads squash.  The
-        # per-head AVC miss counts are the walk analysis's per-event
-        # output, no further reduction needed.
-        mem_per_head = table.fixed[uidx] + event_miss
-        head_reads = 1 - batch.head_writes
+        # interior) behave like dvm_pe; non-identity reads squash.  A
+        # head's walk memory is its page's fixed fetches plus its AVC
+        # misses: the histogram's row.
         exposed = mem_per_head * walk_latency - data_latency
         np.maximum(exposed, 0, out=exposed)
-        mem_stall = int((exposed * head_reads).sum())
+        mem_stall = int(exposed @ hist[:, 0])
         squashes = int(
             (access_count - write_count)[~table.identity].sum())
         mem_stall += squashes * data_latency
         sram_stall = int((table.counts * write_count).sum())
-        mem_stall += int(
-            (mem_per_head * batch.head_writes).sum()) * walk_latency
+        mem_stall += int(mem_per_head @ hist[:, 1]) * walk_latency
     dram.stats.data_accesses += n
     dram.stats.walk_accesses += walk_mem
     dram.stats.squashed_preloads += squashes
-    dram.account_rows_runs(batch.pages, batch.lengths)
+    dram.account_rows_runs(upages, uidx, n)
     walker.walks += n
     cache.stats.hits += walk_sram - walk_mem
     cache.stats.misses += walk_mem

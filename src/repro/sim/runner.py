@@ -154,8 +154,13 @@ class ExperimentRunner:
         ``REPRO_CACHE_DIR`` sets the artifact cache directory (unset
         disables persistence) and ``REPRO_PAIR_TIMEOUT`` the per-pair
         wall-clock budget; the timing engine keeps its own
-        ``REPRO_TIMING_ENGINE`` override.  Keyword overrides win.
+        ``REPRO_TIMING_ENGINE`` override.  The hardware scale follows the
+        profile: the full profile simulates :class:`HardwareScale`, every
+        smaller one :meth:`HardwareScale.bench`.  Keyword overrides win.
         """
+        full = overrides.get("profile", "full") == "full"
+        overrides.setdefault("scale", HardwareScale() if full
+                             else HardwareScale.bench())
         overrides.setdefault("cache_dir",
                              env.raw(CACHE_DIR_ENV_VAR) or None)
         overrides.setdefault("pair_timeout", pair_timeout_from_env())

@@ -252,11 +252,9 @@ def chaos_smoke(count: int = 220, workers: int = 4) -> int:
 def _run_pairs_cmd(opts: dict) -> int:
     from repro.graphs import datasets
     from repro.sim.runner import ExperimentRunner, workers_from_env
-    from repro.core.config import HardwareScale
 
     profile = "bench" if opts["bench"] else "full"
-    scale = HardwareScale.bench() if opts["bench"] else HardwareScale()
-    runner = ExperimentRunner.from_env(profile=profile, scale=scale)
+    runner = ExperimentRunner.from_env(profile=profile)
     pairs = None
     if opts["pairs"]:
         pairs = [tuple(item.split("/", 1)) for item in opts["pairs"]]

@@ -175,10 +175,14 @@ def run_both(make_system, addrs, writes, repeat=1, prepare=None,
 
 @pytest.fixture(params=["native", "numpy"])
 def engine_backend(request, monkeypatch):
-    """Exercise both the compiled kernel and the pure-numpy fallback."""
+    """Exercise the compiled kernels and the pure-numpy fallbacks.
+
+    The numpy side disables the compiled library as a whole, so every
+    entry point (LRU replays, walk replays, DRAM row accounting) runs
+    its fallback.
+    """
     if request.param == "numpy":
-        monkeypatch.setattr(_native, "lru_sim", lambda *a, **k: None)
-        monkeypatch.setattr(_native, "lru_walk", lambda *a, **k: None)
+        monkeypatch.setattr(_native, "_load", lambda: None)
     elif not _native.available():
         pytest.skip("no C compiler available for the native kernel")
     return request.param

@@ -1,11 +1,12 @@
 """The page-run pre-pass: skeleton-bound batches vs concretized batches.
 
 :func:`repro.sim.fastpath.batch_for` binds a layout-independent
-:class:`~repro.sim.fastpath.TraceRunSkeleton` to a layout with run-scale
-gathers instead of concretizing the trace.  Every run column, per-page
-aggregate and fault-site address it hands the engine must equal what
-:meth:`~repro.sim.fastpath.PageRunBatch.from_trace` computes from the
-concretized address column — without ever building that column.
+:class:`~repro.sim.fastpath.TraceRunSkeleton` to a layout by relocating
+its page alphabet instead of concretizing the trace.  Every run column,
+per-page aggregate and fault-site address it hands the engine must equal
+what :meth:`~repro.sim.fastpath.PageRunBatch.from_trace` computes from
+the concretized address column (per-page columns up to the alphabet's
+page order) — without ever building that column.
 """
 
 from __future__ import annotations
@@ -71,18 +72,25 @@ def assert_batches_match(skel_batch: PageRunBatch, trace, layout):
     ref = PageRunBatch.from_trace(addrs, writes)
     assert skel_batch.num_accesses == ref.num_accesses
     assert skel_batch.num_runs == ref.num_runs
-    for name in ("starts", "lengths", "pages", "run_writes", "head_writes"):
+    for name in ("starts", "lengths", "run_writes", "head_writes"):
         got, want = getattr(skel_batch, name), getattr(ref, name)
         np.testing.assert_array_equal(got, want, err_msg=name)
         assert got.dtype == np.int64, name
-    np.testing.assert_array_equal(skel_batch.head_vas(), ref.head_vas())
-    for got, want in zip(skel_batch.unique_pages(), ref.unique_pages()):
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(skel_batch.va_at(skel_batch.starts),
+                                  addrs[ref.starts])
+    # A skeleton batch keeps its unique pages in alphabet order: the same
+    # set as the sorted reference, and every per-page column agrees page
+    # by page.
+    (upages, uidx), (ref_upages, ref_uidx) = (skel_batch.unique_pages(),
+                                              ref.unique_pages())
+    np.testing.assert_array_equal(np.sort(upages), ref_upages)
+    np.testing.assert_array_equal(upages[uidx], ref_upages[ref_uidx])
+    row = np.searchsorted(ref_upages, upages)
     for got, want in zip(skel_batch.page_aggregates(),
                          ref.page_aggregates()):
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, want[row])
     np.testing.assert_array_equal(skel_batch.written_pages(),
-                                  ref.written_pages())
+                                  ref.written_pages()[row])
     # The written flag is exactly "some access to the page stores".
     upages, _ = ref.unique_pages()
     stored = np.unique(addrs[np.asarray(writes) > 0] >> PAGE_SHIFT)

@@ -1,36 +1,39 @@
-"""Run-scale guard: skeleton-bound batches never build their address column.
+"""Run-scale guard: skeleton-bound batches share one run stream.
 
-A batch bound from a :class:`~repro.sim.fastpath.TraceRunSkeleton` stays
-run-scale from bind to replay: screens, batched kernels and fault
-pre-delivery read run columns and ``va_at``.  Only the scalar fallback
-may build the per-access VA column.  These tests
-run a graph workload through every standard configuration (fault-free)
-and through the demand / swap fault modes whose faults are pre-delivered,
-and check that the cached batches still hold no address column, that
-the results equal the scalar engine's, and that the chaos hook still
-fires when an injector is configured.
+A batch bound from a :class:`~repro.sim.fastpath.TraceRunSkeleton` holds
+no run-scale array of its own: its run columns and run -> page index are
+the skeleton's, shared by identity across layouts and configurations,
+and screens, batched kernels and fault pre-delivery read runs through
+that index plus page-scale tables and addresses through ``va_at``.  Only
+the scalar fallback may build the per-access VA column.  These tests run
+a graph workload through every standard configuration (fault-free) and
+through the demand / swap fault modes whose faults are pre-delivered,
+and check that the cached batches still hold no address column and no
+per-layout run column, that the results equal the scalar engine's, and
+that the chaos hook still fires when an injector is configured.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.accel.algorithms import run_workload
 from repro.common import faults
 from repro.core.config import demand_faulting_config, standard_configs
 from repro.graphs.rmat import rmat_graph
-from repro.sim.fastpath import PageRunBatch
+from repro.sim.fastpath import PageRunBatch, TraceRunSkeleton
 from repro.sim.system import HeterogeneousSystem, SystemParams
 
 MB = 1 << 20
 
 #: (configuration, fault mode): every configuration fault-free, plus
 #: the pre-delivered demand page-in and swap-in modes.
-CASES = [(name, "none") for name in ("conv_4k", "conv_2m", "conv_1g",
-                                      "dvm_bm", "dvm_pe", "dvm_pe_plus",
-                                      "ideal")]
+CONFIGS = ("conv_4k", "conv_2m", "conv_1g", "dvm_bm", "dvm_pe",
+           "dvm_pe_plus", "ideal")
+CASES = [(name, "none") for name in CONFIGS]
 CASES += [("conv_4k", "demand"), ("dvm_pe", "swap"), ("dvm_bm", "swap")]
 
 
@@ -69,6 +72,43 @@ def test_fast_run_keeps_batches_run_scale(name, mode, workload):
     assert asdict(fast) == asdict(run(name, mode, workload, "scalar"))
     if mode != "none":
         assert fast.faults > 0
+
+
+def _held_arrays(batch: PageRunBatch):
+    """Every array a batch holds itself (its skeleton binding aside)."""
+    stack = [getattr(batch, slot) for slot in PageRunBatch.__slots__
+             if slot != "_lazy"]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            stack.extend(value)
+
+
+def test_configs_share_one_run_stream(workload):
+    graph, trace = workload
+    cache: dict = {}
+    for name in CONFIGS:
+        boot(name, "none", graph).run_trace(trace, engine="fast",
+                                            batch_cache=cache)
+    skels = [v for v in cache.values() if isinstance(v, TraceRunSkeleton)]
+    batches = [v for v in cache.values() if isinstance(v, PageRunBatch)]
+    assert len(skels) == 1 and len(batches) > 1   # several layouts
+    skel = skels[0]
+    shared = (skel.starts, skel.lengths, skel.run_writes, skel.head_writes,
+              skel.uidx)
+    for batch in batches:
+        assert batch._lazy[0] is skel
+        own = (batch.starts, batch.lengths, batch.run_writes,
+               batch.head_writes, batch.unique_pages()[1])
+        for got, want in zip(own, shared):
+            assert np.shares_memory(got, want)
+        # No per-layout run column: no pages, index or head-VA array.
+        for array in _held_arrays(batch):
+            if array.ndim and array.shape[0] == batch.num_runs:
+                assert any(np.shares_memory(array, col)
+                           for col in shared + (skel.writes,))
 
 
 @pytest.mark.parametrize("name,mode", CASES)

@@ -87,6 +87,21 @@ class TestFromEnv:
         assert runner.cache_dir == str(tmp_path / "kw")
         assert runner.pair_timeout is None
 
+    def test_scale_follows_profile(self):
+        # "bench" means bench datasets on bench hardware, for every entry
+        # point that builds its runner here (figures, ablations, faults,
+        # multiplexing, the sweep CLI).
+        assert (ExperimentRunner.from_env(profile="bench").scale
+                == HardwareScale.bench())
+        assert ExperimentRunner.from_env(profile="full").scale == \
+            HardwareScale()
+        assert ExperimentRunner.from_env().scale == HardwareScale()
+
+    def test_explicit_scale_wins(self):
+        runner = ExperimentRunner.from_env(profile="bench",
+                                           scale=HardwareScale())
+        assert runner.scale == HardwareScale()
+
 
 class TestConcurrentWriters:
     def test_two_runners_share_one_cache_dir(self, tmp_path):
