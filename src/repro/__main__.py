@@ -13,10 +13,11 @@ Usage::
     python -m repro sweep --chaos-smoke  # scheduler chaos gate (CI)
     python -m repro top                  # live dashboard over the bus
 
-With ``REPRO_OBS=1`` each artifact's observations (metrics registry,
-Chrome/Perfetto trace, NDJSON event stream) are flushed into
-``REPRO_OBS_DIR`` after it completes; ``python -m repro obs <dir>``
-renders them as text.
+With ``REPRO_OBS=1`` each artifact's observations (registry snapshot,
+trace events) are flushed into ``<REPRO_OBS_DIR>/bus.ndjson`` after it
+completes, which also refreshes the ``trace.json`` (Perfetto) and
+``metrics.prom`` exports; ``python -m repro obs <dir>`` renders the
+stream as text.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def _dispatch(argv: list[str]) -> int:
         from repro.sweep import cli as sweep_cli
         rc = sweep_cli.main(argv[1:])
         obs.flush(tag="sweep")
-        _metrics_snapshot()
         return rc
     if args[0] == "fuzz":
         from repro.gen import cli as fuzz_cli
@@ -108,32 +108,6 @@ def _dispatch(argv: list[str]) -> int:
         obs.flush(tag=name)
         print()
     return 0
-
-
-def _metrics_snapshot() -> None:
-    """Write the final ``metrics.prom`` for an observed sweep.
-
-    Folds the full bus stream once after the sweep ends, so CI can
-    upload a closing Prometheus snapshot even when no live ``repro
-    top`` watcher ran.  Silent no-op when the bus was off.
-    """
-    from repro.obs import bus as obs_bus
-    from repro.obs import core as obs_core
-    from repro.obs import top
-    if not obs_core.ENABLED:
-        return
-    path = obs_bus.bus_path()
-    if path is None or not path.exists():
-        return
-    events = obs_bus.read_events(path)
-    # Several sweeps may share one stream (the chaos smoke runs one per
-    # fault site); the closing snapshot describes the last one.
-    last_run = next((e["run_id"] for e in reversed(events)
-                     if e.get("kind") == "sweep-begin"), None)
-    if last_run is not None:
-        events = [e for e in events if e.get("run_id") == last_run]
-    model = top.TopModel.fold(events)
-    top.write_snapshot(model, obs_core.out_dir() / top.METRICS_FILENAME)
 
 
 if __name__ == "__main__":

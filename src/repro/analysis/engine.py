@@ -160,8 +160,13 @@ def run_analysis(root: Path | str,
     project_entry = None
     if cache is not None:
         entries = {rel: cache.lookup_file(rel, shas[rel]) for rel in rels}
-        tree_fp = cache_mod.tree_fingerprint(shas, cache.engine,
-                                             cache.ruleset)
+        # Project rules also read the configuration doc (ENV002/003).
+        doc = root / config.CONFIG_DOC
+        doc_sha = cache_mod.file_sha(doc.read_bytes()) \
+            if doc.is_file() else None
+        tree_fp = cache_mod.tree_fingerprint(
+            {**shas, config.CONFIG_DOC: doc_sha}, cache.engine,
+            cache.ruleset)
         project_entry = cache.lookup_project(tree_fp)
 
     active: list[Finding] = []

@@ -6,28 +6,33 @@ Layers (bottom up):
   the process-wide :data:`~repro.obs.core.REGISTRY`, zero-overhead when
   disabled (``REPRO_OBS`` unset);
 * :mod:`repro.obs.trace` — hierarchical spans (sweep → pair → attempt →
-  phase) exported as Chrome-trace/Perfetto JSON and NDJSON;
+  phase), instants and flows, exported as Chrome-trace/Perfetto JSON;
 * :mod:`repro.obs.record` — derived per-run instrumentation (walk
   depth, AVC hit rate, fault latency) computed *after* each trace run so
   the timing loops stay untouched;
-* :mod:`repro.obs.progress` — live heartbeat lines during sweeps;
-* :mod:`repro.obs.log` — structured degradation diagnostics
-  (``log.ndjson``), superseding ad-hoc ``REPRO_DEBUG`` prints;
-* :mod:`repro.obs.report` — the ``python -m repro obs <dir>`` CLI that
-  renders histograms and span summaries from flushed artifacts.
+* :mod:`repro.obs.progress` — live heartbeat lines during sweeps, each
+  also recorded as a ``heartbeat`` instant;
+* :mod:`repro.obs.log` — structured degradation diagnostics, recorded
+  as ``log`` instants (and printed under ``REPRO_DEBUG``);
+* :mod:`repro.obs.bus` — ``bus.ndjson``, the one on-disk stream: the
+  scheduler's lifecycle records plus every flushed registry snapshot
+  and trace event;
+* :mod:`repro.obs.report` / :mod:`repro.obs.top` — ``python -m repro
+  obs <dir>`` and ``python -m repro top``, folds over that stream.
 
 See ``docs/observability.md`` for the user-facing story.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.obs import core, log, progress, record, trace  # noqa: F401
+from repro.obs import bus, core, log, progress, record, top, trace  # noqa: F401
 from repro.obs.core import (REGISTRY, configure, counter, enabled,  # noqa: F401
                             histogram, out_dir, refresh_from_env)
 from repro.obs.log import debug  # noqa: F401
 from repro.obs.trace import COLLECTOR, instant, span  # noqa: F401
+
+#: The Perfetto export rewritten by every :func:`flush`.
+TRACE_FILENAME = "trace.json"
 
 
 def reset() -> None:
@@ -43,31 +48,43 @@ def snapshot() -> dict:
 
 
 def flush(tag: str = "run", run_id: str = "") -> dict | None:
-    """Write (and drain) all collected observations to the obs directory.
+    """Drain all collected observations into the bus and re-export.
 
-    Produces three artifacts per flush under ``REPRO_OBS_DIR``:
-    ``metrics-<tag>-<seq>.json`` (the registry snapshot),
-    ``trace-<tag>-<seq>.json`` (Perfetto-loadable Chrome trace) and
-    ``trace-<tag>-<seq>.ndjson`` (the same events line-delimited).
-    Returns ``{"metrics": path, "trace": path, "ndjson": path}`` or
-    ``None`` when observability is disabled.  The registry and collector
-    are drained, so consecutive flushes (e.g. ``python -m repro all``)
-    partition their observations instead of double counting.
+    Appends one ``metrics`` record (``tag`` plus the registry snapshot)
+    and one ``trace`` record per collector event to
+    ``<obs-dir>/bus.ndjson``, then rewrites the two exports from the
+    whole stream: ``trace.json`` (Perfetto, every ``trace`` record) and
+    ``metrics.prom`` (the last sweep's :class:`~repro.obs.top.TopModel`,
+    only once the stream holds a sweep).  Returns
+    ``{"bus": path, "trace": path[, "prom": path]}``, or ``None`` when
+    observability is disabled.  The registry and collector are drained,
+    so consecutive flushes (e.g. ``python -m repro all``) partition
+    their observations instead of double counting, and flushes from
+    several processes into one directory all survive.
     """
     if not core.ENABLED:
         return None
-    directory = core.ensure_out_dir()
-    stem = f"{tag}-{core.next_flush_seq():03d}"
     registry_payload = core.REGISTRY.to_dict()
     core.REGISTRY.reset()
     events = trace.COLLECTOR.drain()
-    metrics_path = directory / f"metrics-{stem}.json"
-    metrics_path.write_text(
-        json.dumps({"tag": tag, "run_id": run_id, **registry_payload},
-                   indent=1, sort_keys=True) + "\n")
-    trace_path = directory / f"trace-{stem}.json"
-    trace.write_chrome(trace_path, events, run_id=run_id)
-    ndjson_path = directory / f"trace-{stem}.ndjson"
-    trace.write_ndjson(ndjson_path, events)
-    return {"metrics": metrics_path, "trace": trace_path,
-            "ndjson": ndjson_path}
+    path = bus.bus_path()
+    with bus.EventBus(path, run_id) as writer:
+        writer.emit("metrics", tag=tag, **registry_payload)
+        for event in events:
+            writer.emit("trace", event=event)
+
+    records = bus.read_events(path)
+    directory = path.parent
+    paths = {"bus": path, "trace": directory / TRACE_FILENAME}
+    trace.write_chrome(paths["trace"], bus.trace_events(records),
+                       run_id=run_id)
+    # Several sweeps may share one stream (the chaos smoke runs one per
+    # fault site); the snapshot describes the last one.
+    sweep_run = next((r.get("run_id") for r in reversed(records)
+                      if r.get("kind") == "sweep-begin"), None)
+    if sweep_run is not None:
+        model = top.TopModel.fold(r for r in records
+                                  if r.get("run_id") == sweep_run)
+        paths["prom"] = top.write_snapshot(
+            model, directory / top.METRICS_FILENAME)
+    return paths

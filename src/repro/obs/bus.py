@@ -1,12 +1,23 @@
-"""The sweep event bus: a crash-consistent append-only NDJSON stream.
+"""The observability stream: a crash-consistent append-only NDJSON file.
 
-The scheduler (:mod:`repro.sweep.scheduler`) narrates every task/worker
-lifecycle transition — admitted, started, stolen, hedged, retried,
-completed, quarantined, beat-stale, killed, domain-fenced — into one
-append-only file so consumers (``python -m repro top``, the
-:class:`~repro.sweep.stream.SweepWatch` partial-results API, post-mortem
-tooling) can observe a sweep *while it runs* instead of waiting for the
-final :class:`~repro.sim.resilience.ResilienceReport`.
+``<obs-dir>/bus.ndjson`` is the only file observability appends to.
+Two producers write it, both from the parent process:
+
+* the scheduler (:mod:`repro.sweep.scheduler`) narrates every
+  task/worker lifecycle transition — admitted, started, stolen, hedged,
+  retried, completed, quarantined, beat-stale, killed, domain-fenced —
+  while the sweep runs, so consumers (``python -m repro top``, the
+  :class:`~repro.sweep.stream.SweepWatch` partial-results API,
+  post-mortem tooling) can observe a sweep *while it runs* instead of
+  waiting for the final :class:`~repro.sim.resilience.ResilienceReport`;
+* :func:`repro.obs.flush` appends one ``metrics`` record (a drained
+  registry snapshot) and one ``trace`` record per drained span, instant
+  (diagnostics, heartbeat lines) or flow event.
+
+Workers never write the stream: their observations ship home with each
+task result and the parent appends them.  That keeps one writer per
+file at a time, which :meth:`EventBus._open`'s torn-tail truncation
+relies on.
 
 Records live in a :mod:`repro.common.recordlog` file, the journal's
 format (:mod:`repro.sweep.journal`) minus fsync-per-record — the bus is
@@ -26,10 +37,9 @@ telemetry, never the source of truth:
 
 * **Zero overhead when disabled.**  :func:`sweep_bus` returns the
   module-level :data:`NULL_BUS` unless observability is enabled
-  (``REPRO_OBS=1``) and the bus is not vetoed (``REPRO_OBS_BUS=0``);
-  emitting into the null bus is one no-op method call, and the
-  per-access simulation hot path never touches the bus at all —
-  transitions happen per *task*, not per memory access.
+  (``REPRO_OBS=1``); emitting into the null bus is one no-op method
+  call, and the per-access simulation hot path never touches the bus
+  at all — transitions happen per *task*, not per memory access.
 
 The writer buffers through normal file I/O and flushes per record (one
 ``write`` syscall per event); it deliberately does **not** fsync — a
@@ -43,17 +53,13 @@ import os
 import time
 from pathlib import Path
 
-from repro.common import env, recordlog
+from repro.common import recordlog
 from repro.obs import core
 
 #: Bus record format version carried by every record.
 BUS_SCHEMA = 1
 
-#: ``0``/``false`` disables the bus even with observability on; any
-#: other non-empty value overrides the stream's path.
-BUS_ENV_VAR = "REPRO_OBS_BUS"
-
-#: Default stream file name inside the observability directory.
+#: The stream's file name inside the observability directory.
 BUS_FILENAME = "bus.ndjson"
 
 
@@ -147,29 +153,17 @@ class _NullBus:
 NULL_BUS = _NullBus()
 
 
-def bus_path() -> Path | None:
-    """The configured stream path, or ``None`` when the bus is off.
-
-    ``REPRO_OBS_BUS`` falsy (``0``/``false``/...) disables the bus; a
-    path-like value overrides the default ``<obs-dir>/bus.ndjson``.
-    """
-    raw = env.raw(BUS_ENV_VAR)
-    if raw is not None and raw.strip() and not env.truthy_str(raw):
-        return None
-    if raw and raw.strip() not in ("1", "true", "yes", "on"):
-        return Path(raw)
+def bus_path() -> Path:
+    """The stream path: ``<obs-dir>/bus.ndjson``."""
     return core.out_dir() / BUS_FILENAME
 
 
 def sweep_bus(run_id: str = "") -> EventBus | _NullBus:
-    """The bus a sweep should emit into: real when observability is on
-    and the bus is not vetoed, :data:`NULL_BUS` otherwise."""
+    """The bus a sweep should emit into: real when observability is on,
+    :data:`NULL_BUS` otherwise."""
     if not core.ENABLED:
         return NULL_BUS
-    path = bus_path()
-    if path is None:
-        return NULL_BUS
-    return EventBus(path, run_id)
+    return EventBus(bus_path(), run_id)
 
 
 # -- read side ----------------------------------------------------------------
@@ -181,3 +175,9 @@ def read_events(path: str | os.PathLike, *, run_id: str | None = None
     writer's open keeps — optionally only ``run_id``'s."""
     return [record for record in recordlog.read(path)
             if run_id is None or record.get("run_id") == run_id]
+
+
+def trace_events(records: list[dict]) -> list[dict]:
+    """The collector events carried by the stream's ``trace`` records."""
+    return [record["event"] for record in records
+            if record.get("kind") == "trace"]

@@ -29,7 +29,6 @@ vector add, and the exported form stable across runs.
 
 from __future__ import annotations
 
-import itertools
 import os
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from repro.common import env
 #: Master switch: set ``REPRO_OBS=1`` to enable the subsystem.
 OBS_ENV_VAR = "REPRO_OBS"
 
-#: Output directory for traces / metric snapshots / structured logs.
+#: Output directory for the bus stream and its exports.
 OBS_DIR_ENV_VAR = "REPRO_OBS_DIR"
 
 #: Default output directory (cwd-relative) when enabled without a dir.
@@ -56,7 +55,6 @@ _env_truthy = env.truthy_str
 ENABLED: bool = env.truthy(OBS_ENV_VAR)
 
 _out_dir_override: str | None = None
-_flush_seq = itertools.count(1)
 
 
 def enabled() -> bool:
@@ -91,18 +89,6 @@ def out_dir() -> Path:
     if _out_dir_override is not None:
         return Path(_out_dir_override)
     return Path(env.raw(OBS_DIR_ENV_VAR) or DEFAULT_OBS_DIR)
-
-
-def ensure_out_dir() -> Path:
-    """The output directory, created on first use."""
-    directory = out_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def next_flush_seq() -> int:
-    """Monotonic sequence number for flushed artifact file names."""
-    return next(_flush_seq)
 
 
 def label(name: str, **labels) -> str:

@@ -1,12 +1,15 @@
 """Structured diagnostic logging for degradation paths.
 
 Subsystems that degrade gracefully (the compiled-kernel loader in
-:mod:`repro.sim._native`, cache quarantine, …) used to print ad-hoc
-``REPRO_DEBUG`` lines to stderr.  :func:`debug` keeps that behaviour as
-the fallback but, when observability is enabled, lands each diagnostic
-as one JSON object per line in ``log.ndjson`` inside the observability
-directory instead — so a sweep's degradation history ships with its
-trace and metrics artifacts rather than scrolling away.
+:mod:`repro.sim._native`, cache quarantine, …) report through
+:func:`debug`, which has two independent sinks:
+
+* with observability enabled, each diagnostic is recorded as a ``log``
+  instant on the trace collector, so :func:`repro.obs.flush` lands it
+  in the bus next to the spans it happened under (a pool worker's
+  diagnostics ship home with its task result; one from a worker that
+  dies before shipping is lost);
+* with ``REPRO_DEBUG`` set, a human-readable line goes to stderr.
 
 Records carry a monotonically increasing per-process sequence number (so
 merged logs from several processes stay ordered per producer), the
@@ -16,19 +19,15 @@ producing pid, the subsystem tag and free-form structured fields.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import sys
 import time
 
 from repro.common import env
-from repro.obs import core
+from repro.obs import core, trace
 
-#: Legacy switch: log degradation diagnostics to stderr when obs is off.
+#: Print degradation diagnostics to stderr.
 DEBUG_ENV_VAR = "REPRO_DEBUG"
-
-#: Log file name inside the observability directory.
-LOG_FILENAME = "log.ndjson"
 
 _seq = itertools.count(1)
 
@@ -45,13 +44,12 @@ def debug_enabled() -> bool:
 def debug(subsystem: str, message: str, **fields) -> dict | None:
     """Emit one structured diagnostic record.
 
-    With observability enabled the record is appended to ``log.ndjson``
-    in the observability directory (created on first use).  Otherwise,
-    with ``REPRO_DEBUG`` set, a human-readable line goes to stderr —
-    exactly the legacy behaviour.  Returns the record when anything was
-    emitted, else ``None``.
+    With observability enabled the record becomes a ``log`` instant on
+    the collector; with ``REPRO_DEBUG`` set it is also printed to
+    stderr.  Returns the record when either sink took it, else ``None``.
     """
-    if not core.ENABLED and not debug_enabled():
+    to_stderr = debug_enabled()
+    if not core.ENABLED and not to_stderr:
         return None
     record = {
         "seq": next(_seq),
@@ -60,17 +58,9 @@ def debug(subsystem: str, message: str, **fields) -> dict | None:
         "subsystem": subsystem,
         "message": message,
     }
-    if fields:
-        record.update(fields)
-    if core.ENABLED:
-        try:
-            path = core.ensure_out_dir() / LOG_FILENAME
-            with open(path, "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True, default=str)
-                         + "\n")
-            return record
-        except OSError:
-            pass        # fall through to stderr: never lose a diagnostic
-    detail = "".join(f" {key}={value}" for key, value in fields.items())
-    print(f"[repro.{subsystem}] {message}{detail}", file=sys.stderr)
+    record.update(fields)
+    trace.instant("log", cat="obs", **record)
+    if to_stderr:
+        detail = "".join(f" {key}={value}" for key, value in fields.items())
+        print(f"[repro.{subsystem}] {message}{detail}", file=sys.stderr)
     return record

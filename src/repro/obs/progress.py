@@ -7,9 +7,11 @@ A multi-minute Figure 8 sweep is silent between figures; with
     [obs] sweep 7/15 pairs | cache 42h/7m | retries 1 | faults 0 | eta 93s
 
 Lines go to stderr (never stdout: the figure tables are golden output)
-and are appended to ``heartbeat.log`` in the observability directory, so
-a sweep's liveness is inspectable after the fact.  The final update
-(done == total) is always emitted regardless of the rate limit.
+and are recorded as ``heartbeat`` instants on the trace collector, so
+the next :func:`repro.obs.flush` lands them in the bus and a sweep's
+liveness is inspectable after the fact (``python -m repro obs`` shows
+the last line).  The final update (done == total) is always emitted
+regardless of the rate limit.
 
 :class:`Pulse` is the *machine-facing* half of the same idea: a sweep
 worker process beats a monotonic timestamp into a shared slot array from
@@ -21,23 +23,16 @@ intervals instead of waiting out the full per-pair wall-clock budget.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
 
 from repro.common import env
 from repro.common.errors import ConfigError
-from repro.obs import core
+from repro.obs import trace as obs_trace
 
 #: Minimum seconds between heartbeat lines (float; 0 = every update).
 HEARTBEAT_ENV_VAR = "REPRO_OBS_HEARTBEAT"
-
-#: Rotate ``heartbeat.log`` once it exceeds this many bytes.
-HEARTBEAT_MAX_BYTES_ENV_VAR = "REPRO_OBS_HEARTBEAT_MAX_BYTES"
-
-#: Default rotation cap: one long sweep's worth of lines, bounded.
-DEFAULT_HEARTBEAT_MAX_BYTES = 1 << 20
 
 
 def heartbeat_interval() -> float:
@@ -55,25 +50,18 @@ def heartbeat_interval() -> float:
                           f"got {raw!r}") from None
 
 
-def heartbeat_max_bytes() -> int:
-    """The ``heartbeat.log`` rotation threshold in bytes (min 4 KiB)."""
-    return max(env.integer(HEARTBEAT_MAX_BYTES_ENV_VAR,
-                           DEFAULT_HEARTBEAT_MAX_BYTES), 4096)
-
-
 class Heartbeat:
     """Periodic progress reporter for one sweep."""
 
     def __init__(self, total: int, label: str = "sweep", *,
                  stream=None, clock=time.monotonic,
-                 interval: float | None = None, log_dir=None):
+                 interval: float | None = None):
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
         self.clock = clock
         self.interval = (heartbeat_interval() if interval is None
                          else interval)
-        self.log_dir = log_dir
         self.start = clock()
         self._last_emit: float | None = None
 
@@ -114,39 +102,8 @@ class Heartbeat:
             # Broken pipe / closed stream mid-sweep: the heartbeat is
             # cosmetic; a dead stderr must not kill the worker.
             pass
-        self._log(line)
+        obs_trace.instant("heartbeat", cat="obs", line=line)
         return line
-
-    def _log(self, line: str) -> None:
-        directory = self.log_dir
-        if directory is None:
-            if not core.ENABLED:
-                return
-        try:
-            if directory is None:
-                directory = core.ensure_out_dir()     # mkdir may fail
-            path = os.path.join(str(directory), "heartbeat.log")
-            self._rotate(path)
-            with open(path, "a") as fh:
-                fh.write(line + "\n")
-        except (OSError, ValueError):
-            pass        # telemetry must never take a sweep down
-
-    @staticmethod
-    def _rotate(path: str) -> None:
-        """Size-capped rotation: keep one previous generation.
-
-        ``heartbeat.log`` used to grow unbounded across long sweeps; now
-        a log past ``REPRO_OBS_HEARTBEAT_MAX_BYTES`` is renamed to
-        ``heartbeat.log.1`` (clobbering the one before it) so the pair
-        is bounded at twice the cap.
-        """
-        try:
-            if os.path.getsize(path) < heartbeat_max_bytes():
-                return
-        except OSError:
-            return      # missing file: nothing to rotate
-        os.replace(path, path + ".1")
 
 
 class Pulse:

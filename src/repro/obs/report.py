@@ -1,9 +1,9 @@
-"""Reporting CLI: render flushed observability artifacts as text.
+"""Reporting CLI: render an observability stream as text.
 
-``python -m repro obs <dir>`` reads everything a sweep flushed into its
-observability directory — ``metrics-*.json`` registry snapshots,
-``trace-*.ndjson`` event streams, ``heartbeat.log`` and ``log.ndjson`` —
-and renders:
+``python -m repro obs <dir>`` reads ``<dir>/bus.ndjson`` once — the
+``metrics`` records (registry snapshots) and the ``trace`` records
+(spans, ``log`` diagnostics and ``heartbeat`` instants) that
+:func:`repro.obs.flush` appended — and renders:
 
 * translation-behaviour histograms (AVC hit rate / miss-rate
   distribution, walk-depth distribution, fault-service latency) per
@@ -19,29 +19,11 @@ streams concatenate.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.experiments.reporting import (render_histogram, render_table)
-from repro.obs import trace as trace_mod
-from repro.obs.core import Histogram, Registry
-
-
-def load_registry(directory: Path) -> Registry:
-    """Merge every ``metrics-*.json`` snapshot in ``directory``."""
-    registry = Registry()
-    for path in sorted(directory.glob("metrics-*.json")):
-        payload = json.loads(path.read_text())
-        registry.merge(payload)
-    return registry
-
-
-def load_events(directory: Path) -> list[dict]:
-    """Concatenate every ``trace-*.ndjson`` stream in ``directory``."""
-    events: list[dict] = []
-    for path in sorted(directory.glob("trace-*.ndjson")):
-        events.extend(trace_mod.read_ndjson(path))
-    return events
+from repro.obs import bus
+from repro.obs.core import Registry
 
 
 def _by_config(instruments: dict, prefix: str) -> dict[str, object]:
@@ -155,8 +137,12 @@ def counters_table(registry: Registry) -> str:
 def render_report(directory: Path | str) -> str:
     """The full report for one observability directory."""
     directory = Path(directory)
-    registry = load_registry(directory)
-    events = load_events(directory)
+    records = bus.read_events(directory / bus.BUS_FILENAME)
+    registry = Registry()
+    for record in records:
+        if record.get("kind") == "metrics":
+            registry.merge(record)
+    events = bus.trace_events(records)
     sections = [
         f"Observability report: {directory}",
         hit_rate_table(registry),
@@ -167,17 +153,14 @@ def render_report(directory: Path | str) -> str:
     hang = hang_detection_summary(registry)
     if hang is not None:
         sections.append(hang)
-    heartbeat = directory / "heartbeat.log"
-    if heartbeat.exists():
-        lines = heartbeat.read_text().splitlines()
-        sections.append(f"Heartbeat ({len(lines)} lines; last): "
-                        + (lines[-1] if lines else ""))
-    log_path = directory / "log.ndjson"
-    if log_path.exists():
-        entries = [line for line in log_path.read_text().splitlines()
-                   if line.strip()]
-        sections.append(f"Diagnostics: {len(entries)} structured log "
-                        f"entries in {log_path}")
+    beats = [e["args"]["line"] for e in events if e["name"] == "heartbeat"]
+    if beats:
+        sections.append(f"Heartbeat ({len(beats)} lines; last): "
+                        + beats[-1])
+    diagnostics = sum(1 for e in events if e["name"] == "log")
+    if diagnostics:
+        sections.append(f"Diagnostics: {diagnostics} structured log "
+                        "entries")
     return "\n\n".join(sections)
 
 

@@ -3,9 +3,12 @@
 The scheduler narrates every lifecycle transition onto the bus
 (:mod:`repro.obs.bus`); this module folds that stream into a terminal
 dashboard — per-worker state, per-shard queue depth, steal / hedge /
-fault counters, throughput and ETA — refreshed every
-``REPRO_TOP_INTERVAL`` seconds, plus a Prometheus-text snapshot
-(``metrics.prom``) rewritten atomically each refresh for scraping.
+fault counters, throughput and ETA — refreshed every ``--interval``
+seconds, plus a Prometheus-text snapshot (``metrics.prom``) rewritten
+atomically each refresh for scraping (and once more by every
+:func:`repro.obs.flush`).  The fold reads scheduler records only: the
+``metrics`` and ``trace`` records flushes append to the same stream
+neither count nor move the sweep's clock.
 
 The fold is deliberately stateless across refreshes:
 :meth:`TopModel.fold` replays the whole validated stream every tick.
@@ -27,12 +30,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.common import env
 from repro.obs import bus as obs_bus
 from repro.obs import core
-
-#: Seconds between dashboard refreshes / metrics.prom snapshots.
-TOP_INTERVAL_ENV_VAR = "REPRO_TOP_INTERVAL"
 
 #: Default Prometheus snapshot file name inside the obs directory.
 METRICS_FILENAME = "metrics.prom"
@@ -42,6 +41,10 @@ COUNTED_KINDS = ("admitted", "started", "completed", "failed", "retried",
                  "stolen", "hedged", "killed", "quarantined", "duplicate",
                  "shelved", "beat-stale", "stalled", "serial",
                  "domain-rebuilt", "domain-fenced")
+
+#: Every kind the scheduler emits; :meth:`TopModel.apply` ignores the
+#: rest of the stream.
+SCHEDULER_KINDS = COUNTED_KINDS + ("sweep-begin", "tick", "sweep-end")
 
 
 class TopModel:
@@ -82,6 +85,8 @@ class TopModel:
     def apply(self, event: dict) -> None:
         """Fold one validated bus record into the model."""
         kind = event.get("kind")
+        if kind not in SCHEDULER_KINDS:
+            return
         t = event.get("t")
         if isinstance(t, (int, float)):
             self.last_t = t
@@ -234,11 +239,6 @@ def write_snapshot(model: TopModel, path: str | os.PathLike) -> Path:
     return path
 
 
-def top_interval() -> float:
-    """Seconds between refreshes (``REPRO_TOP_INTERVAL``, default 1)."""
-    return max(env.floating(TOP_INTERVAL_ENV_VAR, 1.0), 0.05)
-
-
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro top [--bus PATH] [--run-id ID] [--once] ...``"""
     import argparse
@@ -247,27 +247,24 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro top",
         description="live dashboard over a sweep's event bus")
     parser.add_argument("--bus", default=None,
-                        help="bus stream to watch (default: the "
-                             "configured REPRO_OBS_BUS / obs-dir bus)")
+                        help="bus stream to watch (default: "
+                             "<obs-dir>/bus.ndjson)")
     parser.add_argument("--run-id", default=None,
                         help="only fold events from this sweep run")
     parser.add_argument("--metrics", default=None,
                         help="metrics.prom snapshot path (default: "
                              "<obs-dir>/metrics.prom)")
-    parser.add_argument("--interval", type=float, default=None,
-                        help="refresh seconds (default: "
-                             "REPRO_TOP_INTERVAL or 1)")
+    parser.add_argument("--interval", type=float, default=1.0,
+                        help="refresh seconds (default: 1)")
     parser.add_argument("--once", action="store_true",
                         help="render one frame and exit")
     parser.add_argument("--timeout", type=float, default=None,
                         help="stop after this many seconds")
     args = parser.parse_args(argv)
 
-    bus_path = Path(args.bus) if args.bus \
-        else (obs_bus.bus_path() or core.out_dir() / obs_bus.BUS_FILENAME)
+    bus_path = Path(args.bus) if args.bus else obs_bus.bus_path()
     metrics_path = Path(args.metrics) if args.metrics \
         else core.out_dir() / METRICS_FILENAME
-    interval = args.interval if args.interval is not None else top_interval()
     deadline = (time.monotonic() + args.timeout
                 if args.timeout is not None else None)
 
@@ -288,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         if deadline is not None and time.monotonic() >= deadline:
             return 0
         try:
-            time.sleep(max(interval, 0.05))
+            time.sleep(max(args.interval, 0.05))
         except KeyboardInterrupt:
             return 0
 

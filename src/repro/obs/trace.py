@@ -18,13 +18,11 @@ across processes — and event identity (name, category, args, nesting
 depth) is deterministic for a deterministic sweep, which is what the
 export-determinism tests pin (timestamps excluded).
 
-Two export formats, both written by :func:`repro.obs.flush`:
-
-* ``trace-*.json`` — Chrome trace / Perfetto ``traceEvents`` JSON
-  (complete ``"X"`` events plus process-name metadata), loadable in
-  ``ui.perfetto.dev`` or ``chrome://tracing``;
-* ``trace-*.ndjson`` — the same events, one JSON object per line, for
-  ``jq``-style ad-hoc analysis.
+:func:`repro.obs.flush` appends each drained event to the bus as one
+``trace`` record (line-delimited JSON for ``jq``-style analysis) and
+rewrites ``trace.json`` from every such record: Chrome trace / Perfetto
+``traceEvents`` JSON (complete ``"X"`` events plus process-name
+metadata), loadable in ``ui.perfetto.dev`` or ``chrome://tracing``.
 """
 
 from __future__ import annotations
@@ -250,23 +248,6 @@ def write_chrome(path: Path, events: list[dict], *, run_id: str = "") -> None:
     """Write a Perfetto-loadable trace JSON file."""
     payload = chrome_trace(events, run_id=run_id)
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def write_ndjson(path: Path, events: list[dict]) -> None:
-    """Write the event stream as newline-delimited JSON."""
-    with open(path, "w") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-
-
-def read_ndjson(path: Path) -> list[dict]:
-    """Load an event stream written by :func:`write_ndjson`."""
-    events = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            events.append(json.loads(line))
-    return events
 
 
 def validate_chrome(payload: dict) -> list[str]:

@@ -45,14 +45,8 @@ from repro.obs import log as obs_log
 #: Set to ``0`` to force every pure-numpy fallback (CI runs tests/sim so).
 NATIVE_ENV_VAR = "REPRO_NATIVE"
 
-#: Set to log native-kernel degradation (compile failures etc.) to stderr.
-DEBUG_ENV_VAR = "REPRO_DEBUG"
-
 
 def _debug(message: str, **fields) -> None:
-    # Routed through the structured logger: with observability enabled the
-    # diagnostic lands in the obs directory's ``log.ndjson``; otherwise
-    # ``REPRO_DEBUG=1`` keeps the legacy stderr line.
     obs_log.debug("native", message, **fields)
 
 _SOURCE = Path(__file__).with_name("_lru_kernel.c")

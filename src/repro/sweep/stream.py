@@ -7,7 +7,9 @@ merge.  :class:`SweepWatch` is that API.  It owns no state of its own;
 it tails the two crash-consistent streams the sweep already writes:
 
 * the **event bus** (:mod:`repro.obs.bus`) for lifecycle transitions —
-  ``iter_events()`` yields every validated bus record as it lands;
+  ``iter_events()`` yields every validated bus record as it lands
+  (flushes append ``metrics`` and ``trace`` records to the same
+  stream, so consumers filter by ``kind``);
 * the **journal** (:mod:`repro.sweep.journal`) for completed results —
   ``iter_results()`` yields ``(task key, entries)`` as each durable
   journal record appears, folding the record log's tail through the same
@@ -44,7 +46,7 @@ from repro.sweep.journal import JournalFold
 class SweepWatch:
     """Tail a running sweep's bus and journal for live consumption.
 
-    ``bus_path`` defaults to the configured bus stream
+    ``bus_path`` defaults to ``<obs-dir>/bus.ndjson``
     (:func:`repro.obs.bus.bus_path`); ``journal_path`` has no default —
     results can only be watched where the sweep journals.  ``run_id``
     filters bus events to one sweep when several share a stream file;
@@ -58,9 +60,8 @@ class SweepWatch:
                  run_id: str | None = None, sweep_key: str | None = None,
                  poll: float = 0.2, sleep=time.sleep,
                  clock=time.monotonic):
-        if bus_path is None:
-            bus_path = obs_bus.bus_path()
-        self.bus_path = Path(bus_path) if bus_path is not None else None
+        self.bus_path = (Path(bus_path) if bus_path is not None
+                         else obs_bus.bus_path())
         self.journal_path = (Path(journal_path)
                              if journal_path is not None else None)
         self.run_id = run_id
@@ -81,8 +82,6 @@ class SweepWatch:
         polls until ``stop()`` returns true or ``timeout`` seconds
         elapse; ``follow=False`` drains what exists and returns.
         """
-        if self.bus_path is None:
-            return
         for record in recordlog.tail(
                 self.bus_path, follow=follow, poll=self.poll, stop=stop,
                 timeout=timeout, sleep=self._sleep, clock=self._clock):

@@ -94,6 +94,17 @@ class TestIncrementalCache:
         after = det002_count(analyze(tree))
         assert after == before + 1
 
+    def test_config_doc_edit_invalidates_project_findings(self, tree):
+        def env003(result):
+            return [f for f in result.findings if f.rule == "ENV003"]
+
+        (dead,) = env003(analyze(tree))
+        doc = tree / config.CONFIG_DOC
+        lines = doc.read_text().splitlines(keepends=True)
+        del lines[dead.line - 1]            # drop the dead row
+        doc.write_text("".join(lines))
+        assert env003(analyze(tree)) == []
+
     def test_corrupt_cache_is_rebuilt(self, tree):
         analyze(tree)
         cache_file = tree / config.CACHE_FILE

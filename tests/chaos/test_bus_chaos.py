@@ -1,8 +1,8 @@
 """Bus crash consistency under scheduler chaos.
 
 The event bus is telemetry riding shotgun on a fault-injected sweep: it
-must never perturb the sweep's merged output (bit-identical with the
-bus on, off, or vetoed), and every record that reaches the stream must
+must never perturb the sweep's merged output (bit-identical with
+observability on or off), and every record that reaches the stream must
 validate — kills, steal races and torn tails included.
 """
 
@@ -91,12 +91,13 @@ class TestBusUnderChaos:
         on, _ = run_probe_sweep(PROBES, workers=4,
                                 pair_timeout=PAIR_TIMEOUT)
         faults.reset()
-        monkeypatch.setenv(obs_bus.BUS_ENV_VAR, "0")
+        monkeypatch.setenv(obs_core.OBS_ENV_VAR, "0")
+        obs_core.refresh_from_env()
         faults.configure(CHAOS_SPEC, seed=7)
-        vetoed, _ = run_probe_sweep(PROBES, workers=4,
-                                    pair_timeout=PAIR_TIMEOUT)
+        off, _ = run_probe_sweep(PROBES, workers=4,
+                                 pair_timeout=PAIR_TIMEOUT)
         assert merged_digest(on) == probe_reference
-        assert merged_digest(vetoed) == probe_reference
+        assert merged_digest(off) == probe_reference
 
     def test_sweep_truncates_predecessors_torn_tail(self, obs_enabled,
                                                     probe_reference):

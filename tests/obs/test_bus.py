@@ -151,24 +151,12 @@ class TestWiring:
         assert bus.sweep_bus("r") is bus.NULL_BUS
         assert bus.NULL_BUS.emit("anything", key="k") is None
 
-    def test_bus_vetoed_by_env(self, monkeypatch, tmp_path):
+    def test_bus_path_is_in_obs_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(core.OBS_ENV_VAR, "1")
         monkeypatch.setenv(core.OBS_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.setenv(bus.BUS_ENV_VAR, "0")
         core.refresh_from_env()
-        assert bus.bus_path() is None
-        assert bus.sweep_bus("r") is bus.NULL_BUS
-
-    def test_bus_path_override_and_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(core.OBS_ENV_VAR, "1")
-        monkeypatch.setenv(core.OBS_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.setenv(bus.BUS_ENV_VAR, str(tmp_path / "custom.nd"))
-        core.refresh_from_env()
-        assert bus.bus_path() == tmp_path / "custom.nd"
-        monkeypatch.setenv(bus.BUS_ENV_VAR, "1")
         assert bus.bus_path() == tmp_path / bus.BUS_FILENAME
-        monkeypatch.delenv(bus.BUS_ENV_VAR)
-        assert bus.bus_path() == tmp_path / bus.BUS_FILENAME
+        assert bus.sweep_bus("r").path == tmp_path / bus.BUS_FILENAME
 
     def test_dead_bus_after_io_error(self, tmp_path):
         writer = bus.EventBus(tmp_path / "bus.ndjson", "r")

@@ -2,8 +2,8 @@
 
 Fault-free sweeps — and sweeps that exercise the recoverable guest-fault
 path — must produce bit-identical metrics with the subsystem on and off,
-and the structured-logger routing must keep the legacy ``REPRO_DEBUG``
-stderr behaviour intact.
+and the structured logger must land diagnostics in the bus with
+observability on and print them to stderr under ``REPRO_DEBUG``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 from repro import obs
 from repro.accel.algorithms import prop_bytes_for
 from repro.core.config import HardwareScale
+from repro.obs import bus as obs_bus
 from repro.obs import core
 from repro.obs import log as obs_log
 from repro.sim.resilience import ResilienceReport
@@ -89,9 +90,7 @@ class TestBitIdentical:
     def test_parallel_sweep_bit_identical_with_bus(self, tmp_path,
                                                    monkeypatch):
         """The event bus is pure telemetry: a sweep narrated onto the
-        bus merges bit-identically to one with the bus vetoed."""
-        from repro.obs import bus as obs_bus
-
+        bus merges bit-identically to an unobserved one."""
         pairs = [("bfs", "FR"), ("pagerank", "FR")]
 
         def parallel_metrics():
@@ -101,16 +100,16 @@ class TestBitIdentical:
             out = runner.run_pairs(pairs=pairs, workers=2)
             return {"/".join(k): v.to_dict() for k, v in out.items()}
 
-        monkeypatch.setenv(core.OBS_ENV_VAR, "1")
+        monkeypatch.setenv(core.OBS_ENV_VAR, "0")
         monkeypatch.setenv(core.OBS_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.setenv(obs_bus.BUS_ENV_VAR, "0")      # vetoed
         core.refresh_from_env()
-        vetoed = parallel_metrics()
+        obs_off = parallel_metrics()
         assert not (tmp_path / obs_bus.BUS_FILENAME).exists()
-        monkeypatch.delenv(obs_bus.BUS_ENV_VAR)           # default: on
+        monkeypatch.setenv(core.OBS_ENV_VAR, "1")
+        core.refresh_from_env()
         bus_on = parallel_metrics()
         assert json.dumps(bus_on, sort_keys=True) \
-            == json.dumps(vetoed, sort_keys=True)
+            == json.dumps(obs_off, sort_keys=True)
         # The enabled run narrated the whole task lifecycle.
         records = obs_bus.read_events(tmp_path / obs_bus.BUS_FILENAME)
         kinds = [r["kind"] for r in records]
@@ -133,13 +132,32 @@ class TestTelemetryOutputHygiene:
         assert "[obs]" not in capsys.readouterr().err
 
 
+def _log_records(obs_dir):
+    """The ``log`` instants' fields, as flushed into the bus."""
+    events = obs_bus.trace_events(
+        obs_bus.read_events(obs_dir / obs_bus.BUS_FILENAME))
+    return [e["args"] for e in events if e["name"] == "log"]
+
+
 class TestStructuredDebugRouting:
-    def test_debug_lands_in_obs_dir(self, obs_enabled, capsys):
+    def test_debug_lands_in_obs_dir(self, obs_enabled, monkeypatch,
+                                    capsys):
+        monkeypatch.delenv(obs_log.DEBUG_ENV_VAR, raising=False)
         record = obs_log.debug("native", "compile failed", cache="/x")
         assert record["subsystem"] == "native"
-        lines = (obs_enabled / "log.ndjson").read_text().splitlines()
-        assert json.loads(lines[0])["message"] == "compile failed"
-        assert capsys.readouterr().err == ""   # no stderr when routed
+        obs.flush(tag="debug")
+        (entry,) = _log_records(obs_enabled)
+        assert entry["message"] == "compile failed"
+        assert entry["cache"] == "/x"
+        assert capsys.readouterr().err == ""   # stderr needs REPRO_DEBUG
+
+    def test_both_sinks_with_obs_and_repro_debug(self, obs_enabled,
+                                                 monkeypatch, capsys):
+        monkeypatch.setenv(obs_log.DEBUG_ENV_VAR, "1")
+        obs_log.debug("native", "compile failed", error="boom")
+        obs.flush(tag="debug")
+        assert [e["error"] for e in _log_records(obs_enabled)] == ["boom"]
+        assert "[repro.native] compile failed" in capsys.readouterr().err
 
     def test_stderr_fallback_with_repro_debug(self, monkeypatch, capsys):
         core.configure(enabled=False)
@@ -159,9 +177,8 @@ class TestStructuredDebugRouting:
                                                 monkeypatch):
         from repro.sim import _native
         _native._debug("no C compiler or kernel source")
-        payload = json.loads(
-            (obs_enabled / "log.ndjson").read_text().splitlines()[-1])
-        assert payload["subsystem"] == "native"
+        obs.flush(tag="native")
+        assert _log_records(obs_enabled)[-1]["subsystem"] == "native"
 
 
 class TestResilienceReportCacheCounters:

@@ -10,12 +10,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from repro import obs
 from repro.core.config import HardwareScale
-from repro.obs import core, report, trace
+from repro.obs import bus, core, report, trace
 from repro.sim.runner import ExperimentRunner
+
+
+def _metrics_records(path):
+    return [r for r in bus.read_events(path) if r["kind"] == "metrics"]
 
 
 def test_smoke_sweep_produces_loadable_artifacts(tmp_path):
@@ -37,7 +44,9 @@ def test_smoke_sweep_produces_loadable_artifacts(tmp_path):
     assert trace.validate_chrome(chrome) == []
     assert chrome["otherData"]["run_id"] == "ci-smoke"
 
-    registry = json.loads(Path(paths["metrics"]).read_text())
+    registry = [r for r in _metrics_records(paths["bus"])
+                if r["run_id"] == "ci-smoke"][-1]
+    assert registry["tag"] == "smoke"
     assert registry["counters"], "the sweep must record counters"
     assert registry["histograms"], "the sweep must record histograms"
 
@@ -54,12 +63,28 @@ def test_consecutive_flushes_partition(tmp_path):
     first = obs.flush(tag="a")
     core.REGISTRY.counter("second").inc()
     second = obs.flush(tag="b")
-    assert first["metrics"] != second["metrics"]
-    payload_a = json.loads(Path(first["metrics"]).read_text())
-    payload_b = json.loads(Path(second["metrics"]).read_text())
-    assert "first" in payload_a["counters"]
-    assert "first" not in payload_b["counters"]
-    assert "second" in payload_b["counters"]
+    assert first["bus"] == second["bus"]
+    payload_a, payload_b = _metrics_records(second["bus"])
+    assert (payload_a["tag"], payload_b["tag"]) == ("a", "b")
+    assert payload_a["counters"] == {"first": 1}
+    assert payload_b["counters"] == {"second": 1}
+
+
+def test_same_tag_flushes_from_two_processes_both_count(tmp_path):
+    """Two processes flushing one tag into one obs dir: the report sums
+    both instead of the second flush overwriting the first."""
+    env = dict(os.environ, **{core.OBS_ENV_VAR: "1",
+                              core.OBS_DIR_ENV_VAR: str(tmp_path)})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(obs.__file__).parents[2]), env.get("PYTHONPATH", "")])
+    script = ("from repro import obs\n"
+              "obs.counter('runs').inc()\n"
+              "obs.flush(tag='figure8')\n")
+    for _ in range(2):
+        subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                       timeout=60)
+    rendered = report.render_report(tmp_path)
+    assert re.search(r"^runs\s*\|\s*2\s*$", rendered, re.MULTILINE), rendered
 
 
 def test_flush_disabled_returns_none():

@@ -126,9 +126,36 @@ class TestCli:
         assert "2/4 tasks" in out
         assert "repro_sweep_done_total 2" in metrics.read_text()
 
-    def test_interval_env(self, monkeypatch):
-        assert top.top_interval() == 1.0
-        monkeypatch.setenv(top.TOP_INTERVAL_ENV_VAR, "0.5")
-        assert top.top_interval() == 0.5
-        monkeypatch.setenv(top.TOP_INTERVAL_ENV_VAR, "0")
-        assert top.top_interval() == 0.05      # floor
+    def test_flush_records_after_sweep_end_change_nothing(self, tmp_path,
+                                                          capsys):
+        """``metrics``/``trace`` records appended after ``sweep-end``
+        neither count nor stretch the observed sweep time."""
+        scheduler = _events() + [
+            {"kind": "sweep-end", "done": 4, "shelved": 0, "t": 103.0}]
+        flushed = scheduler[:-1] + [
+            {"kind": "trace", "event": {"name": "task", "ph": "X"},
+             "t": 102.5},
+            scheduler[-1],
+            {"kind": "metrics", "tag": "sweep", "counters": {"x": 1},
+             "histograms": {}, "t": 150.0},
+            {"kind": "trace", "event": {"name": "log", "ph": "i"},
+             "t": 160.0},
+        ]
+        frames = []
+        for name, events in (("scheduler", scheduler), ("flushed", flushed)):
+            path = tmp_path / f"{name}.ndjson"
+            clock = iter(e["t"] for e in events)
+            with bus.EventBus(path, "run1", clock=lambda: next(clock)) \
+                    as writer:
+                for event in events:
+                    record = dict(event)
+                    kind = record.pop("kind")
+                    record.pop("t")
+                    record.pop("run_id", None)
+                    writer.emit(kind, **record)
+            metrics = tmp_path / f"{name}.prom"
+            assert top.main(["--bus", str(path), "--metrics", str(metrics),
+                             "--once"]) == 0
+            frames.append((capsys.readouterr().out, metrics.read_text()))
+        assert frames[0] == frames[1]
+        assert "1.33 tasks/s" in frames[0][0]      # 4 done over 3 s

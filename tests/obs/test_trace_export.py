@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import HardwareScale
 from repro.obs import core, trace
 from repro.obs.trace import TraceCollector, chrome_trace, comparable, \
-    read_ndjson, validate_chrome, write_chrome, write_ndjson
+    validate_chrome, write_chrome
 from repro.sim.runner import ExperimentRunner
 
 
@@ -154,8 +154,6 @@ class TestChromeExport:
         write_chrome(tmp_path / "t.json", events, run_id="rt")
         loaded = json.loads((tmp_path / "t.json").read_text())
         assert validate_chrome(loaded) == []
-        write_ndjson(tmp_path / "t.ndjson", events)
-        assert read_ndjson(tmp_path / "t.ndjson") == events
 
     def test_comparable_strips_timing_identity(self):
         events = self._events()

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from repro.common import faults
+from repro.obs import log as obs_log
 from repro.sim import _native
 
 
@@ -40,7 +41,7 @@ def test_compile_failure_logged_under_debug(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "broken.c"
     bad.write_text("int main( {")
     monkeypatch.setattr(_native, "_SOURCE", bad)
-    monkeypatch.setenv(_native.DEBUG_ENV_VAR, "1")
+    monkeypatch.setenv(obs_log.DEBUG_ENV_VAR, "1")
     assert _native._compile() is None
     err = capsys.readouterr().err
     assert "compile failed" in err
@@ -50,13 +51,13 @@ def test_compile_failure_logged_under_debug(tmp_path, monkeypatch, capsys):
 
 def test_compile_failure_silent_without_debug(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(_native, "_SOURCE", tmp_path / "missing.c")
-    monkeypatch.delenv(_native.DEBUG_ENV_VAR, raising=False)
+    monkeypatch.delenv(obs_log.DEBUG_ENV_VAR, raising=False)
     assert _native._compile() is None
     assert capsys.readouterr().err == ""
 
 
 def test_compile_fail_fault_degrades_to_numpy(monkeypatch, capsys):
-    monkeypatch.setenv(_native.DEBUG_ENV_VAR, "1")
+    monkeypatch.setenv(obs_log.DEBUG_ENV_VAR, "1")
     faults.configure("compile_fail:1.0", seed=0)
     assert _native._compile() is None
     assert not _native.available()

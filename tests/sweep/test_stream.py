@@ -102,9 +102,3 @@ class TestIterEvents:
         watch = SweepWatch(bus_path=path, run_id="run1")
         kinds = [e["kind"] for e in watch.iter_events(follow=False)]
         assert kinds == ["sweep-begin", "completed"]
-
-    def test_no_bus_configured_is_empty(self, monkeypatch):
-        monkeypatch.setenv(bus.BUS_ENV_VAR, "0")
-        watch = SweepWatch(journal_path=None)
-        assert watch.bus_path is None
-        assert list(watch.iter_events(follow=False)) == []
