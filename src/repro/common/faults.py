@@ -25,7 +25,7 @@ Sites (the complete registry — unknown names are a :class:`ConfigError`):
     ``_sweep_worker_main`` raises :class:`WorkerCrashError` (retried).
 ``worker_exit``
     ``_sweep_worker_main`` hard-exits, killing the worker process
-    (exercises dead-worker detection and domain rebuild).
+    (exercises dead-worker detection and slot rebuilds).
 ``worker_hang``
     ``_sweep_worker_main`` sleeps for ``REPRO_HANG_SECONDS`` (default
     30) with its heartbeat suppressed (exercises liveness supervision:

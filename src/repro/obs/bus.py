@@ -5,7 +5,7 @@ Two producers write it, both from the parent process:
 
 * the scheduler (:mod:`repro.sweep.scheduler`) narrates every
   task/worker lifecycle transition — admitted, started, stolen, hedged,
-  retried, completed, quarantined, beat-stale, killed, domain-fenced —
+  retried, completed, quarantined, beat-stale, killed, pool-rebuilt —
   while the sweep runs, so consumers (``python -m repro top``, the
   :class:`~repro.sweep.stream.SweepWatch` partial-results API,
   post-mortem tooling) can observe a sweep *while it runs* instead of

@@ -40,7 +40,7 @@ METRICS_FILENAME = "metrics.prom"
 COUNTED_KINDS = ("admitted", "started", "completed", "failed", "retried",
                  "stolen", "hedged", "killed", "quarantined", "duplicate",
                  "shelved", "beat-stale", "stalled", "serial",
-                 "domain-rebuilt", "domain-fenced")
+                 "pool-rebuilt", "pool-exhausted")
 
 #: Every kind the scheduler emits; :meth:`TopModel.apply` ignores the
 #: rest of the stream.
@@ -55,7 +55,6 @@ class TopModel:
         self.tasks = 0
         self.slots = 0
         self.done = 0
-        self.backlog = 0
         self.started_at: float | None = None
         self.last_t: float | None = None
         self.finished = False
@@ -123,13 +122,10 @@ class TopModel:
             worker = self._worker(slot)
             if worker is not None:
                 worker.update(state="dead", key=None, since=t)
-        elif kind == "domain-rebuilt":
-            for revived in event.get("slots") or ():
-                worker = self._worker(revived)
-                if worker is not None:
-                    worker.update(state="idle", key=None, since=t)
-        elif kind == "tick":
-            self.backlog = event.get("backlog", self.backlog)
+        elif kind == "pool-rebuilt":
+            worker = self._worker(slot)
+            if worker is not None:
+                worker.update(state="idle", key=None, since=t)
         elif kind == "sweep-end":
             self.finished = True
             self.done = max(self.done, event.get("done", 0))
@@ -174,8 +170,7 @@ class TopModel:
             lines.append("workers  " + " | ".join(cells))
         queued = {s: d for s, d in sorted(self.queue_depth.items()) if d}
         queue_cells = [f"{shard} {depth}" for shard, depth in queued.items()]
-        queue_cells.append(f"backlog {self.backlog}")
-        lines.append("queues   " + " | ".join(queue_cells))
+        lines.append("queues   " + (" | ".join(queue_cells) or "empty"))
         counts = self.counts
         lines.append(
             "events   "
@@ -185,7 +180,7 @@ class TopModel:
             f" | quarantined {counts['quarantined']}"
             f" | dup {counts['duplicate']} | shelved {counts['shelved']}"
             f" | serial {counts['serial']}"
-            f" | fenced {counts['domain-fenced']}")
+            f" | exhausted {counts['pool-exhausted']}")
         if self.finished:
             lines.append("sweep complete")
         return "\n".join(lines)
@@ -199,9 +194,6 @@ class TopModel:
             "# HELP repro_sweep_done_total Tasks completed or quarantined.",
             "# TYPE repro_sweep_done_total gauge",
             f"repro_sweep_done_total {self.done}",
-            "# HELP repro_sweep_backlog Tasks waiting for admission.",
-            "# TYPE repro_sweep_backlog gauge",
-            f"repro_sweep_backlog {self.backlog}",
             "# HELP repro_sweep_throughput_tasks_per_second "
             "Completed tasks per observed second.",
             "# TYPE repro_sweep_throughput_tasks_per_second gauge",

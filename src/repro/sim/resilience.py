@@ -93,7 +93,7 @@ class ResilienceReport:
     worker_crashes: int = 0          # transient worker failures observed
     pair_timeouts: int = 0           # pairs abandoned past their deadline
     hung_workers: int = 0            # workers killed on a stale heartbeat
-    pool_rebuilds: int = 0           # failure-domain worker rebuilds
+    pool_rebuilds: int = 0           # dead worker slots respawned
     serial_degradations: int = 0     # pairs finished by the serial tier
     resumed_pairs: int = 0           # pairs replayed from a checkpoint
     quarantined: int = 0             # corrupt artifacts moved aside

@@ -26,9 +26,9 @@ reaped on startup (:mod:`repro.common.integrity`).
 through the supervised sweep service (:mod:`repro.sweep.scheduler`):
 per-worker deques with shard-affine work stealing, heartbeat liveness
 supervision (a hung worker is killed within a couple of heartbeat
-intervals, not the full pair timeout), failure-domain isolation with
-bounded rebuilds, hedged retries for stragglers, and an in-process
-serial tier of last resort.  Completed pairs stream into a
+intervals, not the full pair timeout), dead slots respawned from one
+pool-wide rebuild budget, hedged retries for stragglers, and an
+in-process serial tier of last resort.  Completed pairs stream into a
 crash-consistent fsynced journal (:mod:`repro.sweep.journal`), so an
 interrupted sweep resumes — even past a torn trailing record or a
 zombie writer.  None of this changes results: the merge iterates the
@@ -129,7 +129,7 @@ class ExperimentRunner:
     cache_dir: str | None = None         # on-disk artifact cache root
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     pair_timeout: float | None = None    # wall-clock budget per pair
-    max_pool_rebuilds: int = 2           # BrokenProcessPool recoveries
+    max_pool_rebuilds: int = 2           # dead sweep slots respawned
     max_perturbed_reruns: int = 16       # injected-perturbation discards
     resilience: ResilienceReport = field(default_factory=ResilienceReport,
                                          init=False)
@@ -651,7 +651,8 @@ class ExperimentRunner:
 
         The service (:class:`~repro.sweep.scheduler.SweepService`) owns
         scheduling — per-worker deques, shard-affine stealing, heartbeat
-        liveness kills, failure-domain rebuilds, hedged retries — and
+        liveness kills, slot rebuilds from one pool budget, hedged
+        retries — and
         this runner supplies the policy surface: journaling completions
         (``finish_pair``), serial-tier execution, quarantine, and
         payload absorption.  Pairs are sharded by dataset so the workers

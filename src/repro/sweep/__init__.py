@@ -2,9 +2,10 @@
 
 One scheduler for every experiment matrix the repo runs — figure pairs,
 the fault-model ablation, nightly fuzz seed shards, chaos probes — with
-work stealing, heartbeat liveness supervision, failure-domain isolation,
-hedged retries, a crash-consistent fsynced journal, a sharded
-content-addressed cache and zero-copy (memmap) trace sharing.  See
+work stealing, an event-driven supervisor with heartbeat liveness
+checks, one pool-wide rebuild budget, hedged retries, a crash-consistent
+fsynced journal, a sharded content-addressed cache and zero-copy
+(memmap) trace sharing.  See
 ``docs/sweep.md`` for the architecture and recovery semantics.
 
 Submodules (imported directly to keep import-time dependencies narrow —

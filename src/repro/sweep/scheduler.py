@@ -1,18 +1,22 @@
 """The supervised sweep service: work stealing under a liveness supervisor.
 
-This replaces the PR-2 process-*pool* tiers in ``sim/runner.py`` with a
-scheduler the parent fully owns.  A ``ProcessPoolExecutor`` cannot kill
-a wedged worker (the only lever is abandoning the future and waiting out
-the pair timeout), shares one task/result queue a dying worker can
-corrupt for everyone, and rebuilds the *whole* pool when one process
-breaks.  At 10k-pair scale those three costs dominate; the service fixes
-each structurally:
+The parent owns every worker process instead of handing them to a
+``ProcessPoolExecutor``, which cannot kill a wedged worker (the only
+lever is abandoning the future and waiting out the pair timeout), shares
+one task/result queue a dying worker can corrupt for everyone, and
+rebuilds the *whole* pool when one process breaks:
 
 **Per-worker deques + stealing.**  Every worker slot has a parent-side
-deque; tasks are assigned by shard affinity (same shard → same slot, so
-memmapped traces and graph surrogates stay warm) and an idle worker
-steals from the *tail* of the longest deque — locality for the owner,
-cold tasks for the thief.
+deque, and every task goes onto its shard-affine slot's deque at start
+(same shard → same slot, so memmapped traces and graph surrogates stay
+warm).  An idle worker steals from the *tail* of the longest other
+deque — locality for the owner, cold tasks for the thief.
+
+**One blocking point.**  The supervisor blocks in
+:func:`multiprocessing.connection.wait` on the live slots' result pipes
+and process sentinels, with half a heartbeat as the timeout: a
+completion or a death wakes it at once, and the liveness, deadline and
+hedge checks still run at least once per tick.
 
 **Liveness supervision.**  Workers beat a timestamp into a shared slot
 array (:class:`repro.obs.progress.Pulse`); the supervisor declares a
@@ -22,16 +26,14 @@ intervals (sub-second by default), not the full ``REPRO_PAIR_TIMEOUT``.
 Until a worker's *first* beat lands the supervisor applies the longer
 ``REPRO_SWEEP_STARTUP_GRACE`` instead, so a slow process boot (forking
 a large parent, spawn-context reimports) is never mistaken for a hang.
-Each worker owns a private task/result queue pair, so killing it mid-\
-``put`` can corrupt only queues that die with it.
+Each worker owns a private one-way task pipe and result pipe, so killing
+it mid-``send`` can corrupt only channels that die with it.
 
-**Failure domains.**  Slots are grouped into domains of
-``REPRO_SWEEP_DOMAIN``; a dead worker triggers a rebuild of *its domain
-only* (bounded by ``max_pool_rebuilds`` per domain), and a domain that
-exhausts its budget is fenced off with its queued work redistributed.
-The PR-2 ladder survives intact, one level finer: retry → steal →
-rebuild domain → in-process serial degradation (which cannot break and
-therefore always completes the sweep).
+**One degradation ladder.**  retry → steal → respawn the dead slot from
+one pool-wide ``max_pool_rebuilds`` budget → in-process serial tier.  A
+slot that dies past the budget stays dead (live workers steal its
+queued work); when no live slot remains the loop ends and the serial
+tier, which cannot break, finishes the sweep.
 
 **Hedged retries.**  A task in flight past ``1.5 x`` the
 :data:`HEDGE_QUANTILE` completion quantile is speculatively
@@ -39,12 +41,6 @@ re-dispatched to an idle worker; the first finisher wins and the
 loser's entire payload — entries, counters, obs events — is discarded
 by content-key dedup, so hedging (and the ``steal_race`` /
 ``heartbeat_loss`` chaos duplicates) can never double-count anything.
-
-**Backpressure.**  At most ``REPRO_SWEEP_QUEUE_BOUND`` tasks are
-resident in deques + flight; the rest wait in a backlog with a
-deadline — if the scheduler cannot admit for :data:`ADMIT_TIMEOUT`
-seconds (every domain wedged), the backlog degrades to the serial tier
-rather than waiting forever.
 
 Results merge exactly as before: the caller's ``on_done`` journals each
 completion and the final merge iterates the task list in submission
@@ -57,7 +53,7 @@ from __future__ import annotations
 import collections
 import hashlib
 import multiprocessing
-import queue as queue_mod
+import multiprocessing.connection
 import time
 from dataclasses import dataclass, field
 
@@ -71,8 +67,6 @@ from repro.sweep.tasks import TaskSpec, _sweep_worker_main
 
 #: Environment knobs (documented in docs/configuration.md).
 HEARTBEAT_ENV_VAR = "REPRO_SWEEP_HEARTBEAT"
-DOMAIN_ENV_VAR = "REPRO_SWEEP_DOMAIN"
-QUEUE_BOUND_ENV_VAR = "REPRO_SWEEP_QUEUE_BOUND"
 STARTUP_GRACE_ENV_VAR = "REPRO_SWEEP_STARTUP_GRACE"
 
 #: Completion-latency quantile past which a straggler may be hedged.
@@ -83,9 +77,6 @@ HEDGE_MULTIPLIER = 1.5
 HEDGE_MIN_SAMPLES = 5
 #: A worker is hung when its beat is staler than this many intervals.
 LIVENESS_GRACE_INTERVALS = 2.0
-#: Seconds without admission progress before the backlog degrades to
-#: the serial tier.
-ADMIT_TIMEOUT = 30.0
 
 
 def _stable_slot(shard: str, nslots: int) -> int:
@@ -101,8 +92,8 @@ class _Worker:
 
     slot: int
     process: object = None
-    task_q: object = None
-    result_q: object = None
+    task_w: object = None            # parent's sending end of the task pipe
+    result_r: object = None          # parent's receiving end of the results
     busy: str | None = None          # key of the task in flight
     started: float = 0.0             # dispatch time of the in-flight task
     spawned: float = 0.0             # process start time (boot grace)
@@ -126,8 +117,8 @@ class SweepService:
     serial tier (``serial_fn``), how to contain a deterministic guest
     violation (``on_violation``), and how to fold a worker payload's
     counters/observations into the sweep (``absorb``).  The service owns
-    scheduling, liveness, hedging, domains and requeueing, and reports
-    everything it did through the shared
+    scheduling, liveness, hedging, slot rebuilds and requeueing, and
+    reports everything it did through the shared
     :class:`~repro.sim.resilience.ResilienceReport`.
     """
 
@@ -147,8 +138,6 @@ class SweepService:
     def __post_init__(self):
         self.heartbeat = max(
             env.floating(HEARTBEAT_ENV_VAR, 0.25), 0.01)
-        self.domain_size = max(env.integer(DOMAIN_ENV_VAR, 4), 1)
-        self.queue_bound = max(env.integer(QUEUE_BOUND_ENV_VAR, 64), 1)
         self.grace = LIVENESS_GRACE_INTERVALS * self.heartbeat
         # Until a worker's *first* beat lands, the tight beat grace
         # would race process startup: forking a large parent (or a
@@ -166,8 +155,10 @@ class SweepService:
         self.hedged: set[str] = set()
         self.durations: list[float] = []
         self.detection_latencies: list[float] = []
+        self.slots: list[_Worker] = []
+        self.deques: list[collections.deque] = []
+        self.rebuilds = 0                    # slots respawned, pool-wide
         self._ctx = multiprocessing.get_context("fork")
-        self._mp_pool_rebuilds = 0
         # The streaming telemetry bus (obs/bus.py).  Content-derived
         # run id, so re-running the same task set is attributable; the
         # bus is the NULL_BUS unless observability is on, making every
@@ -175,7 +166,6 @@ class SweepService:
         self.run_id = hashlib.sha256(
             "\n".join(sorted(self.by_key)).encode()).hexdigest()[:12]
         self.bus = obs_bus.sweep_bus(self.run_id)
-        self._bus_on = self.bus is not obs_bus.NULL_BUS
         self._stolen: set[str] = set()
         self._queued_at: dict[str, float] = {}
         self._tick_every = max(self.heartbeat, 0.25)
@@ -188,12 +178,9 @@ class SweepService:
         self.bus.emit(kind, **fields)
 
     def queue_depth(self) -> int:
-        """Tasks waiting in the backlog plus the per-worker deques
-        (live consumers: the heartbeat line and ``repro top``)."""
-        backlog = len(getattr(self, "backlog", ()))
-        deques = getattr(self, "deques", None)
-        queued = sum(len(d) for d in deques) if deques else 0
-        return backlog + queued
+        """Tasks waiting in the per-worker deques (live consumers: the
+        heartbeat line and ``repro top``)."""
+        return sum(len(d) for d in self.deques)
 
     # -- public entry ---------------------------------------------------------
 
@@ -205,7 +192,7 @@ class SweepService:
         self._emit("sweep-begin", tasks=len(self.tasks),
                    workers=self.workers, slots=nslots)
         try:
-            if nslots > 1 and len(self.tasks) > 1:
+            if nslots > 1:
                 self._run_supervised(nslots)
             self._run_serial_tier()
             self._emit("sweep-end", done=len(self.done),
@@ -223,13 +210,10 @@ class SweepService:
         self.beats = self._ctx.Array("d", nslots, lock=False)
         self.slots = [_Worker(slot=i) for i in range(nslots)]
         self.deques = [collections.deque() for _ in range(nslots)]
-        ndomains = -(-nslots // self.domain_size)
-        self.domain_rebuilds = [0] * ndomains
-        self.domain_dead = [False] * ndomains
-        self.backlog = collections.deque(self.tasks)
-        self._admit_progress = time.monotonic()
         for worker in self.slots:
             self._spawn(worker)
+        for task in self.tasks:
+            self._enqueue(task.key)
         try:
             self._supervise()
         except BaseException:
@@ -237,17 +221,10 @@ class SweepService:
             raise
         self._shutdown(graceful=True)
 
-    def _domain(self, slot: int) -> int:
-        return slot // self.domain_size
-
-    def _healthy_slots(self) -> list[_Worker]:
-        return [w for w in self.slots
-                if not w.dead and not self.domain_dead[self._domain(w.slot)]]
-
     def _spawn(self, worker: _Worker) -> None:
-        """(Re)start one worker slot with fresh private queues."""
-        worker.task_q = self._ctx.Queue()
-        worker.result_q = self._ctx.Queue()
+        """(Re)start one worker slot with fresh private pipes."""
+        task_r, worker.task_w = self._ctx.Pipe(duplex=False)
+        worker.result_r, result_w = self._ctx.Pipe(duplex=False)
         worker.busy = None
         worker.deadline = None
         worker.dead = False
@@ -258,10 +235,14 @@ class SweepService:
         spec, seed = self._fault_config()
         worker.process = self._ctx.Process(
             target=_sweep_worker_main, name=f"sweep-worker-{worker.slot}",
-            args=(worker.slot, worker.task_q, worker.result_q, self.beats,
+            args=(worker.slot, task_r, result_w, self.beats,
                   self.heartbeat, self.runner_spec, spec, seed),
             daemon=True)
         worker.process.start()
+        # The child holds the other ends now; closing ours makes the
+        # child's exit read as EOF on ``result_r``.
+        task_r.close()
+        result_w.close()
 
     @staticmethod
     def _fault_config() -> tuple[str | None, int]:
@@ -276,8 +257,8 @@ class SweepService:
         return spec, inj.seed
 
     def _supervise(self) -> None:
-        """The supervisor loop: admit, dispatch, drain, check liveness,
-        hedge — until no live work remains or every domain is dead."""
+        """The supervisor loop: dispatch, wait for results, check
+        liveness, hedge — until no live work or no live slot remains."""
         tick = self.heartbeat / 2.0
         while True:
             if faults.should_fire("scheduler_stall"):
@@ -289,90 +270,40 @@ class SweepService:
                 self._emit("stalled", grace=self.grace)
                 self.sleep(self.grace)
             self._tick()
-            self._admit()
-            healthy = self._healthy_slots()
-            if not healthy:
+            if all(worker.dead for worker in self.slots):
                 break
-            for worker in healthy:
+            for worker in self.slots:
                 if worker.idle:
                     self._dispatch(worker)
-            progressed = self._drain_results()
+            self._await_results(tick)
             self._check_liveness()
             self._maybe_hedge()
             if not self._live_work_remains():
                 break
-            if not progressed:
-                self.sleep(tick)
 
     def _tick(self) -> None:
-        """Rate-limited scheduler snapshot for live dashboards.
-
-        Gated on the bus being real so a production (unobserved) sweep
-        never pays the resident-count scan.
-        """
-        if not self._bus_on:
-            return
+        """Rate-limited scheduler snapshot for live dashboards."""
         now = time.monotonic()
         if now - self._last_tick < self._tick_every:
             return
         self._last_tick = now
-        self._emit("tick", resident=self._resident(),
-                   backlog=len(self.backlog), done=len(self.done),
+        self._emit("tick", done=len(self.done),
                    idle=sum(1 for w in self.slots if w.idle),
                    dead=sum(1 for w in self.slots if w.dead))
 
-    # -- admission ------------------------------------------------------------
-
-    def _resident(self) -> int:
-        queued = sum(1 for d in self.deques for key in d
-                     if key not in self.done and key not in self.shelved)
-        return queued + len([k for k, s in self.inflight.items() if s])
-
-    def _admit(self) -> None:
-        """Feed the backlog into shard-affine deques within the bound.
-
-        If the scheduler makes no admission progress for
-        :data:`ADMIT_TIMEOUT` seconds while a backlog waits (every domain
-        wedged or dead), the backlog's deadline expires and it degrades
-        to the serial tier instead of waiting forever.
-        """
-        now = time.monotonic()
-        admitted = False
-        while self.backlog and self._resident() < self.queue_bound:
-            task = self.backlog.popleft()
-            if task.key in self.done or task.key in self.shelved:
-                continue
-            self._enqueue(task.key)
-            admitted = True
-        if admitted or not self.backlog:
-            self._admit_progress = now
-        elif now - self._admit_progress > ADMIT_TIMEOUT:
-            while self.backlog:
-                key = self.backlog.popleft().key
-                self.shelved.add(key)
-                self._emit("shelved", key=key, reason="admit-timeout")
-
     def _enqueue(self, key: str, *, front: bool = False) -> None:
-        """Queue one task key on its (healthy) affinity slot's deque."""
-        healthy = self._healthy_slots()
-        if not healthy:
-            self.shelved.add(key)
-            self._emit("shelved", key=key, reason="no-healthy-domain")
-            return
+        """Queue one task key on its affinity slot's deque.  A dead
+        slot's deque is drained by stealing, or by the serial tier."""
         task = self.by_key[key]
-        home = self._stable_worker(task, healthy)
+        slot = _stable_slot(task.shard or task.key, len(self.slots))
         if front:
-            self.deques[home.slot].appendleft(key)
+            self.deques[slot].appendleft(key)
         else:
-            self.deques[home.slot].append(key)
+            self.deques[slot].append(key)
         if obs_core.ENABLED:
             self._queued_at[key] = obs_trace.now()
-        self._emit("admitted", key=key, slot=home.slot,
+        self._emit("admitted", key=key, slot=slot,
                    shard=task.shard or task.key)
-
-    def _stable_worker(self, task: TaskSpec, healthy: list) -> _Worker:
-        index = _stable_slot(task.shard or task.key, len(healthy))
-        return healthy[index]
 
     # -- dispatch and stealing ------------------------------------------------
 
@@ -380,18 +311,25 @@ class SweepService:
         key = self._next_key(worker)
         if key is None:
             return
-        task = self.by_key[key]
-        self.seq[key] = self.seq.get(key, 0) + 1
-        attempt = self.seq[key]
-        try:
-            worker.task_q.put((key, task.kind, task.payload, attempt),
-                              timeout=self.heartbeat)
-        except (queue_mod.Full, ValueError, OSError):
-            # Slot's queue is wedged or torn down: treat as a dead
-            # worker; the task goes back to a healthy domain.
+        if not self._send(worker, key):
+            # A broken task pipe means the worker exited: the task goes
+            # back on its deque and the slot is handled as dead.
             self._enqueue(key, front=True)
-            self._worker_died(worker, hung=True)
+            self._worker_died(worker, hung=False)
             return
+        self._emit("started", key=key, slot=worker.slot,
+                   attempt=worker.attempt, stolen=key in self._stolen)
+        self._stolen.discard(key)
+
+    def _send(self, worker: _Worker, key: str) -> bool:
+        """Ship one attempt of ``key`` to ``worker`` and mark it in
+        flight; False if the worker's task pipe is gone."""
+        task = self.by_key[key]
+        self.seq[key] = attempt = self.seq.get(key, 0) + 1
+        try:
+            worker.task_w.send((key, task.kind, task.payload, attempt))
+        except (OSError, ValueError):
+            return False
         worker.busy = key
         worker.started = time.monotonic()
         worker.deadline = (worker.started + self.pair_timeout
@@ -399,9 +337,7 @@ class SweepService:
         worker.attempt = attempt
         worker.trace_started = obs_trace.now() if obs_core.ENABLED else 0.0
         self.inflight.setdefault(key, set()).add(worker.slot)
-        self._emit("started", key=key, slot=worker.slot, attempt=attempt,
-                   stolen=key in self._stolen)
-        self._stolen.discard(key)
+        return True
 
     def _next_key(self, worker: _Worker) -> str | None:
         """The worker's next task: own deque first, then steal."""
@@ -432,28 +368,33 @@ class SweepService:
 
     # -- results --------------------------------------------------------------
 
-    def _drain_results(self) -> bool:
-        progressed = False
-        for worker in list(self.slots):
-            if worker.dead or worker.result_q is None:
-                continue
-            while True:
-                try:
-                    payload = worker.result_q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                except (EOFError, OSError):
-                    break
-                progressed = True
-                self._complete(worker, payload)
-                # Hedge checks are event-driven, not just polled: a
-                # completion is exactly when a twin slot frees up while
-                # another worker may still be mid-straggle.  Checking
-                # here closes the race where the supervisor sleeps
-                # through near-simultaneous finishes and never observes
-                # the busy/idle split the hedge needs.
-                self._maybe_hedge()
-        return progressed
+    def _await_results(self, timeout: float) -> None:
+        """Block until a live slot has a result or has exited (at most
+        ``timeout``), then drain every slot that woke the wait."""
+        waiting = {}
+        for worker in self.slots:
+            if not worker.dead:
+                waiting[worker.result_r] = worker
+                waiting[worker.process.sentinel] = worker
+        ready = multiprocessing.connection.wait(list(waiting),
+                                                timeout=timeout)
+        for handle in ready:
+            worker = waiting[handle]
+            if not worker.dead:
+                self._drain(worker)
+
+    def _drain(self, worker: _Worker) -> None:
+        """Complete every result waiting on one slot's pipe; a closed
+        pipe means the worker exited."""
+        while True:
+            try:
+                if not worker.result_r.poll():
+                    return
+                payload = worker.result_r.recv()
+            except (EOFError, OSError):
+                self._worker_died(worker, hung=False)
+                return
+            self._complete(worker, payload)
 
     def _complete(self, worker: _Worker, payload: dict) -> None:
         key = payload.get("key")
@@ -483,10 +424,14 @@ class SweepService:
             self.on_violation(self.by_key[key], error)
             return
         if error is not None:
+            transient = isinstance(error, TransientError)
+            if transient:
+                self.report.worker_crashes += 1
             self._emit("failed", key=key, slot=worker.slot,
                        error=type(error).__name__)
-            self._task_failed(key, transient=isinstance(error,
-                                                        TransientError))
+            # A hedge twin still running decides the task's fate.
+            if key not in self.shelved and not self.inflight.get(key):
+                self._requeue(key, transient=transient)
             return
         if duration is not None:
             self.durations.append(duration)
@@ -521,29 +466,25 @@ class SweepService:
         obs_trace.flow("s", "task-flow", "sched",
                        obs_trace.flow_id(f"{key}#a{attempt}"), ts=started)
 
-    def _task_failed(self, key: str, *, transient: bool) -> None:
-        """One attempt failed; retry with backoff or shelve for serial."""
-        if transient:
-            self.report.worker_crashes += 1
-        if key in self.done or key in self.shelved:
-            return
-        if self.inflight.get(key):
-            return      # a hedge twin is still running; let it decide
+    def _requeue(self, key: str, *, transient: bool) -> None:
+        """One attempt of ``key`` failed or died: queue it again (with
+        backoff if the failure was transient) or, past
+        ``retry.max_attempts``, shelve it for the serial tier."""
         attempt = self.attempts.get(key, 0) + 1
         self.attempts[key] = attempt
-        if attempt < self.retry.max_attempts:
-            if transient:
-                self.report.retries += 1
-                delay = self.retry.delay(attempt, tag=key)
-                if delay > 0:
-                    self.sleep(delay)
-            self._emit("retried", key=key, attempt=attempt)
-            self._enqueue(key)
-        else:
+        if attempt >= self.retry.max_attempts:
             self.shelved.add(key)
             self._emit("shelved", key=key, reason="retries-exhausted")
+            return
+        if transient:
+            self.report.retries += 1
+            delay = self.retry.delay(attempt, tag=key)
+            if delay > 0:
+                self.sleep(delay)
+        self._emit("retried", key=key, attempt=attempt)
+        self._enqueue(key, front=True)
 
-    # -- liveness and domains -------------------------------------------------
+    # -- liveness and rebuilds ------------------------------------------------
 
     def _check_liveness(self) -> None:
         """Kill workers whose heartbeat went stale or deadline passed.
@@ -552,17 +493,17 @@ class SweepService:
         died — indistinguishable from outside, and treated the same:
         kill and requeue, dedup protects against the race where the
         work actually finishes).  Detection latency is bounded by the
-        grace period plus one poll tick — a couple of heartbeat
+        grace period plus one wait tick — a couple of heartbeat
         intervals — independent of the much larger pair timeout.
         """
         now = time.monotonic()
         for worker in self.slots:
             if worker.dead:
                 continue
-            alive = worker.process is not None and worker.process.is_alive()
+            if not worker.process.is_alive():
+                self._worker_died(worker, hung=False)
+                continue
             if worker.busy is None:
-                if not alive:
-                    self._worker_died(worker, hung=False)
                 continue
             beat = self.beats[worker.slot]
             if beat:
@@ -572,9 +513,7 @@ class SweepService:
                 # grace applies — a slow fork is not a hung worker.
                 hung = now - worker.spawned > self.startup_grace
             timed_out = worker.deadline is not None and now > worker.deadline
-            if not alive:
-                self._worker_died(worker, hung=False)
-            elif hung or timed_out:
+            if hung or timed_out:
                 latency = now - worker.started
                 self.detection_latencies.append(latency)
                 if obs_core.ENABLED:
@@ -588,18 +527,18 @@ class SweepService:
                 self._worker_died(worker, hung=True)
 
     def _worker_died(self, worker: _Worker, *, hung: bool) -> None:
-        """Contain one worker death: kill, requeue its task, heal the
-        domain."""
+        """Contain one worker death: kill it, requeue its task, and
+        respawn the slot while the pool's rebuild budget lasts."""
         key = worker.busy
         worker.busy = None
         worker.deadline = None
         worker.dead = True
         process = worker.process
-        if process is not None and process.is_alive():
+        if process.is_alive():
             process.kill()
             process.join(timeout=5.0)
         self._emit("killed", key=key, slot=worker.slot, hung=hung)
-        self._discard_queues(worker)
+        self._close_channels(worker)
         if key is not None:
             holders = self.inflight.get(key)
             if holders is not None:
@@ -607,66 +546,25 @@ class SweepService:
             if key not in self.done and not self.inflight.get(key):
                 if not hung:
                     self.report.worker_crashes += 1
-                attempt = self.attempts.get(key, 0) + 1
-                self.attempts[key] = attempt
-                if attempt < self.retry.max_attempts:
-                    self._emit("retried", key=key, attempt=attempt)
-                    self._enqueue(key, front=True)
-                else:
-                    self.shelved.add(key)
-                    self._emit("shelved", key=key,
-                               reason="retries-exhausted")
-        self._heal_domain(self._domain(worker.slot))
-
-    def _discard_queues(self, worker: _Worker) -> None:
-        """Drop a dead worker's private queues (possibly mid-``put``
-        corrupt — which is exactly why they are private)."""
-        for q in (worker.task_q, worker.result_q):
-            if q is None:
-                continue
-            try:
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):
-                pass
-        worker.task_q = None
-        worker.result_q = None
-
-    def _heal_domain(self, domain: int) -> None:
-        """Rebuild a domain's dead slots, or fence the domain off.
-
-        One crashing worker costs its domain a rebuild — never the whole
-        pool; sibling domains keep streaming results throughout.  A
-        domain past its rebuild budget is marked dead and its queued
-        work redistributed to healthy domains (or the serial tier).
-        """
-        if self.domain_dead[domain]:
-            return
-        members = [w for w in self.slots if self._domain(w.slot) == domain]
-        dead = [w for w in members if w.dead]
-        if not dead:
-            return
-        if self.domain_rebuilds[domain] < self.max_pool_rebuilds:
-            self.domain_rebuilds[domain] += 1
+                self._requeue(key, transient=False)
+        if self.rebuilds < self.max_pool_rebuilds:
+            self.rebuilds += 1
             self.report.pool_rebuilds += 1
-            self._emit("domain-rebuilt", domain=domain,
-                       rebuilds=self.domain_rebuilds[domain],
-                       slots=[w.slot for w in dead])
-            for worker in dead:
-                self._spawn(worker)
-            return
-        # Fence the domain: its alive slots stop taking new work (only
-        # healthy-domain slots are dispatched to), though tasks already
-        # in flight on them are left to finish — their results count.
-        self.domain_dead[domain] = True
-        self._emit("domain-fenced", domain=domain)
-        orphaned = []
-        for worker in members:
-            orphaned.extend(self.deques[worker.slot])
-            self.deques[worker.slot].clear()
-        for key in orphaned:
-            if key not in self.done and key not in self.shelved:
-                self._enqueue(key)
+            self._emit("pool-rebuilt", slot=worker.slot,
+                       rebuilds=self.rebuilds)
+            self._spawn(worker)
+        else:
+            self._emit("pool-exhausted", slot=worker.slot)
+
+    @staticmethod
+    def _close_channels(worker: _Worker) -> None:
+        """Drop a dead worker's private pipes (possibly torn mid-message
+        — which is exactly why they are private)."""
+        for conn in (worker.task_w, worker.result_r):
+            if conn is not None:
+                conn.close()
+        worker.task_w = None
+        worker.result_r = None
 
     # -- hedging --------------------------------------------------------------
 
@@ -697,38 +595,23 @@ class SweepService:
             forced = faults.should_fire("hedge_race")
             if not forced and (threshold is None or elapsed < threshold):
                 continue
-            twin = next((w for w in self._healthy_slots()
+            twin = next((w for w in self.slots
                          if w.idle and not self.deques[w.slot]), None)
             if twin is None:
                 return
+            if not self._send(twin, key):
+                self._worker_died(twin, hung=False)
+                continue
             self.hedged.add(key)
             self.report.hedges += 1
             self._emit("hedged", key=key, slot=twin.slot, forced=forced)
             obs_trace.instant("hedge", cat="sched", key=key,
                               slot=twin.slot)
-            task = self.by_key[key]
-            self.seq[key] = self.seq.get(key, 0) + 1
-            try:
-                twin.task_q.put((key, task.kind, task.payload,
-                                 self.seq[key]), timeout=self.heartbeat)
-            except (queue_mod.Full, ValueError, OSError):
-                self._worker_died(twin, hung=True)
-                continue
-            twin.busy = key
-            twin.started = now
-            twin.deadline = (now + self.pair_timeout
-                             if self.pair_timeout is not None else None)
-            twin.attempt = self.seq[key]
-            twin.trace_started = (obs_trace.now() if obs_core.ENABLED
-                                  else 0.0)
-            self.inflight.setdefault(key, set()).add(twin.slot)
 
     # -- loop bookkeeping ------------------------------------------------------
 
     def _live_work_remains(self) -> bool:
-        if self.backlog:
-            return True
-        if any(slots for slots in self.inflight.values()):
+        if any(self.inflight.values()):
             return True
         return any(key not in self.done and key not in self.shelved
                    for d in self.deques for key in d)
@@ -741,12 +624,10 @@ class SweepService:
         worthless, and the journal already holds everything completed.
         """
         for worker in self.slots:
-            if worker.dead or worker.process is None:
-                continue
-            if graceful and worker.task_q is not None:
+            if graceful and not worker.dead:
                 try:
-                    worker.task_q.put(None, timeout=0.5)
-                except (queue_mod.Full, ValueError, OSError):
+                    worker.task_w.send(None)
+                except (OSError, ValueError):
                     pass
         for worker in self.slots:
             process = worker.process
@@ -757,7 +638,7 @@ class SweepService:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=5.0)
-            self._discard_queues(worker)
+            self._close_channels(worker)
             worker.process = None
 
     # -- serial tier ----------------------------------------------------------
@@ -765,7 +646,7 @@ class SweepService:
     def _run_serial_tier(self) -> None:
         """Finish every unfinished task in-process, in submission order.
 
-        The tier of last resort: no pool, no queues, nothing left to
+        The tier of last resort: no pool, no pipes, nothing left to
         break.  Each task counts one ``serial_degradation`` — the
         signal that the parallel tiers gave up on it.
         """

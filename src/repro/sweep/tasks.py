@@ -23,7 +23,7 @@ Workers are long-lived processes (one per scheduler slot) running
 :func:`_sweep_worker_main`: pull a task, re-key fault injection for the
 attempt, reset observability, execute, ship
 ``{"key", "attempt", "entries"|"error", "report", "obs"}`` back on the
-slot's private result queue.  Chaos hooks for ``worker_exit`` /
+slot's private result pipe.  Chaos hooks for ``worker_exit`` /
 ``worker_hang`` / ``worker_crash`` / ``heartbeat_loss`` live at the top
 of the task loop, exactly where the pool-based ``_pair_worker`` had
 them, so the existing chaos suites keep their semantics.
@@ -124,7 +124,13 @@ EXECUTORS = {
 
 # -- worker process entry -----------------------------------------------------
 
-def _sweep_worker_main(slot: int, task_q, result_q, beats,
+#: Seconds an idle worker waits for a task before it re-checks that its
+#: parent is alive.  Idleness alone never ends a worker: a sibling's
+#: straggler can keep the sweep going for minutes.
+IDLE_SLICE = 60.0
+
+
+def _sweep_worker_main(slot: int, task_r, result_w, beats,
                        heartbeat_interval: float, runner_spec: dict,
                        fault_spec: str | None, fault_seed: int) -> None:
     """Long-lived sweep worker: pull tasks, execute, ship results.
@@ -138,8 +144,9 @@ def _sweep_worker_main(slot: int, task_q, result_q, beats,
 
     Every task ships its own observability payload and worker-side
     resilience counters back with its result; state is reset per task so
-    nothing is double-shipped.  The worker exits on a ``None`` sentinel
-    or a closed task queue.
+    nothing is double-shipped.  The worker exits only on a ``None``
+    sentinel, a closed task pipe, or its parent's death (a changed
+    ``os.getppid()``, checked every :data:`IDLE_SLICE` seconds idle).
     """
     # A fork-context worker inherits the parent's whole heap; a gen-2
     # collection here would traverse millions of inherited objects with
@@ -153,12 +160,16 @@ def _sweep_worker_main(slot: int, task_q, result_q, beats,
     faults.reset()
     faults.configure(fault_spec, fault_seed)
     pulse = obs_progress.Pulse(beats, slot, heartbeat_interval).start()
+    parent = os.getppid()
     while True:
         try:
-            task = task_q.get(timeout=60.0)
-        # Queue closed / timeout: the parent is gone; exit quietly.
-        # dvmlint: disable=FAULT002
-        except Exception:
+            if not task_r.poll(IDLE_SLICE):
+                if os.getppid() != parent:
+                    break
+                continue
+            task = task_r.recv()
+        # Pipe closed: the parent tore the slot down; exit quietly.
+        except (EOFError, OSError):
             break
         if task is None:
             break
@@ -212,9 +223,8 @@ def _sweep_worker_main(slot: int, task_q, result_q, beats,
             result["obs"] = {"registry": obs_core.REGISTRY.to_dict(),
                              "events": obs_trace.COLLECTOR.drain()}
         try:
-            result_q.put(result)
-        # The parent tore the queue down mid-ship; nothing to report to.
-        # dvmlint: disable=FAULT002
-        except Exception:
+            result_w.send(result)
+        # The parent tore the pipe down mid-ship; nothing to report to.
+        except OSError:
             break
     pulse.stop()

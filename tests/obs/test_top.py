@@ -23,8 +23,7 @@ def _events():
          "stolen": True, "t": 100.3},
         {"kind": "completed", "key": "a/0", "slot": 0, "attempt": 1,
          "duration": 0.8, "t": 101.0},
-        {"kind": "tick", "resident": 2, "backlog": 1, "done": 1,
-         "idle": 1, "dead": 0, "t": 101.0},
+        {"kind": "tick", "done": 1, "idle": 1, "dead": 0, "t": 101.0},
         {"kind": "beat-stale", "key": "b/0", "slot": 1, "hung": True,
          "latency": 0.7, "t": 101.0},
         {"kind": "killed", "key": "b/0", "slot": 1, "hung": True,
@@ -41,7 +40,6 @@ class TestTopModel:
         assert model.run_id == "run1"
         assert model.tasks == 4
         assert model.done == 2
-        assert model.backlog == 1
         assert model.counts["stolen"] == 1
         assert model.counts["killed"] == 1
         assert model.counts["retried"] == 1
@@ -65,13 +63,12 @@ class TestTopModel:
         assert "run1" in frame
         assert "steals 1" in frame
         assert "kills 1" in frame
-        assert "backlog 1" in frame
+        assert "queues   s0 1" in frame
         assert "1:dead" in frame
 
-    def test_domain_rebuild_revives_slots(self):
+    def test_pool_rebuild_revives_slot(self):
         events = _events() + [
-            {"kind": "domain-rebuilt", "domain": 0, "rebuilds": 1,
-             "slots": [1], "t": 102.5},
+            {"kind": "pool-rebuilt", "slot": 1, "rebuilds": 1, "t": 102.5},
         ]
         model = top.TopModel.fold(events)
         assert model.workers[1]["state"] == "idle"

@@ -1,4 +1,4 @@
-"""SweepService scheduling semantics: stealing, hedging, domains, dedup.
+"""SweepService scheduling semantics: stealing, hedging, rebuilds, dedup.
 
 Probe tasks (a pure function of their seed) make every property
 checkable against an exactly-computable expectation: any lost,
@@ -13,7 +13,10 @@ import time
 import pytest
 
 from repro.common import faults
+from repro.core.config import HardwareScale
 from repro.sim.resilience import ResilienceReport, RetryPolicy
+from repro.sim.runner import ExperimentRunner
+from repro.sweep import tasks
 from repro.sweep.scheduler import SweepService, _Worker
 from repro.sweep.tasks import TaskSpec, _execute_probe
 
@@ -93,12 +96,6 @@ class TestScheduling:
         assert harness.run() == expected(12, spin=200_000)
         assert harness.report.steals > 0
 
-    def test_backpressure_bound_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_QUEUE_BOUND", "2")
-        harness = Harness(probe_tasks(40), workers=3)
-        assert harness.service.queue_bound == 2
-        assert harness.run() == expected(40)
-
 
 class TestHedging:
     def test_forced_hedge_first_finisher_wins(self):
@@ -154,9 +151,6 @@ class TestStartupGrace:
         svc.beats = [0.0, 0.0]
         svc.slots = [_Worker(slot=0), _Worker(slot=1)]
         svc.deques = [collections.deque(), collections.deque()]
-        svc.domain_rebuilds = [0]
-        svc.domain_dead = [False]
-        svc.backlog = collections.deque()
         now = time.monotonic()
         for worker in svc.slots:
             worker.process = _StubProcess()
@@ -194,15 +188,55 @@ class TestStartupGrace:
         assert svc.report.hung_workers == 1
 
 
-class TestFailureDomains:
-    def test_exhausted_domains_degrade_to_serial(self, monkeypatch):
-        # Domain size 1 + every dispatch killing its worker: each of the
-        # two single-slot domains burns its one rebuild, the supervised
-        # tier fences both domains, and the serial tier (which cannot
-        # break) finishes the whole sweep bit-identically.
-        monkeypatch.setenv("REPRO_SWEEP_DOMAIN", "1")
+class TestPoolBudget:
+    def test_exhausted_pool_budget_degrades_to_serial(self):
+        # Every dispatch kills its worker: the first death spends the
+        # pool's one rebuild, the next deaths leave their slots dead,
+        # the supervised loop ends with no live slot, and the serial
+        # tier (which cannot break) finishes the whole sweep
+        # bit-identically.
         faults.configure("worker_exit:1.0", seed=0)
         harness = Harness(probe_tasks(8), workers=2, max_pool_rebuilds=1)
         assert harness.run() == expected(8)
-        assert harness.report.pool_rebuilds == 2
+        assert harness.report.pool_rebuilds == 1
         assert harness.report.serial_degradations == 8
+
+
+class TestIdleWorkers:
+    def test_idle_worker_outlives_a_straggler(self, monkeypatch):
+        # Regression: an idle worker used to quit after 60 s without a
+        # task, and the supervisor counted the respawn as a repair on a
+        # fault-free sweep.  With the idle slice shortened (inherited
+        # by the forked workers), the worker that finishes the cheap
+        # probes sits idle through many slices while the straggler runs.
+        monkeypatch.setattr(tasks, "IDLE_SLICE", 0.02)
+        work = [TaskSpec(key="probe/0", kind="probe",
+                         payload=dict(seed=0, spin=2_000_000), shard="0")]
+        work += [TaskSpec(key=f"probe/{seed}", kind="probe",
+                          payload=dict(seed=seed, spin=200), shard=str(seed))
+                 for seed in (1, 2)]
+        want = {t.key: _execute_probe({}, t.payload)[0] for t in work}
+        harness = Harness(work, workers=2)
+        assert harness.run() == want
+        assert harness.report.events() == 0
+        assert harness.report.pool_rebuilds == 0
+
+    def test_fault_free_pair_sweep_reports_no_events(self, monkeypatch):
+        # The production path end to end: a clean parallel run_pairs
+        # merges exactly the serial result and reports no repair.  The
+        # default heartbeat keeps a stray GIL pause from reading as a
+        # hang on real pairs.
+        monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT", "0.25")
+        pairs = [("bfs", "FR"), ("pagerank", "FR"), ("sssp", "FR")]
+
+        def sweep(workers):
+            runner = ExperimentRunner(profile="bench",
+                                      scale=HardwareScale.bench())
+            out = runner.run_pairs(pairs=pairs, workers=workers)
+            return ({key: m.to_dict() for key, m in out.items()},
+                    runner.resilience)
+
+        serial, _report = sweep(1)
+        parallel, report = sweep(2)
+        assert parallel == serial
+        assert report.events() == 0

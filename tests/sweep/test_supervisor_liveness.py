@@ -1,7 +1,7 @@
 """Liveness supervision: hung workers die in heartbeats, not timeouts.
 
 The contract (docs/sweep.md): a worker whose heartbeat goes stale is
-SIGKILLed within ~2 heartbeat intervals plus one poll tick — a bounded
+SIGKILLed within ~2 heartbeat intervals plus one wait tick — a bounded
 detection latency independent of the much larger ``REPRO_PAIR_TIMEOUT``
 that the PR-2 pool tiers had to wait out.
 """
@@ -38,15 +38,15 @@ class TestHangDetection:
         assert service.detection_latencies
         worst = max(service.detection_latencies)
         # Grace is 2 heartbeats (0.1 s here); detection adds at most a
-        # poll tick plus kill overhead.  The point of the supervisor is
+        # wait tick plus kill overhead.  The point of the supervisor is
         # that this stays orders of magnitude under the pair timeout.
         assert worst < 1.0
         assert worst < PAIR_TIMEOUT / 5
 
     def test_hung_tasks_requeue_to_exact_results(self):
         # Every worker's first task hangs; respawned workers hang again
-        # until the domain budget runs out.  However many kills and
-        # requeues that takes, the merged digest must equal the pure
+        # until the pool's rebuild budget runs out.  However many kills
+        # and requeues that takes, the merged digest must equal the pure
         # expectation.
         faults.configure("worker_hang:1.0:1", seed=5)
         results, service = run_probe_sweep(12, workers=3,
