@@ -32,6 +32,17 @@ from repro.graphs.csr import CSRGraph
 #: Paper configuration (Table 2): eight processing engines.
 DEFAULT_NUM_PES = 8
 
+#: Rating edges per gather when CF predicts ratings (bounds the temporary
+#: copies of the latent-vector rows).
+_CF_ROW_CHUNK = 1 << 16
+
+
+def sorted_unique(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.unique(ids)`` for ids in ``0..bound-1``, from a presence table."""
+    seen = np.zeros(bound, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
 
 @dataclass
 class ExecutionResult:
@@ -90,7 +101,7 @@ class Graphicionado:
                 # PageRank-style programs keep no active list in memory.
                 frontier_writes = 0
             else:
-                touched = np.unique(dsts)
+                touched = sorted_unique(dsts, graph.num_vertices)
                 next_frontier = np.nonzero(changed)[0].astype(np.int64)
                 frontier_writes = len(next_frontier)
             parts.append(self._apply_phase(touched, frontier_writes,
@@ -131,14 +142,24 @@ class Graphicionado:
             users = src_all[order]
             items = graph.dst[order]
             ratings = graph.weight[order]
-            predicted = np.einsum("ij,ij->i", vectors[users], vectors[items])
+            predicted = np.empty(num_edges)
+            for lo in range(0, num_edges, _CF_ROW_CHUNK):
+                hi = lo + _CF_ROW_CHUNK
+                predicted[lo:hi] = np.einsum("ij,ij->i", vectors[users[lo:hi]],
+                                             vectors[items[lo:hi]])
             err = ratings - predicted
-            du = learning_rate * (err[:, None] * vectors[items]
-                                  - regularization * vectors[users])
-            di = learning_rate * (err[:, None] * vectors[users]
-                                  - regularization * vectors[items])
-            np.add.at(vectors, users, du)
-            np.add.at(vectors, items, di)
+            # One feature column at a time: columns are independent, so
+            # every element receives the same additions in the same order
+            # as one 2-D scatter of all users' rows, then all items' rows.
+            for k in range(features):
+                column = vectors[:, k].copy()
+                vu = column[users]
+                vi = column[items]
+                du = learning_rate * (err * vi - regularization * vu)
+                di = learning_rate * (err * vu - regularization * vi)
+                np.add.at(column, users, du)
+                np.add.at(column, items, di)
+                vectors[:, k] = column
             errors.append(float(np.sqrt(np.mean(err ** 2))))
             parts.append(self._cf_phase(order, users, items))
         return ExecutionResult(trace=SymbolicTrace.concat(parts),

@@ -77,6 +77,8 @@ class SymbolicTrace:
         if not parts:
             return cls(np.empty(0, np.int8), np.empty(0, np.int64),
                        np.empty(0, np.int8))
+        if len(parts) == 1:
+            return parts[0]
         return cls(
             streams=np.concatenate([p.streams for p in parts]),
             offsets=np.concatenate([p.offsets for p in parts]),
@@ -110,7 +112,7 @@ class SymbolicTrace:
         if token is None:
             digest = hashlib.sha1()
             for column in (self.streams, self.offsets, self.writes):
-                digest.update(np.ascontiguousarray(column).tobytes())
+                digest.update(np.ascontiguousarray(column))
             token = digest.hexdigest()
             self.__dict__["_content_token"] = token
         return token

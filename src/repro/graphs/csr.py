@@ -61,9 +61,21 @@ class CSRGraph:
             weight = np.asarray(weight, dtype=np.float64)
             if weight.shape != src.shape:
                 raise ValueError("weight must match the edge count")
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        counts = np.bincount(src_sorted, minlength=num_vertices)
+        if len(src) and (src.min() < 0 or src.max() >= num_vertices):
+            raise ValueError("source ids out of range")
+        # One sort of unique keys (src, edge index) is the stable sort by
+        # src: ties are broken by the edge index in the low bits.
+        edge_bits = max(len(src) - 1, 0).bit_length()
+        vertex_bits = max(int(num_vertices) - 1, 0).bit_length()
+        if vertex_bits + edge_bits > 63:
+            raise ValueError(
+                f"{num_vertices} vertices x {len(src)} edges need "
+                f"{vertex_bits + edge_bits} key bits; the limit is 63")
+        key = src << edge_bits
+        key |= np.arange(len(src), dtype=np.int64)
+        key.sort()
+        order = key & ((1 << edge_bits) - 1)
+        counts = np.bincount(src, minlength=num_vertices)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(num_vertices=num_vertices, offsets=offsets,

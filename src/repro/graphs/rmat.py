@@ -36,22 +36,37 @@ def rmat_edges(scale: int, num_edges: int, *, a: float = GRAPH500_A,
         raise ValueError(f"scale must be in 1..30, got {scale}")
     if num_edges <= 0:
         raise ValueError(f"num_edges must be positive, got {num_edges}")
+    if min(a, b, c) < 0:
+        raise ValueError(f"quadrant probabilities must be non-negative, "
+                         f"got a={a}, b={b}, c={c}")
     if not 0 < a + b + c < 1:
         raise ValueError("quadrant probabilities must sum below 1")
     rng = np.random.default_rng(seed)
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
+    # scale <= 30, so ids fit uint32; the per-bit work reuses fixed
+    # buffers instead of allocating int64 temporaries.
+    src = np.zeros(num_edges, dtype=np.uint32)
+    dst = np.zeros(num_edges, dtype=np.uint32)
+    u = np.empty(num_edges, dtype=np.float64)
+    hit = np.empty(num_edges, dtype=bool)
+    other = np.empty(num_edges, dtype=bool)
+    shifted = np.empty(num_edges, dtype=np.uint32)
     ab = a + b
     abc = a + b + c
     for bit in range(scale):
-        u = rng.random(num_edges)
+        rng.random(out=u)
         # Quadrants: [0,a) -> (0,0); [a,ab) -> (0,1); [ab,abc) -> (1,0);
         # [abc,1) -> (1,1).
-        src_bit = u >= ab
-        dst_bit = ((u >= a) & (u < ab)) | (u >= abc)
-        src |= src_bit.astype(np.int64) << bit
-        dst |= dst_bit.astype(np.int64) << bit
-    return src, dst
+        np.greater_equal(u, ab, out=hit)
+        np.left_shift(hit, bit, out=shifted, dtype=np.uint32)
+        src |= shifted
+        np.greater_equal(u, a, out=hit)
+        np.less(u, ab, out=other)
+        hit &= other
+        np.greater_equal(u, abc, out=other)
+        hit |= other
+        np.left_shift(hit, bit, out=shifted, dtype=np.uint32)
+        dst |= shifted
+    return src.astype(np.int64), dst.astype(np.int64)
 
 
 def rmat_graph(scale: int, edge_factor: int = 16, *, seed: int = 0,

@@ -39,6 +39,28 @@ class TestSymbolicTrace:
         trace = SymbolicTrace.concat([small_trace(), small_trace()])
         assert len(trace) == 6
 
+    def test_concat_single_part_is_not_copied(self):
+        part = small_trace()
+        assert SymbolicTrace.concat([part]) is part
+
+    def test_content_token_is_the_sha1_of_the_columns(self):
+        import hashlib
+        trace = small_trace()
+        digest = hashlib.sha1()
+        for column in (trace.streams, trace.offsets, trace.writes):
+            digest.update(column.tobytes())
+        assert trace.content_token() == digest.hexdigest()
+
+    def test_content_token_of_strided_columns(self):
+        wide = np.arange(12, dtype=np.int64)
+        strided = SymbolicTrace(streams=np.zeros(6, np.int8),
+                                offsets=wide[::2],
+                                writes=np.zeros(6, np.int8))
+        packed = SymbolicTrace(streams=np.zeros(6, np.int8),
+                               offsets=wide[::2].copy(),
+                               writes=np.zeros(6, np.int8))
+        assert strided.content_token() == packed.content_token()
+
     def test_concat_empty(self):
         assert len(SymbolicTrace.concat([])) == 0
 

@@ -55,6 +55,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             CSRGraph.from_edges([0], [5], 3)
 
+    def test_out_of_range_src_rejected(self):
+        with pytest.raises(ValueError, match="source ids out of range"):
+            CSRGraph.from_edges([0, 3], [1, 1], 3)
+
+    def test_negative_src_rejected(self):
+        with pytest.raises(ValueError, match="source ids out of range"):
+            CSRGraph.from_edges([0, -1], [1, 1], 3)
+
+    def test_sort_key_width_rejected(self):
+        # bits(V-1) = 62 plus bits(E-1) = 2 exceeds the 63-bit sort key.
+        with pytest.raises(ValueError, match="key bits"):
+            CSRGraph.from_edges([0, 1, 2], [0, 1, 2], 1 << 62)
+
     def test_bad_offsets_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph(num_vertices=2, offsets=[0, 2],
@@ -100,3 +113,25 @@ def test_property_roundtrip_preserves_multiset(n_vertices, n_edges, seed):
     rebuilt = sorted(zip(rebuilt_src.tolist(), g.dst.tolist()))
     assert original == rebuilt
     g.validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda n_vertices: st.tuples(
+        st.just(n_vertices),
+        # Sources drawn from a prefix of the vertex range: duplicates
+        # and isolated tail vertices; an empty list is an empty graph.
+        st.lists(st.integers(min_value=0,
+                             max_value=max(n_vertices // 2, 1) - 1),
+                 max_size=150))))
+def test_property_edge_order_is_the_stable_sort(case):
+    """from_edges orders edges exactly as a stable argsort of src."""
+    n_vertices, src = case
+    src = np.asarray(src, dtype=np.int64)
+    edge_ids = np.arange(len(src), dtype=np.float64)
+    g = CSRGraph.from_edges(src, src[::-1], n_vertices, weight=edge_ids)
+    order = np.argsort(src, kind="stable")
+    assert np.array_equal(g.weight, edge_ids[order])
+    assert np.array_equal(g.dst, src[::-1][order])
+    counts = np.bincount(src, minlength=n_vertices)
+    assert np.array_equal(g.offsets, np.concatenate([[0], np.cumsum(counts)]))

@@ -27,6 +27,11 @@ class TestRmatEdges:
         b = rmat_edges(scale=8, num_edges=1000, seed=4)
         assert not np.array_equal(a[0], b[0])
 
+    def test_ids_are_int64(self):
+        src, dst = rmat_edges(scale=30, num_edges=100, seed=4)
+        assert src.dtype == dst.dtype == np.int64
+        assert src.max() < 1 << 30 and dst.max() < 1 << 30
+
     def test_skew_towards_low_ids(self):
         """graph500 parameters concentrate mass in the (0,0) quadrant."""
         src, dst = rmat_edges(scale=10, num_edges=50_000, seed=5)
@@ -40,6 +45,13 @@ class TestRmatEdges:
             rmat_edges(scale=8, num_edges=0)
         with pytest.raises(ValueError):
             rmat_edges(scale=8, num_edges=10, a=0.5, b=0.5, c=0.5)
+        # Sums below 1, but a negative quadrant skews the others.
+        with pytest.raises(ValueError, match="non-negative"):
+            rmat_edges(scale=8, num_edges=10, a=-0.2, b=0.6, c=0.5)
+        with pytest.raises(ValueError, match="non-negative"):
+            rmat_edges(scale=8, num_edges=10, a=0.6, b=-0.1, c=0.2)
+        with pytest.raises(ValueError, match="non-negative"):
+            rmat_edges(scale=8, num_edges=10, a=0.6, b=0.2, c=-0.1)
 
 
 class TestRmatGraph:
