@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos sweep-smoke fuzz-smoke fuzz-matrix dvmbench-smoke bench bench-smoke bench-figures lint analyze analyze-sarif analyze-baseline experiments examples clean
+.PHONY: install test chaos sweep-smoke fuzz-smoke fuzz-matrix dvmbench-smoke bench bench-smoke bench-figures lint analyze analyze-sarif experiments examples clean
 
 # Seed matrix for the chaos battery (comma-separated injector seeds).
 REPRO_CHAOS_SEEDS ?= 0,1,2,3
@@ -87,8 +87,9 @@ lint:
 # Repo-specific invariants (dvmlint): determinism, fault-path protocol,
 # obs guards, env discipline, worker-state shipping, plus the
 # whole-program families (DET1xx taint, RACE0xx fork-boundary state,
-# EXN0xx never-raise contracts).  Incremental by default via the
-# content-hash cache under build/; see docs/static-analysis.md.
+# EXN0xx never-raise contracts; the call graph covers src/ only).  An
+# unchanged tree replays the one cached result under build/; any edit
+# reruns everything.  See docs/static-analysis.md.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis
 
@@ -97,11 +98,6 @@ analyze-sarif:
 	mkdir -p build
 	PYTHONPATH=src $(PYTHON) -m repro.analysis --format sarif \
 		> build/dvmlint.sarif
-
-# Rewrite the checked-in baseline from current findings; the baseline
-# diff is the review artifact for intentionally grandfathered findings.
-analyze-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis --baseline-update
 
 experiments:
 	$(PYTHON) -m repro all

@@ -20,8 +20,8 @@ call site on every change, before a single simulation cycle runs:
   code without being shipped back through the pair payload.
 
 Run it with ``python -m repro.analysis`` (or ``make analyze``); see
-``docs/static-analysis.md`` for the rule catalog and the suppression /
-baseline workflow.
+``docs/static-analysis.md`` for the rule catalog and the inline
+suppression directives.
 """
 
 from repro.analysis.core import (Finding, ModuleContext, ProjectRule, Rule,

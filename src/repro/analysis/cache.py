@@ -1,23 +1,23 @@
-"""Content-hash incremental cache for analysis results.
+"""One-entry result cache: the last run's whole result, keyed by tree.
 
 Repeat ``make analyze`` runs over an unchanged tree should be
-near-instant: every finding dvmlint produces is a pure function of
+near-instant.  Every finding dvmlint produces is a pure function of
 
-* the file's bytes (module rules, suppressions),
-* every file's bytes (project rules see the whole tree),
 * the analyzer's own source (a rule edit must invalidate everything),
-* and the selected ruleset.
+* the selected ruleset,
+* every discovered file's path and bytes (project rules see the whole
+  tree), and
+* the configuration doc (ENV002/ENV003 read it).
 
-So the cache keys per-file entries by content hash and the project-rule
-entry by a *tree fingerprint* over every file's hash, both salted with
-an engine fingerprint (a hash of the ``repro.analysis`` package source)
-and the ruleset signature.  Entries store post-suppression findings —
-the cache replays exactly what the rules produced, and the baseline is
-re-applied fresh (it's cheap and may change independently).
+So the cache holds a single entry: a key hashing all four, and the
+whole post-suppression result.  A run whose key matches replays the
+entry without parsing; any other run recomputes everything and
+replaces the entry.
 
 The file is JSON under ``build/`` (swept by ``make clean``, excluded
-from discovery), written atomically (tmp + ``os.replace``); a corrupt
-or version-skewed cache is ignored and rebuilt, never trusted.
+from discovery), published atomically through a per-process tmp name,
+so overlapping runs never share a tmp file.  A corrupt, stale or
+version-skewed cache is ignored and rebuilt, never trusted.
 """
 
 from __future__ import annotations
@@ -29,140 +29,71 @@ from pathlib import Path
 
 from repro.analysis import config
 from repro.analysis.core import Finding
+from repro.common.integrity import tmp_path
 
 #: Cache format version; bump on schema changes.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 _FINDING_FIELDS = ("rule", "severity", "path", "line", "col", "message",
                    "snippet")
 
 
-def file_sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:24]
-
-
-def engine_fingerprint() -> str:
-    """Hash of the analyzer's own source: any rule/engine edit
-    invalidates every cached result."""
-    package_dir = Path(__file__).parent
+def tree_key(root: Path, rules, rels: list[str],
+             contents: list[bytes]) -> str:
+    """Hash of the engine source, the ruleset, every discovered file
+    and the configuration doc."""
     digest = hashlib.sha256()
+
+    def feed(*parts: bytes) -> None:
+        for part in parts:
+            digest.update(part)
+            digest.update(b"\0")
+
+    package_dir = Path(__file__).parent
     for path in sorted(package_dir.rglob("*.py")):
-        digest.update(path.relative_to(package_dir).as_posix().encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()[:24]
+        feed(path.relative_to(package_dir).as_posix().encode(),
+             path.read_bytes())
+    feed(json.dumps([(r.id, r.severity) for r in rules],
+                    sort_keys=True).encode())
+    for rel, data in zip(rels, contents):
+        feed(rel.encode(), data)
+    doc = root / config.CONFIG_DOC
+    feed(doc.read_bytes() if doc.is_file() else b"<no config doc>")
+    return digest.hexdigest()
 
 
-def ruleset_signature(rules) -> str:
-    """Hash of the selected rules and their effective severities."""
-    blob = json.dumps([(r.id, r.severity) for r in rules],
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def tree_fingerprint(shas: dict[str, str], engine: str,
-                     ruleset: str) -> str:
-    """Fingerprint over every discovered file's content hash."""
-    blob = json.dumps([engine, ruleset, sorted(shas.items())],
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def finding_to_entry(finding: Finding) -> dict:
+def _to_entry(finding: Finding) -> dict:
     return {name: getattr(finding, name) for name in _FINDING_FIELDS}
 
 
-def entry_to_finding(entry: dict) -> Finding:
+def _to_finding(entry: dict) -> Finding:
     return Finding(**{name: entry[name] for name in _FINDING_FIELDS})
 
 
-class Cache:
-    """One loaded cache file plus the write-back state for this run."""
-
-    def __init__(self, path: Path, engine: str, ruleset: str):
-        self.path = path
-        self.engine = engine
-        self.ruleset = ruleset
-        self.hits = 0
-        self.misses = 0
-        #: Sections for *other* rulesets, carried through save() so the
-        #: default run and a ``--select``-narrowed run (CI's relaxed
-        #: tests/ pass) don't clobber each other's entries.
-        self._others: dict = {}
-        self._old = self._load(path, engine, ruleset)
-        self._new: dict = {"files": {}, "project": None}
-
-    def _load(self, path: Path, engine: str, ruleset: str) -> dict:
-        empty = {"files": {}, "project": None}
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return empty
-        if not isinstance(raw, dict) \
-                or raw.get("version") != CACHE_VERSION \
-                or raw.get("engine") != engine \
-                or not isinstance(raw.get("caches"), dict):
-            return empty
-        self._others = {sig: section
-                        for sig, section in raw["caches"].items()
-                        if sig != ruleset and isinstance(section, dict)}
-        section = raw["caches"].get(ruleset)
-        if not isinstance(section, dict):
-            return empty
-        files = section.get("files")
-        return {"files": files if isinstance(files, dict) else {},
-                "project": section.get("project")}
-
-    # -- per-file entries --
-
-    def lookup_file(self, relpath: str, sha: str) -> dict | None:
-        """The cached entry for this exact content, or ``None``."""
-        entry = self._old["files"].get(relpath)
-        if isinstance(entry, dict) and entry.get("sha") == sha:
-            self.hits += 1
-            self._new["files"][relpath] = entry
-            return entry
-        self.misses += 1
+def load(root: Path, key: str
+         ) -> tuple[int, list[Finding], list[Finding]] | None:
+    """``(files, findings, suppressed)`` cached under ``key``, or None."""
+    try:
+        doc = json.loads((root / config.CACHE_FILE).read_text())
+        if doc["version"] != CACHE_VERSION or doc["key"] != key:
+            return None
+        return (doc["files"], [_to_finding(e) for e in doc["findings"]],
+                [_to_finding(e) for e in doc["suppressed"]])
+    except (OSError, ValueError, TypeError, KeyError):
         return None
 
-    def store_file(self, relpath: str, sha: str, *, parsed: bool,
-                   findings, suppressed) -> None:
-        self._new["files"][relpath] = {
-            "sha": sha, "parsed": parsed,
-            "findings": [finding_to_entry(f) for f in findings],
-            "suppressed": [finding_to_entry(f) for f in suppressed],
-        }
 
-    # -- the project-rule entry --
-
-    def lookup_project(self, tree_fp: str) -> dict | None:
-        entry = self._old["project"]
-        if isinstance(entry, dict) and entry.get("tree") == tree_fp:
-            self._new["project"] = entry
-            return entry
-        return None
-
-    def store_project(self, tree_fp: str, findings, suppressed) -> None:
-        self._new["project"] = {
-            "tree": tree_fp,
-            "findings": [finding_to_entry(f) for f in findings],
-            "suppressed": [finding_to_entry(f) for f in suppressed],
-        }
-
-    def save(self) -> None:
-        caches = dict(self._others)
-        caches[self.ruleset] = {"files": self._new["files"],
-                                "project": self._new["project"]}
-        doc = {"version": CACHE_VERSION, "engine": self.engine,
-               "caches": caches}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
+def save(root: Path, key: str, result) -> None:
+    """Replace the cache with ``result`` under ``key``."""
+    doc = {"version": CACHE_VERSION, "key": key, "files": result.files,
+           "findings": [_to_entry(f) for f in result.findings],
+           "suppressed": [_to_entry(f) for f in result.suppressed]}
+    path = root / config.CACHE_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = tmp_path(path)
+    try:
         tmp.write_text(json.dumps(doc, sort_keys=True,
                                   separators=(",", ":")) + "\n")
-        os.replace(tmp, self.path)
-
-
-def open_cache(root: Path, rules) -> Cache:
-    return Cache(root / config.CACHE_FILE, engine_fingerprint(),
-                 ruleset_signature(rules))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

@@ -8,25 +8,8 @@ from pathlib import Path
 
 from repro.analysis import config
 from repro.analysis.core import all_rules
-from repro.analysis.engine import restrict_to_paths, run_analysis
+from repro.analysis.engine import run_analysis
 from repro.analysis.reporters import FORMATS, RENDERERS
-
-
-def changed_paths(root: Path) -> set[str]:
-    """Repo-relative paths changed vs HEAD, plus untracked files."""
-    import subprocess
-    paths: set[str] = set()
-    for args in (("git", "diff", "--name-only", "HEAD"),
-                 ("git", "ls-files", "--others", "--exclude-standard")):
-        try:
-            out = subprocess.run(args, cwd=root, capture_output=True,
-                                 text=True, check=True).stdout
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise RuntimeError(
-                f"--changed needs a git checkout: {exc}") from exc
-        paths.update(line.strip() for line in out.splitlines()
-                     if line.strip())
-    return paths
 
 
 def _find_root(start: Path) -> Path:
@@ -61,25 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="RULES",
                         help="skip these comma-separated rule ids or "
                              "family prefixes")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="baseline file (default: "
-                             f"<root>/{config.BASELINE_FILE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline file")
-    parser.add_argument("--baseline-update", action="store_true",
-                        help="rewrite the baseline from current findings "
-                             "and exit 0; the baseline diff is the review "
-                             "artifact for intentional new findings")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat warnings as failures")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental result cache "
-                             f"(<root>/{config.CACHE_FILE})")
-    parser.add_argument("--changed", action="store_true",
-                        help="report only findings in files changed vs "
-                             "git HEAD (plus untracked files); the "
-                             "analysis still runs over the full tree so "
-                             "whole-program rules stay sound")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
@@ -96,8 +60,7 @@ def _split(values: list[str] | None) -> tuple[str, ...] | None:
 
 def list_rules(stream) -> None:
     for rule in all_rules():
-        severity = config.SEVERITY_OVERRIDES.get(rule.id, rule.severity)
-        stream.write(f"{rule.id}  [{severity}]  {rule.title}\n")
+        stream.write(f"{rule.id}  [{rule.severity}]  {rule.title}\n")
         stream.write(f"    {rule.rationale}\n")
 
 
@@ -112,24 +75,12 @@ def main(argv: list[str] | None = None) -> int:
         result = run_analysis(
             root, paths,
             select=_split(args.select), ignore=_split(args.ignore),
-            baseline_path=args.baseline,
-            use_baseline=not args.no_baseline,
-            update_baseline=args.baseline_update,
-            use_cache=not args.no_cache)
-        if args.changed:
-            restrict_to_paths(result, changed_paths(root))
+            use_cache=True)
     except FileNotFoundError as exc:
         print(f"dvmlint: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"dvmlint: {exc}", file=sys.stderr)
-        return 2
     RENDERERS[args.format](result, sys.stdout)
-    if args.baseline_update:
-        print(f"dvmlint: baseline updated with "
-              f"{len(result.baselined)} finding(s)")
-        return 0
-    return result.exit_code(strict=args.strict)
+    return result.exit_code()
 
 
 if __name__ == "__main__":

@@ -207,23 +207,17 @@ SKIP_DIRS = frozenset({
 #: Default analysis targets, relative to the root.
 DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
-#: Default baseline location, relative to the root.
-BASELINE_FILE = ".dvmlint-baseline.json"
-
-#: Default incremental-cache location, relative to the root (under
-#: ``build/`` so ``make clean`` and the discovery excludes cover it).
+#: Result-cache location, relative to the root (under ``build/`` so
+#: ``make clean`` and the discovery excludes cover it).
 CACHE_FILE = "build/dvmlint-cache.json"
-
-#: Per-rule severity overrides (rule id -> "error" | "warning").  Rules
-#: default to the severity declared on their class; entries here let the
-#: repo soften or harden a rule without touching its implementation.
-SEVERITY_OVERRIDES: dict[str, str] = {}
 
 # -- scope helpers used by the rule modules ---------------------------------
 
 DETERMINISM = Scope(include=SIMULATION_SCOPE)
 WALL_CLOCK = Scope(include=SIMULATION_SCOPE, exclude=WALL_CLOCK_EXEMPT)
 ALL_SOURCE = Scope(include=("src/", "examples/"))
+#: Also the whole-program layer's scope: graph.build_graph indexes only
+#: these modules (every DET1xx/RACE/EXN scope and contract lies here).
 SRC_ONLY = Scope(include=("src/",))
 LIBRARY_AND_DRIVERS = Scope(include=("src/", "examples/", "benchmarks/"))
 HOT_PATH = Scope(include=HOT_MODULES, exclude=("src/repro/obs/",))

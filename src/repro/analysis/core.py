@@ -16,20 +16,22 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 
-#: Finding severities.  Errors fail the run; warnings are reported but
-#: only fail under ``--strict``.
+#: Finding severities.  Errors fail the run; warnings are only reported.
 ERROR = "error"
 WARNING = "warning"
 SEVERITIES = (ERROR, WARNING)
+
+#: The AST node types that open a function scope.
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @dataclass(frozen=True)
 class Finding:
     """One rule violation, anchored to a source location.
 
-    ``snippet`` is the stripped source line; the baseline fingerprint is
-    derived from it (not from the line number), so baselined findings
-    survive unrelated edits that shift the file.
+    ``snippet`` is the source line; the SARIF fingerprint is derived
+    from it (not from the line number), so a finding keeps its identity
+    across unrelated edits that shift the file.
     """
 
     rule: str
@@ -47,18 +49,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
-
-    def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
 
 
 @dataclass(frozen=True)
@@ -154,13 +144,6 @@ class ModuleContext:
             yield seen
             seen = self.parents.get(seen)
 
-    def enclosing_function(self, node: ast.AST):
-        """The nearest enclosing function def, or None at module level."""
-        for parent in self.ancestors(node):
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return parent
-        return None
-
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
@@ -173,6 +156,20 @@ class ModuleContext:
                        col=getattr(node, "col_offset", 0) + 1,
                        message=message,
                        snippet=self.line_text(getattr(node, "lineno", 1)))
+
+
+def own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """Nodes belonging to ``scope`` (a module or a def), excluding the
+    bodies of nested defs: a nested def node is listed, its body is not.
+    """
+    nodes: list[ast.AST] = []
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not isinstance(node, FUNCTION_DEFS):
+            stack.extend(ast.iter_child_nodes(node))
+    return nodes
 
 
 @dataclass

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis import config
 from repro.analysis.core import ProjectContext
-from repro.analysis.graph import (FunctionInfo, ProjectGraph, _own_nodes,
+from repro.analysis.graph import (FunctionInfo, ProjectGraph,
+                                  _local_types, _receiver_text,
                                   project_graph, project_state,
                                   resolve_call)
 
@@ -126,17 +127,6 @@ def call_sink(info: FunctionInfo, call: ast.Call) -> str | None:
         if stem in name:
             return "cache-key"
     return None
-
-
-def _receiver_text(owner: ast.AST) -> str:
-    parts: list[str] = []
-    node = owner
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts)).lower()
 
 
 # -- taint: summaries and flows -----------------------------------------------
@@ -329,7 +319,7 @@ class _TaintPass:
             self._at_sink(call, sink, every)
 
         targets = resolve_call(self.graph, self.info, call,
-                               self._local_types())
+                               _local_types(self.graph, self.info))
         if targets:
             out: set[str] = set(produced)
             for target in targets:
@@ -356,10 +346,6 @@ class _TaintPass:
         receiver = self._eval(call.func.value) \
             if isinstance(call.func, ast.Attribute) else frozenset()
         return every | receiver
-
-    def _local_types(self) -> dict[str, str]:
-        from repro.analysis.graph import _local_types
-        return _local_types(self.graph, self.info)
 
     def _map_args(self, target: str, call: ast.Call,
                   arg_labels: list, kw_labels: dict) -> dict:

@@ -11,6 +11,10 @@ so they need a deterministic picture of the whole tree:
   (:class:`FunctionInfo`, keyed by dotted qualname) with resolved call
   and reference edges between them.
 
+Both cover ``src/`` only (:func:`build_graph`): the tests, benchmarks
+and examples are parsed for the module rules but hold nothing a
+whole-program rule reports on or follows.
+
 Resolution is static and deliberately modest: import-resolved dotted
 chains, module-local names, ``self.method`` within a class (plus
 same-tree base classes), locals whose type is pinned by a visible
@@ -32,15 +36,15 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis import config
-from repro.analysis.core import ModuleContext, ProjectContext
+from repro.analysis.core import (FUNCTION_DEFS, ModuleContext,
+                                 ProjectContext, own_nodes)
 
 
 def module_name(relpath: str) -> str:
     """The dotted module name for a repo-relative path.
 
     ``src/``-rooted files name the installed package; anything else
-    (tests, examples, benchmarks) gets a path-derived dotted name so it
-    still participates in the graph.
+    gets a path-derived dotted name.
     """
     parts = relpath.split("/")
     if parts[0] == "src":
@@ -100,9 +104,12 @@ class ProjectGraph:
 
 
 def build_graph(project: ProjectContext) -> ProjectGraph:
-    """Build the whole-program graph for one parsed tree."""
+    """Build the whole-program graph over the tree's ``src/`` modules
+    (nothing there imports tests, benchmarks or examples)."""
     graph = ProjectGraph()
-    contexts = sorted(project.modules, key=lambda c: c.relpath)
+    contexts = sorted((c for c in project.modules
+                       if config.SRC_ONLY.matches(c.relpath)),
+                      key=lambda c: c.relpath)
     for ctx in contexts:
         _index_module(graph, ctx)
     for ctx in contexts:
@@ -137,12 +144,12 @@ def _index_module(graph: ProjectGraph, ctx: ModuleContext) -> None:
 def _function_defs(tree: ast.Module):
     """(node, class name) for every function def, methods one level deep."""
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(stmt, FUNCTION_DEFS):
             yield stmt, None
             yield from _nested(stmt, None)
         elif isinstance(stmt, ast.ClassDef):
             for sub in stmt.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(sub, FUNCTION_DEFS):
                     yield sub, stmt.name
                     yield from _nested(sub, stmt.name)
 
@@ -150,8 +157,7 @@ def _function_defs(tree: ast.Module):
 def _nested(func: ast.AST, cls: str | None):
     """Nested defs, attributed to the enclosing class for qualnaming."""
     for node in ast.walk(func):
-        if node is not func and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if node is not func and isinstance(node, FUNCTION_DEFS):
             yield node, cls
 
 
@@ -194,18 +200,6 @@ def _link_module(graph: ProjectGraph, ctx: ModuleContext) -> None:
         _link_function(graph, info)
 
 
-def _own_nodes(func: ast.AST):
-    """Nodes belonging to this def, excluding nested function bodies."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node                  # the def itself, not its body
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _local_types(graph: ProjectGraph, info: FunctionInfo) -> dict[str, str]:
     """Locals pinned to a project class by a visible construction."""
     memo = graph._types_memo.get(info.qualname)
@@ -213,7 +207,7 @@ def _local_types(graph: ProjectGraph, info: FunctionInfo) -> dict[str, str]:
         return memo
     types: dict[str, str] = {}
     graph._types_memo[info.qualname] = types
-    for node in _own_nodes(info.node):
+    for node in own_nodes(info.node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
                 and isinstance(node.value, ast.Call):
@@ -251,13 +245,13 @@ def _link_function(graph: ProjectGraph, info: FunctionInfo) -> None:
     local = {f.name: f.qualname for f in graph.functions.values()
              if f.module == info.module and f.cls is None}
     call_funcs: list[ast.AST] = []
-    for node in _own_nodes(info.node):
+    for node in own_nodes(info.node):
         if isinstance(node, ast.Call):
             call_funcs.append(node.func)
             calls.extend(resolve_call(graph, info, node, types))
             refs.extend(_spawn_refs(graph, info, node, local))
     called = {node_id: True for node_id in map(_node_key, call_funcs)}
-    for node in _own_nodes(info.node):
+    for node in own_nodes(info.node):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
                 and _node_key(node) not in called:
             if node.id in local:

@@ -1,11 +1,11 @@
-"""Finding reporters: human text, machine JSON, GitHub, SARIF 2.1.0."""
+"""Finding reporters: human text, GitHub annotations, SARIF 2.1.0."""
 
 from __future__ import annotations
 
 import json
 from typing import TextIO
 
-FORMATS = ("text", "json", "github", "sarif")
+FORMATS = ("text", "github", "sarif")
 
 #: SARIF schema constants.
 SARIF_VERSION = "2.1.0"
@@ -20,7 +20,6 @@ def summary_counts(result) -> dict:
         "warnings": sum(1 for f in result.findings
                         if f.severity == "warning"),
         "suppressed": len(result.suppressed),
-        "baselined": len(result.baselined),
         "cache_hits": result.cache_hits,
         "cache_misses": result.cache_misses,
     }
@@ -37,25 +36,10 @@ def render_text(result, stream: TextIO) -> None:
              f"{counts['warnings']} warnings"]
     if counts["suppressed"]:
         parts.append(f"{counts['suppressed']} suppressed")
-    if counts["baselined"]:
-        parts.append(f"{counts['baselined']} baselined")
     if counts["cache_hits"] or counts["cache_misses"]:
         parts.append(f"cache {counts['cache_hits']}h/"
                      f"{counts['cache_misses']}m")
     stream.write(f"dvmlint: {', '.join(parts)}\n")
-
-
-def render_json(result, stream: TextIO) -> None:
-    doc = {
-        "version": 1,
-        "rules": list(result.rules),
-        "findings": [f.to_dict() for f in result.findings],
-        "suppressed": [f.to_dict() for f in result.suppressed],
-        "baselined": [f.to_dict() for f in result.baselined],
-        "summary": summary_counts(result),
-    }
-    json.dump(doc, stream, indent=1, sort_keys=True)
-    stream.write("\n")
 
 
 def _escape_property(value: str) -> str:
@@ -122,15 +106,12 @@ def _sarif_result(finding, suppressions: list[dict] | None = None) -> dict:
 
 
 def render_sarif(result, stream: TextIO) -> None:
-    """SARIF 2.1.0: one run, rule metadata, suppressed/baselined results
-    carried with explicit ``suppressions`` so code-scanning shows them
-    as resolved rather than dropping them."""
+    """SARIF 2.1.0: one run, rule metadata, suppressed results carried
+    with explicit ``suppressions`` so code-scanning shows them as
+    resolved rather than dropping them."""
     results = [_sarif_result(f) for f in result.findings]
     results += [_sarif_result(f, [{"kind": "inSource"}])
                 for f in result.suppressed]
-    results += [_sarif_result(f, [{"kind": "external",
-                                   "justification": "baselined"}])
-                for f in result.baselined]
     doc = {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -149,7 +130,6 @@ def render_sarif(result, stream: TextIO) -> None:
 
 RENDERERS = {
     "text": render_text,
-    "json": render_json,
     "github": render_github,
     "sarif": render_sarif,
 }

@@ -64,25 +64,3 @@ def const_kwarg(node: ast.Call, name: str):
         if keyword.arg == name and isinstance(keyword.value, ast.Constant):
             return keyword.value.value
     return None
-
-
-def function_contexts(ctx: ModuleContext):
-    """(scope_node, contained_nodes) for the module and each function.
-
-    ``contained_nodes`` excludes anything belonging to a *nested*
-    function definition, so each context sees only its own code.
-    """
-    scopes = [ctx.tree] + [
-        node for node in ast.walk(ctx.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    for scope in scopes:
-        nodes: list[ast.AST] = []
-        stack = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            nodes.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        yield scope, nodes

@@ -13,9 +13,17 @@ from __future__ import annotations
 import ast
 
 from repro.analysis import config
-from repro.analysis.core import ModuleContext, Rule, Scope, register
-from repro.analysis.rules._ast_util import (call_name, const_kwarg,
-                                            function_contexts)
+from repro.analysis.core import (FUNCTION_DEFS, ModuleContext, Rule,
+                                 Scope, own_nodes, register)
+from repro.analysis.rules._ast_util import call_name, const_kwarg
+
+def _scope_nodes(ctx: ModuleContext):
+    """Each scope's own nodes: the module's, then every def's."""
+    yield own_nodes(ctx.tree)
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, FUNCTION_DEFS):
+            yield own_nodes(node)
+
 
 #: numpy RNG constructors that are fine *when seeded* (flagged only when
 #: called without arguments, which seeds from OS entropy).
@@ -149,7 +157,7 @@ class UnorderedHashInput(Rule):
     scope = Scope(include=("src/",))
 
     def check_module(self, ctx: ModuleContext):
-        for _scope, nodes in function_contexts(ctx):
+        for nodes in _scope_nodes(ctx):
             calls = [n for n in nodes if isinstance(n, ast.Call)]
             if not any((call_name(ctx, c) or "").startswith("hashlib.")
                        for c in calls):
@@ -222,7 +230,7 @@ class HashDerivedCacheKey(Rule):
     scope = config.SRC_ONLY
 
     def check_module(self, ctx: ModuleContext):
-        for _scope, nodes in function_contexts(ctx):
+        for nodes in _scope_nodes(ctx):
             if not any(self._cache_ref(n) for n in nodes):
                 continue
             for node in nodes:

@@ -23,9 +23,10 @@ from __future__ import annotations
 import ast
 
 from repro.analysis import config
-from repro.analysis.core import ModuleContext, Rule, register
+from repro.analysis.core import (FUNCTION_DEFS, ModuleContext, Rule,
+                                 own_nodes, register)
 from repro.analysis.rules._ast_util import (attr_access, call_name,
-                                            function_contexts, guarded_by)
+                                            guarded_by)
 
 
 @register
@@ -88,10 +89,10 @@ class SilentSchedulerTransition(Rule):
     scope = config.SCHED_TRANSITIONS
 
     def check_module(self, ctx: ModuleContext):
-        for scope, nodes in function_contexts(ctx):
-            if not isinstance(scope, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
+        for scope in ast.walk(ctx.tree):
+            if not isinstance(scope, FUNCTION_DEFS):
                 continue
+            nodes = own_nodes(scope)
             transitions = [n for n in nodes if self._transition(n)]
             if not transitions or any(self._emits(n) for n in nodes):
                 continue

@@ -34,15 +34,15 @@ import ast
 
 from repro.analysis import config
 from repro.analysis.core import (Finding, ProjectContext, ProjectRule,
-                                 register)
+                                 own_nodes, register)
 from repro.analysis.contexts import BOTH, PARENT, WORKER, context_labels
-from repro.analysis.graph import _own_nodes, module_name, project_graph
+from repro.analysis.graph import module_name, project_graph
 from repro.analysis.rules.mp import _module_mutables, _MUTATORS
 
 
 def _mutations(info, mutables):
     """(node, name) for each module-level-state mutation in this body."""
-    for node in _own_nodes(info.node):
+    for node in own_nodes(info.node):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _MUTATORS \
@@ -68,7 +68,7 @@ def _touched(info, mutables) -> set[str]:
     local = {a.arg for a in (info.node.args.posonlyargs
                              + info.node.args.args
                              + info.node.args.kwonlyargs)}
-    for node in _own_nodes(info.node):
+    for node in own_nodes(info.node):
         if isinstance(node, ast.Name) and node.id in mutables \
                 and node.id not in local:
             names.add(node.id)
@@ -174,7 +174,7 @@ class WorkerGlobalRebind(_RaceRule):
     def check_function(self, ctx, info, label, mutables, parent_touch):
         if label not in (WORKER, BOTH):
             return
-        for node in _own_nodes(info.node):
+        for node in own_nodes(info.node):
             if isinstance(node, ast.Global):
                 for name in node.names:
                     yield self.finding(

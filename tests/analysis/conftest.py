@@ -23,11 +23,10 @@ FIXTURE_PATHS = ("src", "examples")
 
 
 def analyze_fixtures(paths=FIXTURE_PATHS, **kwargs):
-    kwargs.setdefault("use_baseline", False)
     return run_analysis(FIXTURE_ROOT, paths, **kwargs)
 
 
 @pytest.fixture(scope="session")
 def fixture_result():
-    """One shared no-baseline run over the fixture corpus."""
+    """One shared uncached run over the fixture corpus."""
     return analyze_fixtures()

@@ -1,9 +1,9 @@
-"""The incremental cache and engine-level determinism guarantees.
+"""The one-entry result cache and engine-level determinism guarantees.
 
 These tests run over a throwaway copy of the fixture tree so cache
 files never leak into the checked-in corpus, and compare *rendered
-bytes* (text/json/sarif), which is the actual contract: a cached run
-must be indistinguishable from a fresh one.
+bytes* (text/sarif), which is the actual contract: a cached run must
+be indistinguishable from a fresh one.
 """
 
 import io
@@ -13,27 +13,24 @@ import time
 
 import pytest
 
-from repro.analysis import config, engine
+from repro.analysis import cache, config, engine
 from repro.analysis.cache import CACHE_VERSION
-from repro.analysis.cli import main
-from repro.analysis.engine import restrict_to_paths, run_analysis
-from repro.analysis.reporters import (render_json, render_sarif,
-                                      render_text)
+from repro.analysis.engine import run_analysis
+from repro.analysis.reporters import render_sarif, render_text
 
-from tests.analysis.conftest import (FIXTURE_PATHS, FIXTURE_ROOT,
-                                     REPO_ROOT)
+from tests.analysis.conftest import FIXTURE_PATHS, FIXTURE_ROOT
 
 
 def render_all(result) -> str:
     out = io.StringIO()
-    for renderer in (render_text, render_json, render_sarif):
+    for renderer in (render_text, render_sarif):
         renderer(result, out)
     return out.getvalue()
 
 
 @pytest.fixture()
 def tree(tmp_path):
-    """A private copy of the fixture corpus (no cache, no baseline)."""
+    """A private copy of the fixture corpus (no cache)."""
     root = tmp_path / "tree"
     shutil.copytree(FIXTURE_ROOT, root)
     shutil.rmtree(root / "build", ignore_errors=True)
@@ -41,7 +38,6 @@ def tree(tmp_path):
 
 
 def analyze(root, **kwargs):
-    kwargs.setdefault("use_baseline", False)
     kwargs.setdefault("use_cache", True)
     return run_analysis(root, FIXTURE_PATHS, **kwargs)
 
@@ -70,14 +66,14 @@ class TestIncrementalCache:
         t2 = time.perf_counter()
         assert (t2 - t1) < 0.25 * (t1 - t0)
 
-    def test_edited_file_invalidates_only_itself(self, tree):
+    def test_edited_file_recomputes_the_tree(self, tree):
         cold = analyze(tree)
         target = tree / "src" / "repro" / "sweep" / "workers.py"
         target.write_text(target.read_text() + "\n# trailing comment\n")
         warm = analyze(tree)
-        assert warm.cache_misses == 1
-        assert warm.cache_hits == cold.files - 1
+        assert warm.cache_hits == 0 and warm.cache_misses == cold.files
         assert cold.findings == warm.findings
+        assert cold.suppressed == warm.suppressed
 
     def test_edit_that_adds_a_violation_is_seen(self, tree):
         def det002_count(result):
@@ -120,15 +116,16 @@ class TestIncrementalCache:
         narrowed = analyze(tree, select=("DET",))
         assert narrowed.cache_misses == narrowed.files
 
-    def test_rulesets_share_the_cache_file(self, tree):
-        """A ``--select``-narrowed run (CI's relaxed tests/ pass) must
-        not clobber the default ruleset's section."""
+    def test_cache_holds_one_entry(self, tree):
+        """A run under another ruleset replaces the entry rather than
+        adding a second one beside it."""
         analyze(tree)
         analyze(tree, select=("DET",))
-        warm = analyze(tree)
-        assert warm.cache_misses == 0 and warm.cache_hits == warm.files
-        narrowed = analyze(tree, select=("DET",))
-        assert narrowed.cache_misses == 0
+        doc = json.loads((tree / config.CACHE_FILE).read_text())
+        assert set(doc) == {"version", "key", "files", "findings",
+                            "suppressed"}
+        rerun = analyze(tree)
+        assert rerun.cache_hits == 0 and rerun.cache_misses == rerun.files
 
     def test_no_cache_leaves_no_file(self, tree):
         analyze(tree, use_cache=False)
@@ -138,7 +135,7 @@ class TestIncrementalCache:
 class TestEngineDeterminism:
     def test_shuffled_discovery_renders_identical_bytes(
             self, tree, monkeypatch):
-        baseline_render = render_all(analyze(tree, use_cache=False))
+        ordered_render = render_all(analyze(tree, use_cache=False))
         original = engine.discover_files
 
         def reversed_discovery(root, paths):
@@ -146,7 +143,7 @@ class TestEngineDeterminism:
 
         monkeypatch.setattr(engine, "discover_files", reversed_discovery)
         shuffled_render = render_all(analyze(tree, use_cache=False))
-        assert shuffled_render == baseline_render
+        assert shuffled_render == ordered_render
 
     def test_repeated_runs_render_identical_bytes(self, tree):
         first = render_all(analyze(tree, use_cache=False))
@@ -154,27 +151,28 @@ class TestEngineDeterminism:
         assert first == second
 
 
-class TestChangedComposition:
-    def test_select_race_with_baseline_and_restriction(self, tree,
-                                                       tmp_path):
-        """Regression: ``--select RACE --changed`` must compose with a
-        baseline — selection narrows the ruleset, the baseline absorbs
-        known findings, and the restriction filters *all three* finding
-        lists without re-running analysis."""
-        bpath = tmp_path / "baseline.json"
-        seeded = analyze(tree, select=("RACE",), baseline_path=bpath,
-                         use_baseline=True, update_baseline=True)
-        assert len(seeded.baselined) == 3
-        run = analyze(tree, select=("RACE",), baseline_path=bpath,
-                      use_baseline=True)
-        assert not run.findings and len(run.baselined) == 3
-        restrict_to_paths(run, {"src/repro/sweep/workers.py"})
-        assert len(run.baselined) == 3
-        restrict_to_paths(run, {"src/repro/sim/det_bad.py"})
-        assert not run.baselined
+class TestCacheSave:
+    def test_overlapping_saves_leave_a_valid_cache(self, tree,
+                                                   monkeypatch):
+        """A second run saving while the first is between writing its
+        tmp file and publishing it (a developer's `make analyze` beside
+        the test suite's run) must not make either save fail."""
+        result = analyze(tree, use_cache=False)
+        real_replace = cache.os.replace
+        nested = []
 
-    def test_cli_changed_on_real_repo(self):
-        """End to end through git: the real tree is clean, so a
-        restricted RACE-only report must stay clean too."""
-        assert main(["--root", str(REPO_ROOT), "--select", "RACE",
-                     "--changed", "--no-cache"]) == 0
+        def overlapping_replace(src, dst):
+            if not nested:
+                nested.append(src)
+                cache.save(tree, "second", result)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cache.os, "replace", overlapping_replace)
+        cache.save(tree, "first", result)
+        monkeypatch.undo()
+        assert nested, "the second save ran inside the first"
+        files, findings, suppressed = cache.load(tree, "first")
+        assert (files, findings, suppressed) \
+            == (result.files, result.findings, result.suppressed)
+        assert sorted(p.name for p in (tree / "build").iterdir()) \
+            == ["dvmlint-cache.json"]

@@ -1,12 +1,14 @@
-"""Reporter formats: text lines, JSON schema, GitHub annotations."""
+"""Reporter formats: text lines, GitHub annotations, SARIF, and the
+line-independent finding fingerprint SARIF carries."""
 
 import io
 import json
 import re
 
+from repro.analysis.core import ERROR, Finding
 from repro.analysis.reporters import (SARIF_SCHEMA, SARIF_VERSION,
-                                      render_github, render_json,
-                                      render_sarif, render_text)
+                                      render_github, render_sarif,
+                                      render_text)
 
 from tests.analysis.conftest import analyze_fixtures
 
@@ -15,10 +17,6 @@ _TEXT_LINE = re.compile(
 _GITHUB_LINE = re.compile(
     r"^::(error|warning) file=[\w/.-]+,line=\d+,col=\d+,"
     r"title=[A-Z]+\d+::.+$")
-
-_FINDING_KEYS = {"rule", "severity", "path", "line", "col", "message",
-                 "snippet", "fingerprint"}
-
 
 def render(renderer, result) -> str:
     stream = io.StringIO()
@@ -34,32 +32,6 @@ class TestText:
             assert _TEXT_LINE.match(line), line
         assert lines[-1].startswith("dvmlint: ")
         assert "suppressed" in lines[-1]
-
-
-class TestJson:
-    def test_document_schema(self, fixture_result):
-        doc = json.loads(render(render_json, fixture_result))
-        assert set(doc) == {"version", "rules", "findings", "suppressed",
-                            "baselined", "summary"}
-        assert doc["version"] == 1
-        assert doc["rules"] == sorted(doc["rules"])
-        assert "DET001" in doc["rules"] and "RACE001" in doc["rules"]
-        for finding in (doc["findings"] + doc["suppressed"]
-                        + doc["baselined"]):
-            assert set(finding) == _FINDING_KEYS
-            assert re.fullmatch(r"[0-9a-f]{16}", finding["fingerprint"])
-        summary = doc["summary"]
-        assert set(summary) == {"files", "errors", "warnings",
-                                "suppressed", "baselined",
-                                "cache_hits", "cache_misses"}
-        assert summary["errors"] == sum(
-            1 for f in doc["findings"] if f["severity"] == "error")
-
-    def test_output_deterministic(self):
-        """Two runs over the same tree render byte-identical reports."""
-        first = render(render_json, analyze_fixtures())
-        second = render(render_json, analyze_fixtures())
-        assert first == second
 
 
 class TestGithub:
@@ -100,8 +72,7 @@ class TestSarif:
         rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
         assert rule_ids == list(fixture_result.rules)
         expected = (len(fixture_result.findings)
-                    + len(fixture_result.suppressed)
-                    + len(fixture_result.baselined))
+                    + len(fixture_result.suppressed))
         assert len(run["results"]) == expected
 
     def test_results_reference_catalog_and_fingerprints(
@@ -123,4 +94,33 @@ class TestSarif:
         (run,) = doc["runs"]
         kinds = [s["kind"] for entry in run["results"]
                  for s in entry.get("suppressions", ())]
-        assert "inSource" in kinds
+        assert kinds and set(kinds) == {"inSource"}
+
+    def test_output_deterministic(self):
+        """Two runs over the same tree render byte-identical reports."""
+        first = render(render_sarif, analyze_fixtures())
+        second = render(render_sarif, analyze_fixtures())
+        assert first == second
+
+
+def make_finding(line=10, snippet="x = id(y)", path="src/a.py",
+                 rule="DET005"):
+    return Finding(rule=rule, severity=ERROR, path=path, line=line,
+                   col=1, message="m", snippet=snippet)
+
+
+class TestFingerprint:
+    def test_line_number_independent(self):
+        """Unrelated edits that shift a file keep a finding's identity."""
+        assert make_finding(line=10).fingerprint \
+            == make_finding(line=99).fingerprint
+
+    def test_sensitive_to_rule_path_and_snippet(self):
+        base = make_finding().fingerprint
+        assert make_finding(rule="DET001").fingerprint != base
+        assert make_finding(path="src/b.py").fingerprint != base
+        assert make_finding(snippet="x = id(z)").fingerprint != base
+
+    def test_snippet_whitespace_normalized(self):
+        assert make_finding(snippet="  x = id(y)  ").fingerprint \
+            == make_finding(snippet="x = id(y)").fingerprint

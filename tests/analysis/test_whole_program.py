@@ -60,6 +60,25 @@ class TestGraph:
     def test_graph_is_memoized(self, project):
         assert project_graph(project) is project_graph(project)
 
+    def test_modules_outside_src_add_no_function(self, project):
+        """The whole-program layer covers src/ only: an examples/ or
+        tests/ module is parsed for the module rules but contributes no
+        function, call edge or spawn target to the graph."""
+        extended = build_project()
+        source = ("from multiprocessing import Process\n\n"
+                  "def helper():\n"
+                  "    Process(target=helper).start()\n")
+        extended.modules.append(ModuleContext(
+            FIXTURE_ROOT / "tests" / "test_helper.py",
+            "tests/test_helper.py", source))
+        assert "examples/example_bad.py" \
+            in {ctx.relpath for ctx in extended.modules}
+        graph = project_graph(extended)
+        assert set(graph.functions) == set(project_graph(project).functions)
+        assert all(info.relpath.startswith("src/")
+                   for info in graph.functions.values())
+        assert graph.spawn_targets == project_graph(project).spawn_targets
+
 
 class TestContexts:
     def test_labels(self, project):
