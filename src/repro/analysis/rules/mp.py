@@ -3,8 +3,8 @@
 PR 4 fixed (by hand) a bug class this family now checks mechanically: a
 process-pool worker that mutates module-level state — a registry, a
 cache dict, a counter — loses that state when the process exits unless
-it is shipped back through the pair payload and merged by the parent
-(``ExperimentRunner._absorb_worker_payload``).  MP001 flags module-level
+it is shipped back through the task payload and merged by the parent
+(``SweepService._fold``).  MP001 flags module-level
 mutable state rebound or mutated inside worker-entry code whose name
 never reaches a ``return``; MP002 keeps worker-process creation inside
 the supervised sweep scheduler, where liveness supervision and

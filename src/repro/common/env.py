@@ -8,9 +8,9 @@ re-reading their configuration at entry hit the same code path the
 parent used.
 
 The helpers deliberately return raw strings by default — call sites own
-their parse-and-validate behaviour (several exit with a usage message on
-bad values, e.g. ``REPRO_WORKERS``) — with small typed conveniences for
-the common truthy/float cases.
+their parse-and-validate behaviour — with small typed conveniences for
+the common truthy/float cases and the one shared ``REPRO_WORKERS``
+parse.
 """
 
 from __future__ import annotations
@@ -19,8 +19,13 @@ import contextlib
 import os
 from collections.abc import Iterator, Mapping
 
-__all__ = ["raw", "truthy", "truthy_str", "floating", "integer",
+from repro.common.errors import ConfigError
+
+__all__ = ["raw", "truthy", "truthy_str", "floating", "workers",
            "override"]
+
+#: Worker processes for sweeps, figures and the fuzz oracle.
+WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 
 def raw(name: str, default: str | None = None) -> str | None:
@@ -75,13 +80,13 @@ def override(values: Mapping[str, str | None]) -> Iterator[None]:
                 os.environ[name] = prior
 
 
-def integer(name: str, default: int) -> int:
-    """The variable as an int; unset, empty or unparseable gives
-    ``default``."""
-    value = raw(name)
-    if value is None or not value.strip():
-        return default
+def workers() -> int:
+    """``REPRO_WORKERS`` as a worker count: unset or empty gives 1 and
+    anything below 1 clamps to 1; a value that is not an integer raises
+    :class:`ConfigError`, which the CLI turns into exit status 2."""
+    value = raw(WORKERS_ENV_VAR) or "1"
     try:
-        return int(value)
+        return max(int(value), 1)
     except ValueError:
-        return default
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, "
+                          f"got {value!r}") from None

@@ -64,11 +64,6 @@ Sites (the complete registry — unknown names are a :class:`ConfigError`):
     one liveness grace period before continuing (exercises that worker
     heartbeats and deadlines survive a wedged scheduler without
     spurious kills or lost work).
-``steal_race``
-    a work-steal leaves a duplicate of the stolen task on the victim's
-    deque, so two workers execute the same task (exercises
-    content-key dedup: exactly one result is kept, counters never
-    double-count).
 ``checkpoint_torn``
     a journal append writes only a prefix of the record and then dies
     (:class:`InjectedFault`), leaving a torn trailing record
@@ -76,12 +71,10 @@ Sites (the complete registry — unknown names are a :class:`ConfigError`):
     ``repro.sweep.journal``).
 ``heartbeat_loss``
     a sweep worker's heartbeat thread goes silent while the worker
-    keeps computing (exercises supervisor kill + requeue racing a
-    still-arriving result; dedup must keep exactly one).
-``hedge_race``
-    a straggler check hedges the task immediately, below the latency
-    quantile, so an original and its hedge finish close together
-    (exercises first-finisher-wins dedup on the hedging path).
+    keeps computing (exercises supervisor kill + requeue of a worker
+    that is still busy: its result pipe is closed before it is
+    drained, so the requeued attempt is the only result — never a
+    duplicate).
 
 When no faults are configured every hook is a single global-flag check,
 so production paths pay nothing.
@@ -110,10 +103,8 @@ KNOWN_SITES = (
     "page_fault",
     "perm_fault",
     "scheduler_stall",
-    "steal_race",
     "checkpoint_torn",
     "heartbeat_loss",
-    "hedge_race",
 )
 
 #: Sites whose firing changes simulation *results*, not just control flow.
@@ -253,6 +244,20 @@ def configure(spec: str | None, seed: int = 0) -> FaultInjector | None:
     _injector = FaultInjector(parse_spec(spec), seed=seed)
     _active = True
     return _injector
+
+
+def active_spec() -> tuple[str | None, int]:
+    """The active injector as ``(spec, seed)``; ``configure(*active_spec())``
+    installs an identical one.  ``(None, 0)`` when none is configured."""
+    inj = injector()
+    if inj is None or not inj.specs:
+        return None, 0
+    # repr is the shortest text that parses back to the same float.
+    spec = ",".join(
+        f"{s.site}:{repr(s.probability).removesuffix('.0')}"
+        + (f":{s.max_fires}" if s.max_fires is not None else "")
+        for s in inj.specs.values())
+    return spec, inj.seed
 
 
 def reset() -> None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common import faults
+from repro.common import env, faults
 from repro.experiments.reporting import render_table
 from repro.graphs.datasets import WORKLOAD_PAIRS
-from repro.sim.runner import ExperimentRunner, workers_from_env
+from repro.sim.runner import ExperimentRunner
 
 
 @dataclass
@@ -74,7 +74,7 @@ def main(profile: str = "full") -> str:
     ``REPRO_CACHE_DIR`` (persistent trace/metrics artifacts).
     """
     runner = ExperimentRunner.from_env(profile=profile)
-    workers = workers_from_env()
+    workers = env.workers()
     if workers > 1:
         # Figure 2 only reads the conventional TLBs, but the warmed cache
         # is shared with Figures 8/9, so run the full matrix.

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common import faults
+from repro.common import env, faults
 from repro.experiments.reporting import geometric_mean, render_table
 from repro.graphs.datasets import WORKLOAD_PAIRS
-from repro.sim.runner import ExperimentRunner, workers_from_env
+from repro.sim.runner import ExperimentRunner
 
 #: Figure 8's bar order.
 CONFIG_ORDER = ("conv_4k", "conv_2m", "conv_1g", "dvm_bm", "dvm_pe",
@@ -105,7 +105,7 @@ def main(profile: str = "full") -> str:
     the resilience layer had to do is reported after the figure.
     """
     runner = ExperimentRunner.from_env(profile=profile)
-    workers = workers_from_env()
+    workers = env.workers()
     if workers > 1:
         runner.run_pairs(workers=workers)   # warm the caches in parallel
     text = render(figure8(runner))

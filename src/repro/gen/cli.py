@@ -37,6 +37,7 @@ import json
 import time
 from pathlib import Path
 
+from repro.common import env
 from repro.gen.oracle import (
     CONFIG_NAMES,
     ScenarioResult,
@@ -141,36 +142,19 @@ def _check_seeds_supervised(seeds: list[int], configs,
     """Fan seed checks through the supervised sweep service.
 
     Returns ``{seed: verdict}`` where a verdict carries ``ok``,
-    ``accesses`` and ``mismatches``.  Worker observability and
-    resilience counters fold into the parent exactly as in a pair
-    sweep; anything the scheduler had to repair is printed so a chaotic
-    nightly run is never silently "clean".
+    ``accesses`` and ``mismatches``.  The service folds worker
+    observability and resilience counters into the parent exactly as in
+    a pair sweep; anything the scheduler had to repair is printed so a
+    chaotic nightly run is never silently "clean".
     """
-    from repro.obs import core as obs_core
     from repro.sim.resilience import ResilienceReport
     from repro.sweep.scheduler import SweepService
     from repro.sweep.tasks import TaskSpec
 
     verdicts: dict[int, dict] = {}
 
-    def absorb(payload: dict) -> list:
-        shipped = payload.get("obs")
-        if shipped:
-            obs_core.REGISTRY.merge(shipped.get("registry") or {})
-            obs_trace.COLLECTOR.absorb(shipped.get("events") or [])
-        return payload["entries"]
-
     def on_done(task, entries) -> None:
         verdicts[task.payload["seed"]] = dict(entries[0][1])
-
-    def serial(task) -> list:
-        seed = task.payload["seed"]
-        with obs_trace.span("fuzz.scenario", cat="fuzz", seed=seed):
-            result = check_scenario(scenario_from_seed(seed),
-                                    configs=tuple(configs))
-        return [["fuzz", {"seed": seed, "ok": result.ok,
-                          "accesses": result.accesses,
-                          "mismatches": list(result.mismatches)}]]
 
     report = ResilienceReport()
     SweepService(
@@ -182,12 +166,10 @@ def _check_seeds_supervised(seeds: list[int], configs,
         runner_spec={},
         report=report,
         on_done=on_done,
-        serial_fn=serial,
         on_violation=lambda task, exc: verdicts.__setitem__(
             task.payload["seed"],
             dict(seed=task.payload["seed"], ok=False, accesses=0,
                  mismatches=[f"guest violation in worker: {exc}"])),
-        absorb=absorb,
         workers=workers,
     ).run()
     if report.events():
@@ -205,10 +187,7 @@ def main(argv: list[str]) -> int:
     else:
         seeds = list(range(opts["base_seed"],
                            opts["base_seed"] + opts["seeds"]))
-    workers = opts["workers"]
-    if workers is None:
-        from repro.common import env
-        workers = max(env.integer("REPRO_WORKERS", 1), 1)
+    workers = opts["workers"] or env.workers()
     supervised = (workers > 1 and len(seeds) > 1
                   and opts["repro"] is None and corrupt is None)
     t0 = time.time()

@@ -4,7 +4,7 @@
 Two producers write it, both from the parent process:
 
 * the scheduler (:mod:`repro.sweep.scheduler`) narrates every
-  task/worker lifecycle transition — admitted, started, stolen, hedged,
+  task/worker lifecycle transition — admitted, started, stolen,
   retried, completed, quarantined, beat-stale, killed, pool-rebuilt —
   while the sweep runs, so consumers (``python -m repro top``, the
   :class:`~repro.sweep.stream.SweepWatch` partial-results API,

@@ -68,11 +68,10 @@ class Heartbeat:
     def update(self, done: int, *, cache_hits: int = 0,
                cache_misses: int = 0, retries: int = 0,
                faults: int = 0, queue_depth: int | None = None,
-               steals: int | None = None,
-               hedges: int | None = None) -> str | None:
+               steals: int | None = None) -> str | None:
         """Emit one heartbeat line; returns it, or None when throttled.
 
-        ``queue_depth`` / ``steals`` / ``hedges`` come from the sweep
+        ``queue_depth`` / ``steals`` come from the sweep
         scheduler's live counters; serial runs (no scheduler) omit them
         and the line keeps its classic shape.
         """
@@ -88,10 +87,8 @@ class Heartbeat:
         else:
             eta = "done" if final else "?"
         sched = ""
-        if queue_depth is not None or steals is not None \
-                or hedges is not None:
-            sched = (f" | q {queue_depth or 0} | steals {steals or 0}"
-                     f" | hedges {hedges or 0}")
+        if queue_depth is not None or steals is not None:
+            sched = f" | q {queue_depth or 0} | steals {steals or 0}"
         line = (f"[obs] {self.label} {done}/{self.total} pairs"
                 f" | cache {cache_hits}h/{cache_misses}m"
                 f" | retries {retries} | faults {faults}{sched}"

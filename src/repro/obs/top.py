@@ -2,8 +2,8 @@
 
 The scheduler narrates every lifecycle transition onto the bus
 (:mod:`repro.obs.bus`); this module folds that stream into a terminal
-dashboard — per-worker state, per-shard queue depth, steal / hedge /
-fault counters, throughput and ETA — refreshed every ``--interval``
+dashboard — per-worker state, per-shard queue depth, steal / fault
+counters, throughput and ETA — refreshed every ``--interval``
 seconds, plus a Prometheus-text snapshot (``metrics.prom``) rewritten
 atomically each refresh for scraping (and once more by every
 :func:`repro.obs.flush`).  The fold reads scheduler records only: the
@@ -38,7 +38,7 @@ METRICS_FILENAME = "metrics.prom"
 
 #: Event kinds counted verbatim into ``repro_sweep_events_total``.
 COUNTED_KINDS = ("admitted", "started", "completed", "failed", "retried",
-                 "stolen", "hedged", "killed", "quarantined", "duplicate",
+                 "stolen", "killed", "quarantined", "duplicate",
                  "shelved", "beat-stale", "stalled", "serial",
                  "pool-rebuilt", "pool-exhausted")
 
@@ -104,9 +104,9 @@ class TopModel:
             shard = event.get("shard") or key or "?"
             self._key_shard[key] = shard
             self.queue_depth[shard] = self.queue_depth.get(shard, 0) + 1
-        elif kind in ("started", "hedged"):
+        elif kind == "started":
             shard = self._key_shard.get(key)
-            if kind == "started" and shard is not None:
+            if shard is not None:
                 depth = self.queue_depth.get(shard, 0)
                 self.queue_depth[shard] = max(depth - 1, 0)
             worker = self._worker(slot)
@@ -174,7 +174,7 @@ class TopModel:
         counts = self.counts
         lines.append(
             "events   "
-            f"steals {counts['stolen']} | hedges {counts['hedged']}"
+            f"steals {counts['stolen']}"
             f" | retries {counts['retried']} | kills {counts['killed']}"
             f" | stale {counts['beat-stale']}"
             f" | quarantined {counts['quarantined']}"

@@ -137,15 +137,24 @@ class EngineOutcome:
 
 def _page_runs(change: np.ndarray, writes: np.ndarray):
     """``(starts, lengths, run_writes, head_writes)`` of the runs that
-    begin wherever ``change`` is set (``change[0]`` must be).
+    begin wherever ``change`` is set (``change[0]`` must be, unless the
+    trace is empty).
 
     One ``reduceat`` sums each run's stores — no access-scale prefix sum.
+    Its input is cast to int64 first: a ``reduceat`` that casts int8 to
+    int64 itself holds the GIL for the whole cast (0.5-0.6 s on
+    sssp/S24), long enough for a sweep worker's heartbeat to go stale
+    and the worker to be killed as hung, while ``astype`` releases it.
+    Either way the trace-length int64 copy is made once.
     """
     starts = np.flatnonzero(change)
     lengths = np.empty_like(starts)
+    if starts.shape[0] == 0:
+        return starts, lengths, lengths.copy(), lengths.copy()
     np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
     lengths[-1] = change.shape[0] - starts[-1]
-    run_writes = np.add.reduceat(writes, starts, dtype=np.int64)
+    # No ``out=``: given one, ``reduceat`` holds the GIL throughout.
+    run_writes = np.add.reduceat(writes.astype(np.int64, copy=False), starts)
     return starts, lengths, run_writes, writes[starts].astype(np.int64)
 
 

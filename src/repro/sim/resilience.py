@@ -100,7 +100,6 @@ class ResilienceReport:
     reaped_tmp: int = 0              # dead writers' tmp files removed
     torn_records: int = 0            # torn journal tails truncated on resume
     fenced_records: int = 0          # zombie-generation records dropped
-    steal_races: int = 0             # injected duplicate steals deduped
     scheduler_stalls: int = 0        # injected supervisor freezes survived
     perturbed_reruns: int = 0        # computations discarded after a
     #                                  perturbing injected fault (alloc_oom)
@@ -113,16 +112,19 @@ class ResilienceReport:
     cache_hits: int = 0              # artifacts restored from the disk cache
     cache_misses: int = 0            # artifacts recomputed (cache configured)
     steals: int = 0                  # tasks taken from another slot's deque
-    hedges: int = 0                  # straggler tasks speculatively twinned
-    duplicate_results: int = 0       # hedge/steal losers discarded by dedup
+    #: Always 0: the sweep runs one attempt per task and never hedges.
+    #: Kept because benchmarks/dvmbench/workloads.py reads it every
+    #: sweep-bench round (its ``sweep.hedges`` metric).
+    hedges: int = 0
+    duplicate_results: int = 0       # second results dropped (safety check)
     #: Structured per-pair violation details (workload, dataset, config,
     #: va, access, kind, trace index, message) for quarantined pairs.
     violations: list = field(default_factory=list)
 
     #: Purely informational counters: they describe normal cache economics
-    #: and scheduler mechanics (stealing and hedging are business as usual
-    #: in a work-stealing sweep), not repairs, so they must not make a
-    #: clean sweep look faulted.
+    #: and scheduler mechanics (stealing is business as usual in a
+    #: work-stealing sweep), not repairs, so they must not make a clean
+    #: sweep look faulted.
     _INFORMATIONAL = ("cache_hits", "cache_misses", "steals", "hedges",
                       "duplicate_results")
 

@@ -27,13 +27,12 @@ through the supervised sweep service (:mod:`repro.sweep.scheduler`):
 per-worker deques with shard-affine work stealing, heartbeat liveness
 supervision (a hung worker is killed within a couple of heartbeat
 intervals, not the full pair timeout), dead slots respawned from one
-pool-wide rebuild budget, hedged retries for stragglers, and an
-in-process serial tier of last resort.  Completed pairs stream into a
-crash-consistent fsynced journal (:mod:`repro.sweep.journal`), so an
-interrupted sweep resumes — even past a torn trailing record or a
-zombie writer.  None of this changes results: the merge iterates the
-(deduplicated) pair list in order, so the returned dict is
-bit-identical to a fault-free serial run.
+pool-wide rebuild budget, and an in-process serial tier of last
+resort.  Completed pairs stream into a crash-consistent fsynced journal
+(:mod:`repro.sweep.journal`), so an interrupted sweep resumes — even
+past a torn trailing record or a zombie writer.  None of this changes
+results: the merge iterates the (deduplicated) pair list in order, so
+the returned dict is bit-identical to a fault-free serial run.
 """
 
 from __future__ import annotations
@@ -67,23 +66,11 @@ from repro.sweep.scheduler import SweepService
 from repro.sweep.tasks import TaskSpec
 
 #: Environment wiring for the figure entry points.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
 CACHE_DIR_ENV_VAR = "REPRO_CACHE_DIR"
 PAIR_TIMEOUT_ENV_VAR = "REPRO_PAIR_TIMEOUT"
 
 #: Artifact kind tag for metrics envelopes.
 METRICS_KIND = "metrics"
-
-
-def workers_from_env() -> int:
-    """The ``REPRO_WORKERS`` setting as a validated worker count."""
-    raw = env.raw(WORKERS_ENV_VAR, "1") or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(workers, 1)
 
 
 def pair_timeout_from_env() -> float | None:
@@ -140,7 +127,7 @@ class ExperimentRunner:
     _cache: ShardedCache | None = field(default=None, init=False)
     _cache_swept: bool = field(default=False, init=False)
     #: The running SweepService during a parallel tier, for the live
-    #: heartbeat's queue-depth/steal/hedge columns; None while serial.
+    #: heartbeat's queue-depth/steal columns; None while serial.
     _active_service: object = field(default=None, init=False)
 
     #: Backoff sleep; class-level so tests can stub it without touching
@@ -473,8 +460,6 @@ class ExperimentRunner:
                     queue_depth=(service.queue_depth()
                                  if service is not None else None),
                     steals=(self.resilience.steals
-                            if service is not None else None),
-                    hedges=(self.resilience.hedges
                             if service is not None else None))
             faults.maybe_raise("sweep_abort")
 
@@ -527,14 +512,10 @@ class ExperimentRunner:
         from a fresh shell, not just the pair id.
         """
         parts = ["PYTHONPATH=src"]
-        inj = faults.injector()
-        if inj is not None and inj.specs:
-            spec = ",".join(
-                f"{s.site}:{s.probability:g}"
-                + (f":{s.max_fires}" if s.max_fires is not None else "")
-                for s in inj.specs.values())
+        spec, seed = faults.active_spec()
+        if spec is not None:
             parts.append(f"{faults.FAULTS_ENV_VAR}={spec}")
-            parts.append(f"{faults.FAULTS_SEED_ENV_VAR}={inj.seed}")
+            parts.append(f"{faults.FAULTS_SEED_ENV_VAR}={seed}")
         if self.engine:
             parts.append(f"REPRO_TIMING_ENGINE={self.engine}")
         parts.append(f"python -m repro pair {workload}/{dataset}")
@@ -581,7 +562,7 @@ class ExperimentRunner:
         return entries
 
     def _run_pair_resilient(self, pair: tuple, configs: dict) -> list:
-        """Serial-tier pair execution, retrying transient escapes.
+        """In-process pair execution, retrying transient escapes.
 
         Completed configurations are memoized, so a retry recomputes
         only the configuration whose run actually failed.
@@ -594,28 +575,6 @@ class ExperimentRunner:
                           policy=self.retry,
                           tag=SweepJournal.pair_key(*pair),
                           sleep=self._sleep, on_retry=on_retry)
-
-    def _absorb_worker_payload(self, payload) -> list:
-        """Unpack one pool worker's result, folding its observations in.
-
-        Workers return ``{"entries", "report", "obs"}``: the pair's
-        journal entries, the worker-side resilience counters (cache
-        hits/misses, quarantines, perturbation reruns, ...) and — when
-        observability is enabled — the worker's registry snapshot and
-        drained trace events.  The counters are added to this runner's
-        :class:`~repro.sim.resilience.ResilienceReport` and the
-        observations merged into the process-wide registry/collector, so
-        a flushed sweep trace covers every process.
-        """
-        for key, value in (payload.get("report") or {}).items():
-            if isinstance(value, int) and hasattr(self.resilience, key):
-                setattr(self.resilience, key,
-                        getattr(self.resilience, key) + value)
-        shipped = payload.get("obs")
-        if shipped:
-            obs_core.REGISTRY.merge(shipped.get("registry") or {})
-            obs_trace.COLLECTOR.absorb(shipped.get("events") or [])
-        return payload["entries"]
 
     def _sweep_checkpoint(self, checkpoint, pairs, names
                           ) -> SweepJournal | None:
@@ -651,12 +610,12 @@ class ExperimentRunner:
 
         The service (:class:`~repro.sweep.scheduler.SweepService`) owns
         scheduling — per-worker deques, shard-affine stealing, heartbeat
-        liveness kills, slot rebuilds from one pool budget, hedged
-        retries — and
+        liveness kills, slot rebuilds from one pool budget, the serial
+        tier and folding every payload into :attr:`resilience` — and
         this runner supplies the policy surface: journaling completions
-        (``finish_pair``), serial-tier execution, quarantine, and
-        payload absorption.  Pairs are sharded by dataset so the workers
-        that share a dataset's memmapped trace keep it page-cache warm.
+        (``finish_pair``) and quarantine.  Pairs are sharded by dataset
+        so the workers that share a dataset's memmapped trace keep it
+        page-cache warm.
         """
         key_to_pair = {SweepJournal.pair_key(*pair): pair
                        for pair in pending}
@@ -665,19 +624,14 @@ class ExperimentRunner:
                                        config_names=list(names)),
                           shard=pair[1])
                  for pair in pending]
-        configs = self.configs()
-        selected = {name: configs[name] for name in names}
         service = SweepService(
             tasks=tasks,
             runner_spec=self._spec(),
             report=self.resilience,
             on_done=lambda task, entries: finish_pair(
                 key_to_pair[task.key], entries),
-            serial_fn=lambda task: self._run_pair_resilient(
-                key_to_pair[task.key], selected),
             on_violation=lambda task, exc: self._quarantine_pair(
                 key_to_pair[task.key], exc),
-            absorb=self._absorb_worker_payload,
             workers=workers,
             retry=self.retry,
             pair_timeout=self.pair_timeout,

@@ -3,10 +3,10 @@
 One scheduler for every experiment matrix the repo runs — figure pairs,
 the fault-model ablation, nightly fuzz seed shards, chaos probes — with
 work stealing, an event-driven supervisor with heartbeat liveness
-checks, one pool-wide rebuild budget, hedged retries, a crash-consistent
-fsynced journal, a sharded content-addressed cache and zero-copy
-(memmap) trace sharing.  See
-``docs/sweep.md`` for the architecture and recovery semantics.
+checks, one attempt in flight per task, one pool-wide rebuild budget, a
+crash-consistent fsynced journal, a sharded content-addressed cache and
+zero-copy (memmap) trace sharing.  See ``docs/sweep.md`` for the
+architecture and recovery semantics.
 
 Submodules (imported directly to keep import-time dependencies narrow —
 this package ``__init__`` must not pull in the scheduler, which imports

@@ -20,9 +20,9 @@ duplicated, or double-counted task changes the merged digest.
 ``--chaos-smoke`` is the CI gate: it computes a fault-free serial
 reference for a probe sweep, then re-runs the sweep once per scheduler
 fault site — worker hangs, exits, crashes, torn checkpoint appends,
-lost heartbeats, steal and hedge races, supervisor stalls — and fails
-unless every run's merged output is bit-identical to the reference and
-hang detection beat the pair timeout by a wide margin.
+lost heartbeats, supervisor stalls — and fails unless every run's
+merged output is bit-identical to the reference and hang detection beat
+the pair timeout by a wide margin.
 """
 
 from __future__ import annotations
@@ -53,16 +53,13 @@ CHAOS_SITES = (
     ("worker_exit", "worker_exit:0.02:2", {}),
     ("worker_crash", "worker_crash:0.05:4", {}),
     ("scheduler_stall", "scheduler_stall:0.01:2", {}),
-    ("steal_race", "steal_race:0.5:4", {}),
     ("checkpoint_torn", "checkpoint_torn:0.05:1", {}),
     ("heartbeat_loss", "heartbeat_loss:0.1:3",
      {"count": SLOW_COUNT, "spin": SLOW_SPIN}),
-    ("hedge_race", "hedge_race:0.05:3", {}),
     # The acceptance gate: every scheduler fault site live in ONE sweep.
     ("all-sites", "worker_hang:0.01:1,worker_exit:0.01:1,"
                   "worker_crash:0.03:2,scheduler_stall:0.01:1,"
-                  "steal_race:0.2:2,checkpoint_torn:0.03:1,"
-                  "heartbeat_loss:0.05:2,hedge_race:0.03:2",
+                  "checkpoint_torn:0.03:1,heartbeat_loss:0.05:2",
      {"count": SLOW_COUNT, "spin": SLOW_SPIN}),
 )
 
@@ -81,7 +78,7 @@ def run_probe_sweep(count: int, workers: int, *, spin: int = 200,
 
     Returns ``(results, service)`` where ``results`` maps seed to the
     probe's deterministic value and ``service`` exposes the scheduler's
-    internals (``detection_latencies``, ``durations``) for tests.  With
+    internals (``detection_latencies``, ``report``) for tests.  With
     ``journal_path`` set, completions stream into a crash-consistent
     :class:`~repro.sweep.journal.SweepJournal` and a re-run resumes from
     it — the exact ``run_pairs`` checkpoint discipline.
@@ -89,7 +86,7 @@ def run_probe_sweep(count: int, workers: int, *, spin: int = 200,
     from repro.sim.resilience import ResilienceReport
     from repro.sweep.journal import SweepJournal
     from repro.sweep.scheduler import SweepService
-    from repro.sweep.tasks import TaskSpec, _execute_probe
+    from repro.sweep.tasks import TaskSpec
 
     report = report if report is not None else ResilienceReport()
     sweep_key = f"probe-sweep-{count}-{spin}"
@@ -111,22 +108,6 @@ def run_probe_sweep(count: int, workers: int, *, spin: int = 200,
             journal.append(task.key, [[name, dict(value)]
                                       for name, value in entries])
 
-    def serial(task) -> list:
-        entries, _report = _execute_probe({}, task.payload)
-        return entries
-
-    def absorb(payload: dict) -> list:
-        # Fold the worker's shipped observations (its task span and the
-        # flow finish) into the parent collector, so the flushed trace
-        # stitches the scheduler's dispatch spans to the workers'.
-        from repro.obs import core as obs_core
-        from repro.obs import trace as obs_trace
-        shipped = payload.get("obs")
-        if shipped:
-            obs_core.REGISTRY.merge(shipped.get("registry") or {})
-            obs_trace.COLLECTOR.absorb(shipped.get("events") or [])
-        return payload["entries"]
-
     service = SweepService(
         tasks=[TaskSpec(key=f"probe/{seed}", kind="probe",
                         payload=dict(seed=seed, spin=spin),
@@ -135,9 +116,7 @@ def run_probe_sweep(count: int, workers: int, *, spin: int = 200,
         runner_spec={},
         report=report,
         on_done=on_done,
-        serial_fn=serial,
         on_violation=lambda task, exc: None,    # probes cannot violate
-        absorb=absorb,
         workers=workers,
         pair_timeout=pair_timeout,
     )
@@ -251,7 +230,7 @@ def chaos_smoke(count: int = 220, workers: int = 4) -> int:
 
 def _run_pairs_cmd(opts: dict) -> int:
     from repro.graphs import datasets
-    from repro.sim.runner import ExperimentRunner, workers_from_env
+    from repro.sim.runner import ExperimentRunner
 
     profile = "bench" if opts["bench"] else "full"
     runner = ExperimentRunner.from_env(profile=profile)
@@ -263,7 +242,7 @@ def _run_pairs_cmd(opts: dict) -> int:
         if unknown:
             raise SystemExit(f"unknown pair(s): {unknown}; see "
                              f"'python -m repro list'")
-    workers = opts["workers"] or workers_from_env()
+    workers = opts["workers"] or env.workers()
     out = runner.run_pairs(pairs=pairs, config_names=opts["configs"],
                            workers=workers)
     print(f"sweep: {len(out)} (workload, dataset, config) results "
@@ -273,9 +252,7 @@ def _run_pairs_cmd(opts: dict) -> int:
 
 
 def _run_probes_cmd(opts: dict) -> int:
-    from repro.sim.runner import workers_from_env
-
-    workers = opts["workers"] or workers_from_env()
+    workers = opts["workers"] or env.workers()
     t0 = time.time()
     results, service = run_probe_sweep(opts["count"], workers=workers,
                                        spin=opts["spin"])

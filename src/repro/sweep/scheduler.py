@@ -15,8 +15,8 @@ deque — locality for the owner, cold tasks for the thief.
 **One blocking point.**  The supervisor blocks in
 :func:`multiprocessing.connection.wait` on the live slots' result pipes
 and process sentinels, with half a heartbeat as the timeout: a
-completion or a death wakes it at once, and the liveness, deadline and
-hedge checks still run at least once per tick.
+completion or a death wakes it at once, and the liveness and deadline
+checks still run at least once per tick.
 
 **Liveness supervision.**  Workers beat a timestamp into a shared slot
 array (:class:`repro.obs.progress.Pulse`); the supervisor declares a
@@ -33,14 +33,14 @@ it mid-``send`` can corrupt only channels that die with it.
 one pool-wide ``max_pool_rebuilds`` budget → in-process serial tier.  A
 slot that dies past the budget stays dead (live workers steal its
 queued work); when no live slot remains the loop ends and the serial
-tier, which cannot break, finishes the sweep.
+tier, which cannot break, finishes the sweep through the same task
+executors the workers run.
 
-**Hedged retries.**  A task in flight past ``1.5 x`` the
-:data:`HEDGE_QUANTILE` completion quantile is speculatively
-re-dispatched to an idle worker; the first finisher wins and the
-loser's entire payload — entries, counters, obs events — is discarded
-by content-key dedup, so hedging (and the ``steal_race`` /
-``heartbeat_loss`` chaos duplicates) can never double-count anything.
+**One attempt in flight.**  Tasks are deterministic, so a second copy
+of a running task could only lose.  A key is dispatched only from a
+deque and requeued only after its attempt failed or its worker was
+killed (a killed worker's result pipe is closed undrained), so it is in
+flight on at most one slot: the one whose ``busy`` names it.
 
 Results merge exactly as before: the caller's ``on_done`` journals each
 completion and the final merge iterates the task list in submission
@@ -51,6 +51,7 @@ bit-identical to a fault-free serial run.
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import multiprocessing
 import multiprocessing.connection
@@ -62,19 +63,13 @@ from repro.common.errors import PageFault, ProtectionFault, TransientError
 from repro.obs import bus as obs_bus
 from repro.obs import core as obs_core
 from repro.obs import trace as obs_trace
-from repro.sim.resilience import ResilienceReport, RetryPolicy
-from repro.sweep.tasks import TaskSpec, _sweep_worker_main
+from repro.sim.resilience import ResilienceReport, RetryPolicy, retry_call
+from repro.sweep.tasks import EXECUTORS, _sweep_worker_main
 
 #: Environment knobs (documented in docs/configuration.md).
 HEARTBEAT_ENV_VAR = "REPRO_SWEEP_HEARTBEAT"
 STARTUP_GRACE_ENV_VAR = "REPRO_SWEEP_STARTUP_GRACE"
 
-#: Completion-latency quantile past which a straggler may be hedged.
-HEDGE_QUANTILE = 0.95
-#: Hedge only once a task runs this multiple past the quantile.
-HEDGE_MULTIPLIER = 1.5
-#: Completed-duration samples required before the quantile is trusted.
-HEDGE_MIN_SAMPLES = 5
 #: A worker is hung when its beat is staler than this many intervals.
 LIVENESS_GRACE_INTERVALS = 2.0
 
@@ -113,11 +108,10 @@ class SweepService:
 
     The caller supplies the policy surface — what to do on completion
     (``on_done``, which typically journals and may raise, e.g. the
-    ``sweep_abort`` chaos hook), how to run a task in-parent for the
-    serial tier (``serial_fn``), how to contain a deterministic guest
-    violation (``on_violation``), and how to fold a worker payload's
-    counters/observations into the sweep (``absorb``).  The service owns
-    scheduling, liveness, hedging, slot rebuilds and requeueing, and
+    ``sweep_abort`` chaos hook) and how to contain a deterministic guest
+    violation (``on_violation``).  The service owns scheduling,
+    liveness, slot rebuilds, requeueing and the serial tier; it folds
+    every payload's counters and observations into the sweep itself and
     reports everything it did through the shared
     :class:`~repro.sim.resilience.ResilienceReport`.
     """
@@ -126,9 +120,7 @@ class SweepService:
     runner_spec: dict
     report: ResilienceReport
     on_done: object                  # (task, entries) -> None
-    serial_fn: object                # (task) -> entries
     on_violation: object             # (task, exc) -> None
-    absorb: object                   # (payload) -> entries
     workers: int = 2
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     pair_timeout: float | None = None
@@ -149,11 +141,8 @@ class SweepService:
         self.by_key = {task.key: task for task in self.tasks}
         self.done: set[str] = set()      # completed, violated, or absorbed
         self.shelved: set[str] = set()   # left for the serial tier
-        self.inflight: dict[str, set[int]] = {}
         self.attempts: dict[str, int] = {}   # failed/killed dispatches
         self.seq: dict[str, int] = {}        # dispatch counter (scopes)
-        self.hedged: set[str] = set()
-        self.durations: list[float] = []
         self.detection_latencies: list[float] = []
         self.slots: list[_Worker] = []
         self.deques: list[collections.deque] = []
@@ -232,7 +221,7 @@ class SweepService:
         # the worker's Pulse stamps its first real (nonzero) timestamp.
         self.beats[worker.slot] = 0.0
         worker.spawned = time.monotonic()
-        spec, seed = self._fault_config()
+        spec, seed = faults.active_spec()
         worker.process = self._ctx.Process(
             target=_sweep_worker_main, name=f"sweep-worker-{worker.slot}",
             args=(worker.slot, task_r, result_w, self.beats,
@@ -244,21 +233,9 @@ class SweepService:
         task_r.close()
         result_w.close()
 
-    @staticmethod
-    def _fault_config() -> tuple[str | None, int]:
-        """The active fault spec as shippable (spec string, seed)."""
-        inj = faults.injector()
-        if inj is None or not inj.specs:
-            return None, 0
-        spec = ",".join(
-            f"{s.site}:{s.probability:g}"
-            + (f":{s.max_fires}" if s.max_fires is not None else "")
-            for s in inj.specs.values())
-        return spec, inj.seed
-
     def _supervise(self) -> None:
         """The supervisor loop: dispatch, wait for results, check
-        liveness, hedge — until no live work or no live slot remains."""
+        liveness — until no live work or no live slot remains."""
         tick = self.heartbeat / 2.0
         while True:
             if faults.should_fire("scheduler_stall"):
@@ -277,7 +254,6 @@ class SweepService:
                     self._dispatch(worker)
             self._await_results(tick)
             self._check_liveness()
-            self._maybe_hedge()
             if not self._live_work_remains():
                 break
 
@@ -336,7 +312,6 @@ class SweepService:
                            if self.pair_timeout is not None else None)
         worker.attempt = attempt
         worker.trace_started = obs_trace.now() if obs_core.ENABLED else 0.0
-        self.inflight.setdefault(key, set()).add(worker.slot)
         return True
 
     def _next_key(self, worker: _Worker) -> str | None:
@@ -357,12 +332,6 @@ class SweepService:
             self._emit("stolen", key=key, slot=worker.slot)
             obs_trace.instant("steal", cat="sched", key=key,
                               slot=worker.slot)
-            if faults.should_fire("steal_race"):
-                # Chaos: the steal "raced" and left a duplicate behind —
-                # two workers will run this task; completion-side dedup
-                # must keep exactly one result.
-                victim.append(key)
-                self.report.steal_races += 1
             return key
         return None
 
@@ -398,20 +367,14 @@ class SweepService:
 
     def _complete(self, worker: _Worker, payload: dict) -> None:
         key = payload.get("key")
-        if worker.busy == key:
-            duration = time.monotonic() - worker.started
-            worker.busy = None
-            worker.deadline = None
-        else:
-            duration = None
-        holders = self.inflight.get(key)
-        if holders is not None:
-            holders.discard(worker.slot)
+        duration = time.monotonic() - worker.started
+        worker.busy = None
+        worker.deadline = None
         if key in self.done:
-            # A hedge loser, a steal-race duplicate, or a requeued task
-            # whose "hung" original finished after all: discard the
-            # payload *wholesale* — entries, counters, and obs events —
-            # so nothing is ever double-counted.
+            # Safety check: with one attempt in flight per task no
+            # second result can exist, but if one ever arrives it is
+            # dropped whole — entries, counters and obs events — so
+            # nothing is double-counted.
             self.report.duplicate_results += 1
             self._emit("duplicate", key=key, slot=worker.slot)
             return
@@ -429,24 +392,33 @@ class SweepService:
                 self.report.worker_crashes += 1
             self._emit("failed", key=key, slot=worker.slot,
                        error=type(error).__name__)
-            # A hedge twin still running decides the task's fate.
-            if key not in self.shelved and not self.inflight.get(key):
-                self._requeue(key, transient=transient)
+            self._requeue(key, transient=transient)
             return
-        if duration is not None:
-            self.durations.append(duration)
         self.done.add(key)
-        self.hedged.discard(key)
         if obs_core.ENABLED:
-            self._stitch(worker, key, payload.get("attempt"), duration)
-        entries = self.absorb(payload)
+            self._stitch(worker, key, payload.get("attempt"))
+        entries = self._fold(payload)
         self._emit("completed", key=key, slot=worker.slot,
                    attempt=payload.get("attempt"),
-                   duration=round(duration, 4) if duration else None)
+                   duration=round(duration, 4))
         self.on_done(self.by_key[key], entries)
 
-    def _stitch(self, worker: _Worker, key: str, attempt,
-                duration: float | None) -> None:
+    def _fold(self, payload: dict) -> list:
+        """Fold one payload into the sweep and return its entries: its
+        resilience counters into the report, its shipped registry and
+        trace events into this process's, so a flushed sweep trace
+        covers every process."""
+        for name, value in (payload.get("report") or {}).items():
+            if isinstance(value, int) and hasattr(self.report, name):
+                setattr(self.report, name,
+                        getattr(self.report, name) + value)
+        shipped = payload.get("obs")
+        if shipped:
+            obs_core.REGISTRY.merge(shipped.get("registry") or {})
+            obs_trace.COLLECTOR.absorb(shipped.get("events") or [])
+        return payload["entries"]
+
+    def _stitch(self, worker: _Worker, key: str, attempt) -> None:
         """Emit the scheduler-side half of the stitched cross-worker
         trace: queue-time and dispatch spans on the parent track, plus
         the flow *start* whose matching finish the worker recorded
@@ -456,8 +428,8 @@ class SweepService:
         end = obs_trace.now()
         queued_at = self._queued_at.pop(key, None)
         started = worker.trace_started
-        if not started or duration is None:
-            return      # completion raced a kill/requeue; no clean span
+        if not started:
+            return
         if queued_at is not None and queued_at <= started:
             obs_trace.complete("task-queued", "sched", queued_at, started,
                                key=key, slot=worker.slot)
@@ -491,10 +463,11 @@ class SweepService:
 
         A stale beat means the *process* is wedged (or its telemetry
         died — indistinguishable from outside, and treated the same:
-        kill and requeue, dedup protects against the race where the
-        work actually finishes).  Detection latency is bounded by the
-        grace period plus one wait tick — a couple of heartbeat
-        intervals — independent of the much larger pair timeout.
+        kill and requeue; the killed worker's result pipe is closed
+        unread, so a result it was about to ship is simply lost).
+        Detection latency is bounded by the grace period plus one wait
+        tick — a couple of heartbeat intervals — independent of the much
+        larger pair timeout.
         """
         now = time.monotonic()
         for worker in self.slots:
@@ -540,13 +513,9 @@ class SweepService:
         self._emit("killed", key=key, slot=worker.slot, hung=hung)
         self._close_channels(worker)
         if key is not None:
-            holders = self.inflight.get(key)
-            if holders is not None:
-                holders.discard(worker.slot)
-            if key not in self.done and not self.inflight.get(key):
-                if not hung:
-                    self.report.worker_crashes += 1
-                self._requeue(key, transient=False)
+            if not hung:
+                self.report.worker_crashes += 1
+            self._requeue(key, transient=False)
         if self.rebuilds < self.max_pool_rebuilds:
             self.rebuilds += 1
             self.report.pool_rebuilds += 1
@@ -566,52 +535,10 @@ class SweepService:
         worker.task_w = None
         worker.result_r = None
 
-    # -- hedging --------------------------------------------------------------
-
-    def _hedge_threshold(self) -> float | None:
-        if len(self.durations) < HEDGE_MIN_SAMPLES:
-            return None
-        ordered = sorted(self.durations)
-        index = min(len(ordered) - 1,
-                    int(HEDGE_QUANTILE * len(ordered)))
-        return ordered[index] * HEDGE_MULTIPLIER
-
-    def _maybe_hedge(self) -> None:
-        """Speculatively duplicate stragglers onto idle workers.
-
-        First finisher wins; the loser is discarded by the dedup in
-        :meth:`_complete`.  The ``hedge_race`` chaos site forces an
-        immediate hedge (no quantile, no minimum samples) so the test
-        suite can exercise near-simultaneous twin completions.
-        """
-        threshold = self._hedge_threshold()
-        now = time.monotonic()
-        for worker in self.slots:
-            key = worker.busy
-            if key is None or worker.dead or key in self.hedged \
-                    or key in self.done:
-                continue
-            elapsed = now - worker.started
-            forced = faults.should_fire("hedge_race")
-            if not forced and (threshold is None or elapsed < threshold):
-                continue
-            twin = next((w for w in self.slots
-                         if w.idle and not self.deques[w.slot]), None)
-            if twin is None:
-                return
-            if not self._send(twin, key):
-                self._worker_died(twin, hung=False)
-                continue
-            self.hedged.add(key)
-            self.report.hedges += 1
-            self._emit("hedged", key=key, slot=twin.slot, forced=forced)
-            obs_trace.instant("hedge", cat="sched", key=key,
-                              slot=twin.slot)
-
     # -- loop bookkeeping ------------------------------------------------------
 
     def _live_work_remains(self) -> bool:
-        if any(self.inflight.values()):
+        if any(worker.busy is not None for worker in self.slots):
             return True
         return any(key not in self.done and key not in self.shelved
                    for d in self.deques for key in d)
@@ -647,23 +574,35 @@ class SweepService:
         """Finish every unfinished task in-process, in submission order.
 
         The tier of last resort: no pool, no pipes, nothing left to
-        break.  Each task counts one ``serial_degradation`` — the
-        signal that the parallel tiers gave up on it.
+        break.  It runs the same executor a worker would, under the
+        service's retry policy, and folds its result like a worker
+        payload.  Each task counts one ``serial_degradation`` —
+        the signal that the parallel tiers gave up on it.
         """
         for task in self.tasks:
             if task.key in self.done:
                 continue
             self.report.serial_degradations += 1
             self._emit("serial", key=task.key)
+            execute = functools.partial(EXECUTORS[task.kind],
+                                        self.runner_spec, task.payload)
             try:
-                entries = self.serial_fn(task)
+                entries, counters = retry_call(
+                    execute, policy=self.retry, tag=task.key,
+                    sleep=self.sleep,
+                    on_retry=functools.partial(self._serial_retry, task.key))
             except (PageFault, ProtectionFault) as exc:
                 self.done.add(task.key)
                 self._emit("quarantined", key=task.key, slot=None,
                            error=type(exc).__name__)
                 self.on_violation(task, exc)
                 continue
+            self._fold({"entries": entries, "report": counters})
             self.done.add(task.key)
             self._emit("completed", key=task.key, slot=None,
                        attempt=None, duration=None, tier="serial")
             self.on_done(task, entries)
+
+    def _serial_retry(self, key: str, attempt: int, _exc, _delay) -> None:
+        self.report.retries += 1
+        self._emit("retried", key=key, attempt=attempt, tier="serial")

@@ -23,10 +23,10 @@ Workers are long-lived processes (one per scheduler slot) running
 :func:`_sweep_worker_main`: pull a task, re-key fault injection for the
 attempt, reset observability, execute, ship
 ``{"key", "attempt", "entries"|"error", "report", "obs"}`` back on the
-slot's private result pipe.  Chaos hooks for ``worker_exit`` /
+slot's private result pipe.  The scheduler's serial tier runs the same
+executors in-process.  Chaos hooks for ``worker_exit`` /
 ``worker_hang`` / ``worker_crash`` / ``heartbeat_loss`` live at the top
-of the task loop, exactly where the pool-based ``_pair_worker`` had
-them, so the existing chaos suites keep their semantics.
+of the task loop.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def _execute_probe(runner_spec: dict, payload: dict) -> tuple[list, dict]:
     loop) so a 200-task sweep costs milliseconds yet any lost,
     duplicated, reordered, or double-counted task changes the merged
     output.  ``spin`` adds bounded busy work to give the supervisor
-    realistic in-flight durations to hedge against.
+    realistic in-flight durations (a task must outlive the liveness
+    grace for a suppressed heartbeat to be observable).
     """
     seed = int(payload.get("seed", 0))
     spin = int(payload.get("spin", 0))
@@ -192,8 +193,9 @@ def _sweep_worker_main(slot: int, task_r, result_w, beats,
                 pulse.resume()
             if faults.should_fire("heartbeat_loss"):
                 # Telemetry dies but the work continues: the supervisor
-                # will kill and requeue, possibly racing this task's own
-                # completion — content-key dedup keeps exactly one.
+                # kills and requeues; it closes this worker's result
+                # pipe unread, so the requeued attempt's result is the
+                # only one.
                 pulse.suppress()
             faults.maybe_raise(
                 "worker_crash",

@@ -36,8 +36,8 @@ class _NarratedScheduler:
         self.report = report
         self.bus = bus
 
-    def _hedge(self, key, slot):
-        self.report.hedges += 1
-        self.bus.emit("hedged", key=key, slot=slot)
+    def _retry(self, key, slot):
+        self.report.retries += 1
+        self.bus.emit("retried", key=key, slot=slot)
         return key
 

@@ -123,6 +123,25 @@ class TestModuleState:
         with pytest.raises(ValueError):
             faults.maybe_raise("worker_crash", lambda: ValueError("boom"))
 
+    @pytest.mark.parametrize("spec", [
+        "worker_crash:1",
+        "perm_fault:1:1",
+        "worker_hang:0.01:1,checkpoint_torn:0.05,heartbeat_loss:0.1:3",
+        "alloc_oom:0.123456789:7",
+        "cache_corrupt:0",
+    ])
+    def test_active_spec_round_trips(self, spec):
+        faults.configure(spec, seed=42)
+        text, seed = faults.active_spec()
+        assert text == spec and seed == 42
+        faults.configure(text, seed)
+        assert faults.injector().specs == parse_spec(spec)
+        assert faults.active_spec() == (spec, 42)
+
+    def test_active_spec_without_injector(self):
+        faults.configure(None)
+        assert faults.active_spec() == (None, 0)
+
     def test_perturbation_tracking(self):
         faults.configure("alloc_oom:1.0,worker_crash:1.0", seed=0)
         mark = faults.perturbation_mark()

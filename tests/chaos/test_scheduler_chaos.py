@@ -1,10 +1,10 @@
 """Sweep-service chaos: every scheduler fault site recovers bit-identically.
 
-Two scales: 220-probe sweeps hammer the scheduler itself (kills, races,
+Two scales: 220-probe sweeps hammer the scheduler itself (kills,
 stalls, torn journal appends) against an exactly-computable expectation,
 and bench-profile pair sweeps prove the same invariants — torn-tail
-resume, hedged-duplicate dedup — hold on the real ``run_pairs`` path
-with its cache, journal and observability wiring.
+resume, one result per pair under worker crashes — hold on the real
+``run_pairs`` path with its cache, journal and observability wiring.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ SCHEDULER_SITES = [
     "worker_exit:0.02:2",
     "worker_crash:0.05:4",
     "scheduler_stall:0.01:2",
-    "steal_race:0.5:4",
-    "hedge_race:0.05:3",
 ]
 
 
@@ -119,7 +117,7 @@ class TestRunnerTornCheckpoint:
         assert fresh.resilience.resumed_pairs == 1
 
 
-class TestHedgedDuplicates:
+class TestOneResultPerPair:
     @pytest.fixture
     def obs_enabled(self, monkeypatch, tmp_path):
         saved_enabled = obs_core.ENABLED
@@ -133,28 +131,28 @@ class TestHedgedDuplicates:
         obs_core._out_dir_override = saved_override
         obs.reset()
 
-    def test_hedge_losers_never_double_count(self, tmp_path, monkeypatch,
-                                             obs_enabled, bench_baseline):
-        """The loser of every hedge race is discarded *wholesale*: its
-        metrics, resilience counters and obs events must all vanish."""
+    def test_crashed_attempts_never_double_count(self, tmp_path,
+                                                 monkeypatch, obs_enabled,
+                                                 bench_baseline):
+        """A pair whose worker attempt crashed is retried, never run
+        twice at once: its metrics, resilience counters and obs events
+        are folded exactly once."""
         metrics_want, misses_want = bench_baseline
         # Hang latency is someone else's test: run the liveness grace at
-        # its default so a stray GIL-held pause (one big allocation, a
-        # gen-0 sweep) can't kill a healthy worker mid-hedge.
+        # its default so a stray GIL-held pause can't kill a healthy
+        # worker.
         monkeypatch.setenv("REPRO_SWEEP_HEARTBEAT", "0.25")
-        faults.configure("hedge_race:1.0", seed=3)
+        faults.configure("worker_crash:0.5:2", seed=3)
         runner = bench_runner(cache_dir=str(tmp_path / "cache"))
         out = runner.run_pairs(pairs=PAIRS, workers=2)
         assert {k: m.to_dict() for k, m in out.items()} == metrics_want
         report = runner.resilience
-        assert report.hedges >= 1
-        assert report.duplicate_results >= 1
-        # A double-folded duplicate payload would inflate the fold past
-        # the cold-cache reference (a hedge twin that *wins* can only
-        # deflate it, via warm hits on artifacts the loser published).
-        assert report.cache_misses <= misses_want
-        # Exactly one "pair" span per pair survives into the merged
-        # trace — hedge losers' shipped events were dropped unabsorbed.
+        assert report.worker_crashes >= 1
+        assert report.duplicate_results == 0
+        # Crashed attempts ship no counters, so the fold matches the
+        # cold-cache reference exactly.
+        assert report.cache_misses == misses_want
+        # Exactly one "pair" span per pair reaches the merged trace.
         events = obs.snapshot()["events"]
         pair_events = [e for e in events if e.get("name") == "pair"]
         assert len(pair_events) == len(PAIRS)

@@ -66,9 +66,9 @@ class TestHeartbeat:
         hb = Heartbeat(15, stream=io.StringIO(), clock=clock, interval=0)
         clock.now += 10
         line = hb.update(5, cache_hits=42, cache_misses=7, retries=1,
-                         faults=3, queue_depth=9, steals=2, hedges=1)
+                         faults=3, queue_depth=9, steals=2)
         assert line == ("[obs] sweep 5/15 pairs | cache 42h/7m | retries 1"
-                        " | faults 3 | q 9 | steals 2 | hedges 1"
+                        " | faults 3 | q 9 | steals 2"
                         " | elapsed 10s | eta 20s")
 
     def test_interval_env(self, monkeypatch):

@@ -248,3 +248,42 @@ class TestBatchCache:
         assert len(built) == 1
         assert_batches_match(first, trace, first_layout)
         assert_batches_match(second, trace, second_layout)
+
+
+class TestPageRuns:
+    """:func:`fastpath._page_runs` against a whole-trace ``reduceat``
+    that casts its input itself (the form that held the GIL)."""
+
+    @staticmethod
+    def reference(change, writes):
+        starts = np.flatnonzero(change)
+        lengths = np.diff(np.append(starts, change.shape[0]))
+        return (starts, lengths,
+                np.add.reduceat(writes, starts, dtype=np.int64),
+                writes[starts].astype(np.int64))
+
+    def check(self, change, writes):
+        got = fastpath._page_runs(change, writes)
+        for column, want in zip(got, self.reference(change, writes)):
+            assert column.dtype == np.int64
+            np.testing.assert_array_equal(column, want)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
+    def test_matches_reference(self, dtype, density):
+        rng = np.random.default_rng(5)
+        change = rng.random(400) < density
+        change[0] = True
+        writes = (rng.random(400) < 0.5).astype(dtype)
+        self.check(change, writes)
+
+    def test_single_run(self):
+        change = np.zeros(7, bool)
+        change[0] = True
+        self.check(change, np.array([1, 0, 1, 1, 0, 0, 1], np.int8))
+
+    def test_empty_trace(self):
+        starts, lengths, run_writes, head_writes = fastpath._page_runs(
+            np.zeros(0, bool), np.zeros(0, np.int8))
+        for column in (starts, lengths, run_writes, head_writes):
+            assert column.shape == (0,) and column.dtype == np.int64

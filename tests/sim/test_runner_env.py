@@ -6,10 +6,12 @@ import threading
 
 import pytest
 
+from repro.__main__ import main as repro_main
+from repro.common.env import WORKERS_ENV_VAR, workers
+from repro.common.errors import ConfigError
 from repro.core.config import HardwareScale
 from repro.sim.runner import (CACHE_DIR_ENV_VAR, PAIR_TIMEOUT_ENV_VAR,
-                              WORKERS_ENV_VAR, ExperimentRunner,
-                              pair_timeout_from_env, workers_from_env)
+                              ExperimentRunner, pair_timeout_from_env)
 
 PAIRS = [("bfs", "FR"), ("pagerank", "FR")]
 
@@ -22,26 +24,37 @@ def bench_runner(**kw):
 class TestWorkersFromEnv:
     def test_unset_defaults_to_one(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert workers_from_env() == 1
+        assert workers() == 1
 
     def test_empty_string_defaults_to_one(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "")
-        assert workers_from_env() == 1
+        assert workers() == 1
 
     @pytest.mark.parametrize("raw", ["-3", "0"])
     def test_non_positive_clamps_to_one(self, raw, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        assert workers_from_env() == 1
+        assert workers() == 1
 
     def test_valid_count(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "8")
-        assert workers_from_env() == 8
+        assert workers() == 8
 
     @pytest.mark.parametrize("raw", ["four", "2.5", " "])
     def test_non_integer_exits_with_message(self, raw, monkeypatch):
+        # Library code raises ConfigError; the CLI turns it into exit 2.
         monkeypatch.setenv(WORKERS_ENV_VAR, raw)
-        with pytest.raises(SystemExit, match=WORKERS_ENV_VAR):
-            workers_from_env()
+        with pytest.raises(ConfigError, match=WORKERS_ENV_VAR):
+            workers()
+
+    @pytest.mark.parametrize("argv", [["figure8", "--bench"],
+                                      ["fuzz", "--seeds", "2"]])
+    def test_entry_points_reject_non_integer(self, argv, monkeypatch,
+                                             capsys):
+        # Both entry points share the one parse: neither silently falls
+        # back to one worker.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "abc")
+        assert repro_main(argv) == 2
+        assert WORKERS_ENV_VAR in capsys.readouterr().err
 
 
 class TestPairTimeoutFromEnv:

@@ -1,4 +1,4 @@
-"""SweepService scheduling semantics: stealing, hedging, rebuilds, dedup.
+"""SweepService scheduling semantics: stealing, rebuilds, one attempt.
 
 Probe tasks (a pure function of their seed) make every property
 checkable against an exactly-computable expectation: any lost,
@@ -14,9 +14,12 @@ import pytest
 
 from repro.common import faults
 from repro.core.config import HardwareScale
+from repro.obs import core as obs_core
+from repro.obs import trace as obs_trace
 from repro.sim.resilience import ResilienceReport, RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sweep import tasks
+from repro.sweep.cli import SLOW_SPIN, run_probe_sweep
 from repro.sweep.scheduler import SweepService, _Worker
 from repro.sweep.tasks import TaskSpec, _execute_probe
 
@@ -47,26 +50,16 @@ class Harness:
     def __init__(self, tasks, workers, **kw):
         self.results: dict[str, list] = {}
         self.done_keys: list[str] = []
-        self.absorbed: list[str] = []
         self.report = ResilienceReport()
         self.service = SweepService(
             tasks=tasks, runner_spec={}, report=self.report,
-            on_done=self._on_done, serial_fn=self._serial,
-            on_violation=lambda task, exc: None,
-            absorb=self._absorb, workers=workers, retry=FAST_RETRY, **kw)
+            on_done=self._on_done, on_violation=lambda task, exc: None,
+            workers=workers, retry=FAST_RETRY, **kw)
 
     def _on_done(self, task, entries):
         self.done_keys.append(task.key)
         self.results[task.key] = [[name, dict(payload)]
                                   for name, payload in entries]
-
-    def _serial(self, task):
-        entries, _report = _execute_probe({}, task.payload)
-        return entries
-
-    def _absorb(self, payload):
-        self.absorbed.append(payload["key"])
-        return payload["entries"]
 
     def run(self):
         self.service.run()
@@ -79,7 +72,7 @@ class TestScheduling:
         assert harness.run() == expected(80)
         # Every task completed exactly once at the caller's surface.
         assert sorted(harness.done_keys) == sorted(expected(80))
-        assert len(harness.absorbed) == len(set(harness.absorbed))
+        assert harness.report.duplicate_results == 0
 
     def test_single_worker_goes_straight_to_serial_tier(self):
         harness = Harness(probe_tasks(5), workers=1)
@@ -95,29 +88,6 @@ class TestScheduling:
                           workers=4)
         assert harness.run() == expected(12, spin=200_000)
         assert harness.report.steals > 0
-
-
-class TestHedging:
-    def test_forced_hedge_first_finisher_wins(self):
-        # One straggler among cheap tasks: the worker that clears the
-        # fast ones goes idle while the other is stuck, which is the
-        # only state a hedge twin can be dispatched from.
-        faults.configure("hedge_race:1.0", seed=1)
-        tasks = [TaskSpec(key="probe/0", kind="probe",
-                          payload=dict(seed=0, spin=3_000_000), shard="0")]
-        tasks += [TaskSpec(key=f"probe/{seed}", kind="probe",
-                           payload=dict(seed=seed, spin=1_000),
-                           shard=str(seed))
-                  for seed in range(1, 6)]
-        want = {t.key: _execute_probe({}, t.payload)[0] for t in tasks}
-        harness = Harness(tasks, workers=2)
-        assert harness.run() == want
-        assert harness.report.hedges >= 1
-        # The hedge loser's payload drained and was discarded wholesale:
-        # counted as a duplicate, never absorbed, never re-completed.
-        assert harness.report.duplicate_results >= 1
-        assert len(harness.absorbed) == len(set(harness.absorbed))
-        assert sorted(harness.done_keys) == sorted(want)
 
 
 class _StubProcess:
@@ -159,7 +129,6 @@ class TestStartupGrace:
         busy.busy = "probe/0"
         busy.started = now - spawned_ago
         svc.beats[0] = beat
-        svc.inflight["probe/0"] = {0}
         return svc
 
     def test_booting_worker_outlives_the_beat_grace(self, monkeypatch):
@@ -186,6 +155,75 @@ class TestStartupGrace:
         svc._check_liveness()
         assert svc.slots[0].dead
         assert svc.report.hung_workers == 1
+
+
+class TestOneAttemptInFlight:
+    """Each task has at most one attempt in flight, on the slot whose
+    ``busy`` names it; a second result for a finished task is a
+    bookkeeping fault, and is dropped whole."""
+
+    def test_result_for_finished_key_is_dropped_whole(self, monkeypatch):
+        harness = Harness(probe_tasks(2), workers=2)
+        svc = harness.service
+        svc.slots = [_Worker(slot=0, busy="probe/0",
+                             started=time.monotonic())]
+        svc.done.add("probe/0")
+        absorbed = []
+        merged = []
+        monkeypatch.setattr(obs_trace.COLLECTOR, "absorb", absorbed.append)
+        monkeypatch.setattr(obs_core.REGISTRY, "merge", merged.append)
+
+        def payload(key):
+            return {"key": key, "attempt": 2,
+                    "entries": [["probe", {"seed": 0, "value": 1}]],
+                    "report": {"cache_hits": 5, "cache_misses": 3},
+                    "obs": {"registry": {"counters": {"x": 1}},
+                            "events": [{"name": "task", "ph": "X"}]}}
+
+        svc._complete(svc.slots[0], payload("probe/0"))
+        assert harness.done_keys == []
+        assert harness.report.duplicate_results == 1
+        assert harness.report.cache_hits == 0
+        assert harness.report.cache_misses == 0
+        assert absorbed == [] and merged == []
+        assert svc.slots[0].busy is None
+        # The same payload for an unfinished key is folded whole.
+        svc.slots[0].busy = "probe/1"
+        svc._complete(svc.slots[0], payload("probe/1"))
+        assert harness.done_keys == ["probe/1"]
+        assert harness.report.cache_hits == 5
+        assert harness.report.cache_misses == 3
+        assert len(absorbed) == 1 and len(merged) == 1
+
+    @pytest.mark.parametrize("spec,count,spin", [
+        pytest.param("worker_crash:0.1:4", 120, 200, id="worker_crash"),
+        pytest.param("worker_exit:0.05:3", 120, 200, id="worker_exit"),
+        pytest.param("heartbeat_loss:0.2:3", 20, SLOW_SPIN,
+                     id="heartbeat_loss"),
+    ])
+    def test_no_key_is_sent_twice_while_in_flight(self, monkeypatch,
+                                                  spec, count, spin):
+        sends = []
+        original = SweepService._send
+
+        def checked_send(svc, worker, key):
+            holders = [w.slot for w in svc.slots
+                       if w is not worker and not w.dead and w.busy == key]
+            assert holders == [], f"{key} already in flight on {holders}"
+            assert key not in svc.done
+            sends.append(key)
+            return original(svc, worker, key)
+
+        monkeypatch.setattr(SweepService, "_send", checked_send)
+        faults.configure(spec, seed=7)
+        results, service = run_probe_sweep(count, workers=2, spin=spin,
+                                           pair_timeout=30.0)
+        want = {seed: _execute_probe({}, dict(seed=seed, spin=spin))
+                [0][0][1]["value"] for seed in range(count)}
+        assert results == want
+        assert service.report.duplicate_results == 0
+        # The fault fired: some key needed a second dispatch.
+        assert len(sends) > len(set(sends))
 
 
 class TestPoolBudget:
