@@ -224,14 +224,21 @@ _active = False       # fast path: skip all work when nothing is configured
 
 def _load_from_env() -> None:
     global _injector, _loaded, _active
-    _loaded = True
     spec = os.environ.get(FAULTS_ENV_VAR, "")
     if not spec:
-        _injector, _active = None, False
+        _injector, _loaded, _active = None, True, False
         return
-    seed = int(os.environ.get(FAULTS_SEED_ENV_VAR, "0") or "0")
-    _injector = FaultInjector(parse_spec(spec), seed=seed)
-    _active = True
+    seed = os.environ.get(FAULTS_SEED_ENV_VAR, "0") or "0"
+    try:
+        seed_value = int(seed)
+    except ValueError:
+        # ConfigError, not a ValueError traceback: the CLI turns it into
+        # "error: ..." and exit status 2.  Nothing is marked loaded, so
+        # every later hook raises it again instead of running fault-free.
+        raise ConfigError(f"{FAULTS_SEED_ENV_VAR} must be an integer, "
+                          f"got {seed!r}") from None
+    _injector = FaultInjector(parse_spec(spec), seed=seed_value)
+    _loaded = _active = True
 
 
 def configure(spec: str | None, seed: int = 0) -> FaultInjector | None:

@@ -39,16 +39,18 @@ operations are op-for-op identical to :meth:`TLB.lookup`/:meth:`fill` and
 
 On top of the scalar loops sits a batched engine
 (:mod:`repro.sim.fastpath`): :meth:`IOMMU.run_trace` compresses the trace
-into page runs and resolves guaranteed LRU hits vectorially, replaying
-only the residual accesses through the same dict operations.  The fast
-engine produces bit-identical :class:`TimingStats` and final structure
-state (``tests/sim/test_fastpath_equivalence.py``).  A trace that could
+into page runs and replays each lookup structure's run-head stream
+through a compiled exact-LRU kernel, rebuilding the dicts from the
+replay's last touches.  The fast engine produces bit-identical
+:class:`TimingStats` and final structure state
+(``tests/sim/test_fastpath_equivalence.py``).  A trace that could
 fault has its faults pre-delivered at their predicted sites through the
 real fault-delivery machinery (:mod:`repro.hw.fault_queue`,
 :mod:`repro.kernel.fault`) and then replays batched.  Traces whose
-faults cannot be pinned to sites (permission mosaics), an L2 TLB,
-vector-budget overruns and raw IOMMUs without a fault path on faulting
-traces are refused to the scalar loops, which remain the ground truth.
+faults cannot be pinned to sites (permission mosaics), an L2 TLB, a
+host without the compiled kernel and raw IOMMUs without a fault path on
+faulting traces are refused to the scalar loops, which remain the
+ground truth.
 Select the engine per call (``engine="scalar"``) or globally via the
 ``REPRO_TIMING_ENGINE`` environment variable.
 """

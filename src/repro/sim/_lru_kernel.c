@@ -16,11 +16,10 @@
  * implement with insertion-ordered dicts (hit = move to MRU, miss = evict
  * the LRU entry when the set is full), restated with O(1) doubly-linked
  * recency lists so a multi-million access stream replays in milliseconds.
- * Every entry point has a bit-identical pure-numpy fallback in
- * repro.sim.fastpath / repro.hw.dram.
+ * repro_row_hits has a bit-identical numpy fallback in repro.hw.dram.
  *
- * Compiled on demand by repro.sim._native (cc -O3 -shared -fPIC); the
- * engine runs pure-numpy when no compiler is available.
+ * Compiled on demand by repro.sim._native (cc -O3 -shared -fPIC); without
+ * a compiler every batch runs on the simulator's scalar loops.
  */
 
 #include <stdint.h>

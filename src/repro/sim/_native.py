@@ -1,7 +1,6 @@
 """Best-effort loader for the compiled kernels of the batched engine.
 
-``_lru_kernel.c`` holds three kernels, each exposed here with the same
-contract as its pure-numpy fallback:
+``_lru_kernel.c`` holds three kernels, each exposed here:
 
 * :func:`lru_sim` — exact set-associative LRU replay of a key stream
   read through a run -> page index and a per-page key table (TLB
@@ -17,14 +16,16 @@ under ``build/native/`` at the repository root (or the system temp
 directory when the tree is read-only), and loads it through
 :func:`_load`.
 
-Everything here degrades gracefully: no compiler, a failed compile, an
-unwritable cache or ``REPRO_NATIVE=0`` make :func:`_load` return
-``None``, every entry point then returns ``None``, and the caller runs
-its numpy fallback.  Degradation is silent by default but never
-untraceable: set ``REPRO_DEBUG=1`` to log why the compiled kernels are
-unavailable (including the compiler's stderr).  Stale ``.{pid}.tmp``
-libraries left by crashed or timed-out compiles are reaped before
-building.
+Everything here degrades gracefully: no compiler, a failed compile or
+an unwritable cache make :func:`_load` return ``None`` and
+:func:`available` false.  The fast engine then refuses every batch to
+the scalar loops (``fastpath.refused.no_kernel``), and :func:`row_hits`
+returns ``None`` so DRAM row accounting, which the scalar loops share,
+runs its numpy fallback.  Degradation is never untraceable: the
+``no_kernel`` counter shows it, and ``REPRO_DEBUG=1`` logs why the
+compiled kernels are unavailable (including the compiler's stderr).
+Stale ``.{pid}.tmp`` libraries left by crashed or timed-out compiles are
+reaped before building.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.common import env, faults, integrity
+from repro.common import faults, integrity
 from repro.obs import log as obs_log
-
-#: Set to ``0`` to force every pure-numpy fallback (CI runs tests/sim so).
-NATIVE_ENV_VAR = "REPRO_NATIVE"
 
 
 def _debug(message: str, **fields) -> None:
@@ -64,11 +62,11 @@ def _cache_dirs(tag: str):
 
 def _compile() -> ctypes.CDLL | None:
     if faults.should_fire("compile_fail"):
-        _debug("injected compile_fail fault; using the numpy engine")
+        _debug("injected compile_fail fault; using the scalar loops")
         return None
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None or not _SOURCE.exists():
-        _debug("no C compiler or kernel source; using the numpy engine")
+        _debug("no C compiler or kernel source; using the scalar loops")
         return None
     source = _SOURCE.read_bytes()
     tag = hashlib.sha256(source).hexdigest()[:12]
@@ -95,7 +93,7 @@ def _compile() -> ctypes.CDLL | None:
             _debug("native kernel unavailable", cache=str(cache),
                    error=str(exc))
         tmp.unlink(missing_ok=True)     # never leave our own droppings
-    _debug("all native cache directories failed; using the numpy engine")
+    _debug("all native cache directories failed; using the scalar loops")
     return None
 
 
@@ -104,8 +102,6 @@ def _load() -> ctypes.CDLL | None:
     if _tried:
         return _lib
     _tried = True
-    if env.raw(NATIVE_ENV_VAR, "1") == "0":
-        return None
     lib = _compile()
     if lib is not None:
         ptr, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
@@ -150,12 +146,11 @@ def lru_sim(idx: np.ndarray, key_of: np.ndarray, prime_ids: np.ndarray,
 
     Negative keys are skipped: their positions miss 0 and record
     nothing.  Returns ``(miss, counts, last_occ, last_fill)`` over the
-    ``prime + len(idx)`` stream positions exactly as the numpy engine
-    would, or ``None`` when the kernel is unavailable.
+    ``prime + len(idx)`` stream positions.  Callers check
+    :func:`available` first; a kernel allocation failure raises
+    :class:`MemoryError`.
     """
     lib = _load()
-    if lib is None:
-        return None
     idx32, keys32, prime32 = _i32(idx), _i32(key_of), _i32(prime_ids)
     m, prime = int(idx32.shape[0]), int(prime32.shape[0])
     set_of = _set_table(nsets, sid_u)
@@ -166,7 +161,7 @@ def lru_sim(idx: np.ndarray, key_of: np.ndarray, prime_ids: np.ndarray,
         prime, k, nsets, ways, _ptr(set_of), miss.ctypes.data,
         counts.ctypes.data, last_occ.ctypes.data, last_fill.ctypes.data)
     if rc != 0:
-        return None
+        raise MemoryError("lru_sim: kernel allocation failed")
     return miss.view(bool), counts, last_occ, last_fill
 
 
@@ -184,12 +179,11 @@ def lru_walk(idx: np.ndarray, sel, wflag, prime: int,
     caller's zeroed int64 outputs ``walks_of[p]`` and ``hist[fixed[p] +
     misses, w]``, ``w`` being whether its ``wflag`` entry is set (0
     when ``wflag`` is ``None``).  Returns ``(counts, last_occ,
-    last_fill)`` with positions in expanded-stream coordinates, or
-    ``None`` when the kernel is unavailable.
+    last_fill)`` with positions in expanded-stream coordinates.  Callers
+    check :func:`available` first; a kernel allocation failure raises
+    :class:`MemoryError`.
     """
     lib = _load()
-    if lib is None:
-        return None
     idx32 = _i32(idx)
     off32, ids32, fixed32 = _i32(block_off), _i32(flat_ids), _i32(fixed)
     sel8 = (None if sel is None
@@ -217,7 +211,7 @@ def lru_walk(idx: np.ndarray, sel, wflag, prime: int,
         walks_of.ctypes.data, hist.ctypes.data, counts.ctypes.data,
         last_occ.ctypes.data, last_fill.ctypes.data)
     if rc != 0:
-        return None
+        raise MemoryError("lru_walk: kernel allocation failed")
     return counts, last_occ, last_fill
 
 

@@ -17,19 +17,14 @@ DESIGN.md, "Key design decisions"):
     *guaranteed* hits whose LRU re-touches leave every dict in exactly the
     state the head left it.  Only run heads can change state.
 
-2.  **LRU is distance-determined.**  Each set of a set-associative LRU
-    structure is an independent fully-associative LRU: an access hits iff
-    the number of *distinct* keys that touched its set since the key's
-    previous occurrence is at most ``ways - 1`` — a pure function of the
-    key stream, independent of the victims chosen along the way.  Victims
-    are therefore unobservable, and the exact per-access miss mask follows
-    from exact stack distances.  Distances are resolved in three vector
-    tiers: an in-set reuse gap of at most ``ways`` guarantees a hit;
-    small per-set alphabets are counted exactly with per-key
-    ``searchsorted`` scans; large alphabets get logarithmic lower/upper
-    distance bounds from tiered reuse-gap prefix sums, and the residual
-    ambiguous "band" (whose windows are short by construction) is counted
-    exactly with one gather.
+2.  **One compiled LRU replay per structure.**  The head stream of each
+    lookup structure (TLB regions, walk-cache blocks, bitmap-cache words)
+    replays once through the compiled kernel of ``_lru_kernel.c``
+    (:mod:`repro.sim._native`): the scalar algorithm itself, with O(1)
+    recency lists instead of insertion-ordered dicts, read straight
+    through the run -> page index.  It yields the exact per-head miss
+    mask and each key's last touch and last fill.  A host without the
+    kernel runs every batch on the scalar loops (refusal ``no_kernel``).
 
 3.  **Final state from last touches.**  An LRU set's dict is ordered by
     last touch, and its residents are exactly the ``ways``
@@ -54,11 +49,11 @@ the scalar loop by construction.
 
 Everything else is refused (an :class:`EngineOutcome` that is falsy)
 and the caller runs the scalar loops, which remain the ground truth:
-faults whose position depends on interleaving (``order_dependent``: a
-TLB region holding a permission mosaic, a violating DVM-BM identity
-store), a potential fault with no fault path attached (the legacy
-raise-on-fault contract), an L2 TLB, an analysis exceeding its
-vector-work budget, and the rare pre-delivery miss.
+a host without the compiled kernel, faults whose position depends on
+interleaving (``order_dependent``: a TLB region holding a permission
+mosaic, a violating DVM-BM identity store), a potential fault with no
+fault path attached (the legacy raise-on-fault contract), an L2 TLB,
+and the rare pre-delivery miss.
 """
 
 from __future__ import annotations
@@ -105,10 +100,11 @@ class EngineOutcome:
     """Result of one fast-engine attempt on a batch.
 
     Truthiness is acceptance.  ``reason`` names the refusal and feeds the
-    ``fastpath.refused.<reason>`` observability counters: ``"chaos"``
-    (an injector is configured), ``"tlb_l2"``, ``"legacy_fault_path"``,
-    ``"budget"``, ``"walk_set_pressure"``, ``"order_dependent"`` (a
-    fault the screen cannot pin to a site) or ``"predelivery_miss"``.
+    ``fastpath.refused.<reason>`` observability counters: ``"no_kernel"``
+    (the compiled LRU kernel is unavailable), ``"chaos"`` (an injector
+    is configured), ``"tlb_l2"``, ``"legacy_fault_path"``,
+    ``"walk_set_pressure"``, ``"order_dependent"`` (a fault the screen
+    cannot pin to a site) or ``"predelivery_miss"``.
     A refused batch left no state modified — except ``"predelivery_miss"``,
     whose delivered faults stay serviced and charged to ``stats``; the
     scalar loops then run over the healed state (see
@@ -586,12 +582,6 @@ class _WalkTable:
 # Exact LRU stream analysis
 # ---------------------------------------------------------------------------
 
-#: Max Σ_set (candidates × alphabet) for the per-key searchsorted scan.
-_SCAN_OPS_BUDGET = 60_000_000
-#: Max total gathered window elements for the ambiguous-band resolution.
-_BAND_GATHER_BUDGET = 400_000_000
-
-
 #: Max direct-table span for the linear-time factorization below.
 _COMPACT_SPAN_BUDGET = 1 << 26
 
@@ -628,7 +618,8 @@ class _StreamLRU:
     """Exact LRU outcome of one compact-id key stream over nsets × ways.
 
     All positional attributes are in global (chronological) stream
-    coordinates: ``miss`` is the exact per-access miss mask; ``last_occ``
+    coordinates: ``miss`` is the exact per-access miss mask (``None``
+    for a walk replay, which folds its misses itself); ``last_occ``
     / ``last_fill`` hold each id's final touch and final fill position
     (-1 when absent / never filled).
     """
@@ -643,128 +634,6 @@ class _StreamLRU:
         self.last_occ, self.last_fill = last_occ, last_fill
 
 
-def _pcum(flags: np.ndarray) -> np.ndarray:
-    """Zero-prefixed int32 prefix sum of a boolean array."""
-    out = np.empty(flags.size + 1, np.int32)
-    out[0] = 0
-    np.cumsum(flags, dtype=np.int32, out=out[1:])
-    return out
-
-
-def _scan_distances(cand, prev, order, starts, k):
-    """Exact stack distances for ``cand`` via per-key occurrence scans.
-
-    For each candidate window ``(prev, cand)`` and each key of the
-    alphabet, one binary search decides whether the key occurs in the
-    window; summing the indicators is the distinct count.  Exact, and
-    cheap whenever the alphabet is small (AVC blocks, bitmap words,
-    walk-cache blocks).
-    """
-    p = prev[cand]
-    t = cand
-    d = np.zeros(cand.size, np.int64)
-    for u in range(k):
-        occ = order[starts[u]:starts[u + 1]]
-        if occ.size == 0:
-            continue
-        j = np.searchsorted(occ, p, side="right")
-        d += (j < occ.size) & (occ[np.minimum(j, occ.size - 1)] < t)
-    return d
-
-
-def _tier_decide(cand, prev, gap, ways):
-    """Exact miss decisions for ``cand`` via tiered distance bounds.
-
-    The distinct count of window ``(p, t)`` equals the number of
-    ``j in (p, t)`` whose previous occurrence is at or before ``p`` —
-    i.e. whose reuse gap satisfies ``gap_j >= j - p``.  Bucketing offsets
-    ``o = j - p`` into power-of-two tiers gives, from one family of
-    reuse-gap prefix sums, a lower bound (``gap_j`` exceeds the tier's
-    upper edge) and an upper bound (``gap_j`` exceeds its lower edge).
-    A candidate is decided as soon as the lower bound reaches ``ways``
-    (miss) or its window is exhausted with the upper bound below
-    (hit).  Undecided candidates form a *band* whose gaps hug the
-    ``gap ≈ o`` diagonal — short windows by construction — and are
-    counted exactly with one gather.  Returns a per-candidate miss mask,
-    or ``None`` when the band exceeds the vector-work budget.
-    """
-    nc = cand.size
-    mc = gap.shape[0]
-    pa = prev[cand].astype(np.int64)
-    ta = cand.astype(np.int64)
-    decided_miss = np.zeros(nc, bool)
-    # Exact diagonal stage: element j at offset o = j - p satisfies
-    # prev_j <= p iff gap_j >= o, so the first ways+1 offsets are counted
-    # exactly with one gather per offset.  The o = 1 element always lies
-    # in the window (candidates have gap > ways >= 1) and always counts.
-    # A prefix count reaching `ways` is already a decided miss, and a
-    # window no longer than ways+1 is fully counted — for typical
-    # streams this decides almost every candidate before any tier work.
-    if ways <= 64:
-        d = np.ones(nc, np.int32)
-        for o in range(2, ways + 2):
-            j = pa + o
-            d += (j < ta) & (gap[np.minimum(j, mc - 1)] >= o)
-        decided_miss = d >= ways
-        live = ~decided_miss & (ta - pa - 1 > ways + 1)
-        rem = np.flatnonzero(live)
-        pa = pa[rem]
-        ta = ta[rem]
-        upper = d[rem].copy()
-        lower = d[rem].copy()
-        e_lo = ways + 1
-    else:
-        rem = np.arange(nc)
-        upper = np.ones(nc, np.int32)
-        lower = np.ones(nc, np.int32)
-        e_lo = 1
-    band_p, band_t, band_r = [], [], []
-    cum_next = _pcum(gap > e_lo) if rem.size else None
-    while rem.size:
-        cum_lo = cum_next          # prefix counts of gap > e_lo
-        e_hi = e_lo << 1
-        cum_next = _pcum(gap > e_hi)
-        lo = np.minimum(pa + (e_lo + 1), ta)
-        hi = np.minimum(pa + (e_hi + 1), ta)
-        upper += cum_lo[hi] - cum_lo[lo]
-        lower += cum_next[hi] - cum_next[lo]
-        covered = hi == ta
-        is_miss = lower >= ways
-        is_hit = covered & ~is_miss & (upper < ways)
-        in_band = covered & ~is_miss & ~is_hit
-        if is_miss.any():
-            decided_miss[rem[is_miss]] = True
-        if in_band.any():
-            band_p.append(pa[in_band])
-            band_t.append(ta[in_band])
-            band_r.append(rem[in_band])
-        live = ~(is_miss | is_hit | in_band)
-        rem = rem[live]
-        pa = pa[live]
-        ta = ta[live]
-        upper = upper[live]
-        lower = lower[live]
-        e_lo = e_hi
-    if band_r:
-        pb = np.concatenate(band_p)
-        tb = np.concatenate(band_t)
-        br = np.concatenate(band_r)
-        lens = tb - pb - 1
-        total = int(lens.sum())
-        if total > _BAND_GATHER_BUDGET:
-            return None
-        off = np.concatenate(([0], np.cumsum(lens))).astype(np.int32)
-        pb32 = pb.astype(np.int32)
-        window = (np.arange(total, dtype=np.int32)
-                  - np.repeat(off[:-1], lens)
-                  + np.repeat(pb32 + 1, lens))
-        in_count = prev[window] <= np.repeat(pb32, lens)
-        csum = _pcum(in_count)
-        d_band = csum[off[1:]] - csum[off[:-1]]
-        decided_miss[br[d_band >= ways]] = True
-    return decided_miss
-
-
 def _spread(values: np.ndarray, member: np.ndarray, fill) -> np.ndarray:
     """``values`` (one per ``member`` page) scattered onto every page."""
     out = np.full(member.shape[0], fill, values.dtype)
@@ -773,7 +642,7 @@ def _spread(values: np.ndarray, member: np.ndarray, fill) -> np.ndarray:
 
 
 def _replay_lru(idx: np.ndarray, key_of: np.ndarray, prime_ids: np.ndarray,
-                k: int, nsets: int, ways: int, sid_u) -> _StreamLRU | None:
+                k: int, nsets: int, ways: int, sid_u) -> _StreamLRU:
     """Exact LRU outcome of the key stream ``prime_ids`` then
     ``key_of[idx]``.
 
@@ -783,152 +652,10 @@ def _replay_lru(idx: np.ndarray, key_of: np.ndarray, prime_ids: np.ndarray,
     page the structure never sees: its runs miss 0 and record nothing.
     The compiled kernel reads the stream through the index — the
     literal scalar algorithm, with O(1) recency lists instead of
-    insertion-ordered dicts; the numpy fallback gathers it and runs the
-    distance engine over the seen positions.  ``None`` when an exact
-    classification would exceed the vector budgets.
+    insertion-ordered dicts.
     """
-    native = _native.lru_sim(idx, key_of, prime_ids, k, nsets, ways, sid_u)
-    if native is not None:
-        return _StreamLRU(k, nsets, ways, sid_u, *native)
-    prime = prime_ids.shape[0]
-    ids = key_of[idx]
-    seen = None
-    if ids.size and ids.min() < 0:
-        seen = np.flatnonzero(ids >= 0)
-        ids = ids[seen]
-    lru = _simulate_lru(np.concatenate((prime_ids.astype(ids.dtype), ids)),
-                        k, nsets, ways, sid_u)
-    if lru is None or seen is None:
-        return lru
-    pos = np.concatenate((np.arange(prime), seen + prime))
-    miss = np.zeros(prime + idx.shape[0], bool)
-    miss[pos] = lru.miss
-    lru.miss = miss
-    for col in (lru.last_occ, lru.last_fill):
-        hit = col >= 0
-        col[hit] = pos[col[hit]]
-    return lru
-
-
-def _simulate_lru(ids: np.ndarray, k: int, nsets: int, ways: int,
-                  sid_u) -> _StreamLRU | None:
-    """Exact per-access LRU hit/miss for a compact-id key stream.
-
-    ``ids`` holds key ids in ``0..k-1``; ``sid_u`` maps each id to its set
-    (``None`` when ``nsets == 1``).  Pure — touches no simulator state.
-    Returns ``None`` when an exact classification would exceed the vector
-    budgets (the caller then falls back to the scalar engine).  This is
-    the numpy distance engine behind :func:`_replay_lru` and
-    :func:`_walk_lru`, used when the compiled kernels are unavailable.
-    """
-    m = ids.shape[0]
-    if m == 0:
-        return _StreamLRU(k, nsets, ways, sid_u, np.zeros(0, bool),
-                          np.zeros(k, np.int64), np.full(k, -1, np.int64),
-                          np.full(k, -1, np.int64))
-    if nsets == 1:
-        fa = _fa_lru(ids, k, ways)
-        return None if fa is None else _StreamLRU(k, nsets, ways, sid_u, *fa)
-    # Each set is an independent fully-associative LRU over its own
-    # subsequence, so process sets one at a time: peak memory is one
-    # set's arrays, and each set picks its own distance method.  The
-    # subsequence positions (gpos) are monotone, so mapping the per-set
-    # results back to global coordinates preserves occurrence order.
-    sid = sid_u[ids]
-    miss = np.zeros(m, bool)
-    counts = np.zeros(k, np.int64)
-    last_occ = np.full(k, -1, np.int64)
-    last_fill = np.full(k, -1, np.int64)
-    lid = np.empty(k, np.int32)
-    for s in range(nsets):
-        uk = np.flatnonzero(sid_u == s)
-        if uk.size == 0:
-            continue
-        gpos = np.flatnonzero(sid == s)
-        if gpos.size == 0:
-            continue
-        lid[uk] = np.arange(uk.size, dtype=np.int32)
-        fa = _fa_lru(lid[ids[gpos]], uk.size, ways)
-        if fa is None:
-            return None
-        miss_s, counts_s, lo_s, lf_s = fa
-        miss[gpos] = miss_s
-        counts[uk] = counts_s
-        present = counts_s > 0
-        ukp = uk[present]
-        last_occ[ukp] = gpos[lo_s[present]]
-        lfp = lf_s[present]
-        last_fill[ukp] = np.where(
-            lfp >= 0, gpos[np.maximum(lfp, 0)], -1)
-    return _StreamLRU(k, nsets, ways, sid_u, miss, counts, last_occ,
-                      last_fill)
-
-
-def _fa_lru(ids: np.ndarray, k: int, ways: int):
-    """Exact fully-associative LRU outcome for one key stream.
-
-    Returns ``(miss, counts, last_occ, last_fill)`` in the stream's own
-    coordinates, or ``None`` when exact classification would exceed the
-    vector budgets.
-    """
-    m = ids.shape[0]
-    # Consecutive-duplicate compression: a repeat of the MRU key is a
-    # guaranteed hit that restores the dict to the same order, and a
-    # duplicate never adds a distinct key to anyone's reuse window — so
-    # distances over the deduplicated stream are unchanged, removed
-    # positions are hits, and retained positions keep the ids' relative
-    # last-touch order (a duplicate block is contiguous, so no other
-    # id's touch can land inside it).
-    keep = np.empty(m, bool)
-    keep[0] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    kept = np.flatnonzero(keep)
-    mc = kept.shape[0]
-    dedup = mc < m
-    core = ids[kept] if dedup else ids
-    counts = np.bincount(core, minlength=k).astype(np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    order = np.argsort(core, kind="stable")
-    prev = np.full(mc, -1, np.int32)
-    follower = np.ones(mc, bool)
-    follower[starts[:-1]] = False
-    idx = np.flatnonzero(follower)
-    oi = order[idx]
-    prev[oi] = order[idx - 1]
-    del oi, idx, follower
-    first = prev < 0
-    gap = np.arange(mc, dtype=np.int32) - prev
-    gap[first] = np.iinfo(np.int32).max  # sentinel: exceeds every tier edge
-    miss_core = first.copy()
-    if k > ways:
-        cand = np.flatnonzero(~first & (gap > ways))
-        if cand.size:
-            if cand.size * k <= _SCAN_OPS_BUDGET:
-                d = _scan_distances(cand, prev, order, starts, k)
-                miss_core[cand[d >= ways]] = True
-            else:
-                decided = _tier_decide(cand, prev, gap, ways)
-                if decided is None:
-                    return None
-                miss_core[cand[decided]] = True
-    nonempty = counts > 0
-    last_w = order[starts[1:] - 1]
-    last_occ = np.full(k, -1, np.int64)
-    last_occ[nonempty] = (kept[last_w[nonempty]] if dedup
-                          else last_w[nonempty])
-    last_fill = np.full(k, -1, np.int64)
-    if nonempty.any():
-        fillpos = np.where(miss_core[order], order, -1)
-        lf = np.maximum.reduceat(fillpos, starts[:-1][nonempty])
-        if dedup:
-            lf = np.where(lf >= 0, kept[np.maximum(lf, 0)], -1)
-        last_fill[nonempty] = lf
-    if dedup:
-        miss = np.zeros(m, bool)
-        miss[kept] = miss_core
-    else:
-        miss = miss_core
-    return miss, counts, last_occ, last_fill
+    return _StreamLRU(k, nsets, ways, sid_u, *_native.lru_sim(
+        idx, key_of, prime_ids, k, nsets, ways, sid_u))
 
 
 def _residents(lru: _StreamLRU) -> np.ndarray:
@@ -1020,10 +747,8 @@ def _walk_lru(cache, table: _WalkTable, idx: np.ndarray, sel=None,
     per page of ``table``, and ``hist[v, w]``: the real walks counted by
     their walk memory ``v`` (the page's fixed, uncached fetches plus the
     walk's cache misses) and their ``wflag`` entry ``w`` (0 without
-    ``wflag``) — or ``None`` when exact classification would exceed the
-    vector budgets.  The compiled kernel replays straight from the run
-    index and the per-page block table; the numpy fallback gathers the
-    walked pages and materializes the expanded stream.
+    ``wflag``).  The compiled kernel replays straight from the run index
+    and the per-page block table; the expanded stream is never built.
     """
     flat_blocks = np.array(
         [b for blocks in table.blocks for b in blocks], np.int64)
@@ -1045,73 +770,18 @@ def _walk_lru(cache, table: _WalkTable, idx: np.ndarray, sel=None,
         ublocks, flat_ids = _compact(all_blocks)
         offsets = np.concatenate(
             (offsets, (nf + np.arange(1, prime + 1)).astype(np.int32)))
-        counts = np.concatenate((counts, np.ones(prime, np.int64)))
     else:
         ublocks, flat_ids = _compact(flat_blocks)
     k = ublocks.shape[0]
     sid_u = ((ublocks % cache.num_sets).astype(np.int16)
              if cache.num_sets > 1 else None)
     nsets, ways = cache.num_sets, cache.ways
-    native = _native.lru_walk(idx, sel, wflag, prime, offsets, flat_ids,
-                              fixed, walks_of, hist, k, nsets, ways, sid_u)
-    if native is not None:
-        lru = _StreamLRU(k, nsets, ways, sid_u, None, *native)
-    else:
-        runs = None if sel is None else np.flatnonzero(sel)
-        walked = idx if runs is None else idx[runs]
-        page_idx = np.concatenate(
-            (npages + np.arange(prime, dtype=np.int64), walked))
-        stream, out_off = _walk_block_stream(counts, page_idx, flat_ids,
-                                             offsets)
-        lru = _simulate_lru(stream, k, nsets, ways, sid_u)
-        if lru is None:
-            return None
-        cs = np.empty(lru.miss.shape[0] + 1, np.int64)
-        cs[0] = 0
-        np.cumsum(lru.miss, dtype=np.int64, out=cs[1:])
-        cell = cs[out_off[prime + 1:]] - cs[out_off[prime:-1]]
-        cell += fixed[walked]
-        cell *= 2
-        if wflag is not None:
-            cell += (wflag if runs is None else wflag[runs]) != 0
-        hist += np.bincount(cell, minlength=hist.size).reshape(hist.shape)
-        walks_of += np.bincount(walked, minlength=npages)
-        lru.miss = None
+    lru = _StreamLRU(k, nsets, ways, sid_u, None, *_native.lru_walk(
+        idx, sel, wflag, prime, offsets, flat_ids, fixed, walks_of, hist,
+        k, nsets, ways, sid_u))
     if member is not None:
         walks_of = walks_of[member]
     return lru, ublocks, walks_of, hist
-
-
-def _walk_block_stream(counts: np.ndarray, page_idx: np.ndarray,
-                       flat_ids: np.ndarray, block_offsets: np.ndarray):
-    """(compact ids, per-event offsets) of a materialized walk stream.
-
-    The numpy fallback behind :func:`_walk_lru`: ``page_idx`` selects the
-    walked page per event, in order; the stream concatenates each page's
-    walk blocks.
-    """
-    starts_per = block_offsets[page_idx]
-    if counts.size and counts.min() == counts.max():
-        # Uniform walk depth: the stream is a dense (events x depth)
-        # matrix; build it with one broadcast add, no repeats.
-        depth = int(counts[0])
-        out_off = np.arange(page_idx.shape[0] + 1, dtype=np.int64)
-        out_off *= depth
-        gather = starts_per[:, None] + np.arange(depth, dtype=np.int32)
-        stream = flat_ids[gather.ravel()]
-        return stream, out_off
-    counts_per = counts.astype(np.int32)[page_idx]
-    out_off = np.concatenate(
-        ([0], np.cumsum(counts_per, dtype=np.int64)))
-    total = int(out_off[-1])
-    # One repeat: each event contributes a contiguous ramp starting at
-    # its page's first block slot.
-    shift = starts_per.astype(np.int64)
-    shift -= out_off[:-1]
-    gather = np.arange(total, dtype=np.int64)
-    gather += np.repeat(shift, counts_per)
-    stream = flat_ids[gather]
-    return stream, out_off
 
 
 # ---------------------------------------------------------------------------
@@ -1241,7 +911,6 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
     * ``"order_dependent"`` — a TLB region can hold an entry that
       write-faults on a hit: a mosaic the region-granular TLB makes
       order-dependent, so no fault site can be pinned;
-    * ``"budget"`` — the TLB replay exceeded the vector budgets;
     * ``"faulty"`` — ``sites`` are the sorted global positions of the
       predicted fault sites (first TLB-miss walk of each faultable page,
       reduced by heal window).
@@ -1291,8 +960,6 @@ def _conv_fault_candidates(iommu, tlb, upages: np.ndarray,
              if tlb.num_sets > 1 else None)
     tlb_lru = _replay_lru(uidx, key_of, prime_vids, nvr, tlb.num_sets,
                           tlb.ways, sid_u)
-    if tlb_lru is None:
-        return "budget", None
     miss_heads = np.flatnonzero(tlb_lru.miss[prime_vids.shape[0]:])
     # Each page's first miss, via reverse fancy assignment (last write
     # wins) — O(#misses) instead of a sort.
@@ -1359,8 +1026,6 @@ def _screen_bitmap(iommu, batch: PageRunBatch, parent=None):
         fb_status, fb_sites = _conv_fault_candidates(
             iommu, iommu.tlb, upages, uidx, written, batch.starts, table,
             member=fallback)
-    if fb_status == "budget":
-        return "budget", None
     if not bad_ident.any() and fb_status == "clean":
         carry = {"bitmap_perm": bitmap_perm, "fallback": fallback,
                  "table": table}
@@ -1462,6 +1127,11 @@ def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
     outcome means the caller must run the scalar loops, and that no
     state was modified unless the reason is ``"predelivery_miss"``.
     """
+    if not _native.available():
+        # No compiled LRU kernel on this host (no compiler, a failed
+        # compile or an injected compile_fail): the scalar loops run the
+        # batch, and fastpath.refused.no_kernel counts the degradation.
+        return EngineOutcome(False, reason="no_kernel")
     if faults.active():
         # A chaos injector is configured: perturbing injections
         # (alloc_oom relayouts, mid-trace guest faults) void the batch
@@ -1483,13 +1153,12 @@ def run_batch(iommu, batch: PageRunBatch, stats) -> "EngineOutcome":
             _fast_dav, preload=(mech == "dvm_pe_plus"))
     status, carry = screen(iommu, batch)
     if status == "clean":
-        if not fast(iommu, batch, stats, carry):
-            return EngineOutcome(False, reason="budget")
+        fast(iommu, batch, stats, carry)
         return EngineOutcome(True)
     if status == "faulty":
         return _run_predelivered(iommu, batch, stats, screen, fast, carry)
     # Every other status is a refusal reason: "legacy_fault_path",
-    # "budget", "order_dependent", or "walk_set_pressure" — a single walk
+    # "order_dependent", or "walk_set_pressure" — a single walk
     # overflows an AVC set (see _walks_fit_sets), so the per-head
     # replay's residency assumption is unsound and the scalar loop is
     # the only exact model of the thrashing cache.
@@ -1520,10 +1189,9 @@ def _tlb_walk_analysis(tlb, walker, upages: np.ndarray, uidx: np.ndarray,
     Warm TLB entries and resident walk-cache blocks are primed into the
     LRU replays, so the analysis is exact from any warm state — a rerun
     over warm structures, or a batch after pre-delivered faults.  Pure:
-    returns ``None`` for scalar fallback (vector budgets), else
-    ``(walks, walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns, prime,
-    warm, cache_lru, ublocks)`` with the rebuild inputs for the caller's
-    commit.
+    returns ``(walks, walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns,
+    prime, warm, cache_lru, ublocks)`` with the rebuild inputs for the
+    caller's commit.
     """
     # vpn = va >> tshift == page >> (tshift - 12), so the TLB alphabet is
     # derived from the (small) unique-page table, not the head stream.
@@ -1537,14 +1205,9 @@ def _tlb_walk_analysis(tlb, walker, upages: np.ndarray, uidx: np.ndarray,
              if tlb.num_sets > 1 else None)
     tlb_lru = _replay_lru(uidx, vid_of_upage, prime_vids, u_vpns.shape[0],
                           tlb.num_sets, tlb.ways, sid_u)
-    if tlb_lru is None:
-        return None
-    res = _walk_lru(walker.cache, table, uidx, sel=tlb_lru.miss[prime:],
-                    member=member,
-                    prime_blocks=walker.cache.resident_blocks())
-    if res is None:
-        return None
-    cache_lru, ublocks, walks_of, hist = res
+    cache_lru, ublocks, walks_of, hist = _walk_lru(
+        walker.cache, table, uidx, sel=tlb_lru.miss[prime:], member=member,
+        prime_blocks=walker.cache.resident_blocks())
     walks = int(walks_of.sum())
     walk_sram = int(walks_of @ table.counts)
     fixed_total = int(walks_of @ table.fixed)
@@ -1553,21 +1216,19 @@ def _tlb_walk_analysis(tlb, walker, upages: np.ndarray, uidx: np.ndarray,
             prime, warm, cache_lru, ublocks)
 
 
-def _fast_conventional(iommu, batch: PageRunBatch, stats, carry) -> bool:
+def _fast_conventional(iommu, batch: PageRunBatch, stats, carry) -> None:
     tlb = iommu.tlb
     walker = iommu.walker
     n = batch.num_accesses
     m = batch.num_runs
     dram = iommu.dram
     if m == 0:
-        return True
+        return
     upages, uidx = batch.unique_pages()
     table = carry["table"]
-    analysis = _tlb_walk_analysis(tlb, walker, upages, uidx, table)
-    if analysis is None:
-        return False
     (walks, walk_sram, walk_mem, fixed_total, tlb_lru, u_vpns,
-     prime, warm, cache_lru, ublocks) = analysis
+     prime, warm, cache_lru, ublocks) = _tlb_walk_analysis(
+         tlb, walker, upages, uidx, table)
     # --- analyses done (pure); state mutation may begin ------------------
     _rebuild_cache(walker.cache, cache_lru, ublocks)
     _rebuild_tlb(tlb, tlb_lru, u_vpns, upages, uidx, table,
@@ -1592,14 +1253,13 @@ def _fast_conventional(iommu, batch: PageRunBatch, stats, carry) -> bool:
     stats.walks += walks
     stats.walk_sram_accesses += walk_sram
     stats.walk_mem_accesses += walk_mem
-    return True
 
 
 # ---------------------------------------------------------------------------
 # DVM-BM: permission bitmap + bitmap cache, TLB fallback
 # ---------------------------------------------------------------------------
 
-def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
+def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> None:
     bitmap = iommu.perm_bitmap
     tlb = iommu.tlb
     walker = iommu.walker
@@ -1608,7 +1268,7 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
     m = batch.num_runs
     dram = iommu.dram
     if m == 0:
-        return True
+        return
     upages, uidx = batch.unique_pages()
     bitmap_perm = carry["bitmap_perm"]
     fallback, table = carry["fallback"], carry["table"]
@@ -1620,8 +1280,6 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
         # never walks identity pages, so neither may the replay.
         fb_analysis = _tlb_walk_analysis(tlb, walker, upages, uidx, table,
                                          member=fallback)
-        if fb_analysis is None:
-            return False
     # Bitmap-cache stream: one probe per head (interiors re-touch at
     # MRU).  Resident bitmap words prime the replay so warm reruns
     # evolve exactly like the scalar probe sequence.
@@ -1634,8 +1292,6 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
                 if bm_cache.num_sets > 1 else None)
     bm_lru = _replay_lru(uidx, wid_ids[:u], wid_ids[u:], u_words.shape[0],
                          bm_cache.num_sets, bm_cache.ways, bm_sid_u)
-    if bm_lru is None:
-        return False
     bm_mem = int(np.count_nonzero(bm_lru.miss[warm_words.shape[0]:]))
     # --- analyses done (pure); state mutation may begin ------------------
     _rebuild_cache(bm_cache, bm_lru, u_words)
@@ -1671,7 +1327,6 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
     stats.bitmap_mem_accesses += bm_mem
     stats.identity_accesses += identity
     stats.fallback_accesses += n - identity
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1679,14 +1334,14 @@ def _fast_bitmap(iommu, batch: PageRunBatch, stats, carry) -> bool:
 # ---------------------------------------------------------------------------
 
 def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
-              preload: bool) -> bool:
+              preload: bool) -> None:
     walker = iommu.walker
     cache = walker.cache
     n = batch.num_accesses
     m = batch.num_runs
     dram = iommu.dram
     if m == 0:
-        return True
+        return
     upages, uidx = batch.unique_pages()
     table = carry["table"]
     run_count, access_count, write_count = batch.page_aggregates()
@@ -1695,12 +1350,9 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
     # order, so the head stream alone determines the cache's evolution.
     # Resident blocks prime the replay for warm reruns.  DVM-PE+ splits
     # the walk histogram by whether the head stores.
-    res = _walk_lru(cache, table, uidx,
-                    wflag=batch.head_writes if preload else None,
-                    prime_blocks=cache.resident_blocks())
-    if res is None:
-        return False
-    avc_lru, ublocks, _walks_of, hist = res
+    avc_lru, ublocks, _walks_of, hist = _walk_lru(
+        cache, table, uidx, wflag=batch.head_writes if preload else None,
+        prime_blocks=cache.resident_blocks())
     # --- analyses done (pure); state mutation may begin ------------------
     _rebuild_cache(cache, avc_lru, ublocks)
     walk_latency = dram.walk_latency
@@ -1747,7 +1399,6 @@ def _fast_dav(iommu, batch: PageRunBatch, stats, carry, *,
     stats.identity_accesses += identity
     stats.fallback_accesses += n - identity
     stats.squashed_preloads += squashes
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1802,10 +1453,10 @@ def _run_predelivered(iommu, batch: PageRunBatch, stats, screen, fast,
 
     Refuses with ``"predelivery_miss"`` when the post-delivery screen is
     not clean (the prediction missed; it never should, the screens
-    refuse rather than guess) or the replay declines on budget.  The
-    delivered faults stay serviced and their charges stay in ``stats``,
-    so the caller's scalar loops over the healed state see exactly what
-    they would have seen after servicing those faults in-loop.
+    refuse rather than guess).  The delivered faults stay serviced and
+    their charges stay in ``stats``, so the caller's scalar loops over
+    the healed state see exactly what they would have seen after
+    servicing those faults in-loop.
     """
     sites = parent["sites"]
     vas = batch.va_at(sites).tolist()
@@ -1827,10 +1478,9 @@ def _run_predelivered(iommu, batch: PageRunBatch, stats, screen, fast,
         _charge_phase("accounting", tick() - mark)
         if status == "clean":
             mark = tick()
-            replayed = fast(iommu, batch, stats, carry)
+            fast(iommu, batch, stats, carry)
             _charge_phase("replay", tick() - mark)
-            if replayed:
-                return EngineOutcome(True)
+            return EngineOutcome(True)
     except BaseException:
         _restore_state(iommu, snap)
         raise

@@ -74,15 +74,17 @@ METRICS_KIND = "metrics"
 
 
 def pair_timeout_from_env() -> float | None:
-    """The ``REPRO_PAIR_TIMEOUT`` setting (seconds), if any."""
+    """The ``REPRO_PAIR_TIMEOUT`` setting (seconds), if any; a value that
+    is not a number raises :class:`ConfigError`, which the CLI turns
+    into exit status 2."""
     raw = env.raw(PAIR_TIMEOUT_ENV_VAR, "") or ""
     if not raw:
         return None
     try:
         timeout = float(raw)
     except ValueError:
-        raise SystemExit(f"{PAIR_TIMEOUT_ENV_VAR} must be a number, "
-                         f"got {raw!r}") from None
+        raise ConfigError(f"{PAIR_TIMEOUT_ENV_VAR} must be a number, "
+                          f"got {raw!r}") from None
     return timeout if timeout > 0 else None
 
 

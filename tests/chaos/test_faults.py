@@ -107,6 +107,24 @@ class TestModuleState:
         assert faults.injector().seed == 42
         assert faults.should_fire("compile_fail")
 
+    def test_env_bad_seed_is_config_error(self, monkeypatch):
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "worker_crash:0.1")
+        monkeypatch.setenv(faults.FAULTS_SEED_ENV_VAR, "x")
+        faults.reset()
+        for _ in range(2):     # never marked loaded: every hook re-raises
+            with pytest.raises(ConfigError,
+                               match=faults.FAULTS_SEED_ENV_VAR):
+                faults.active()
+
+    def test_env_bad_seed_exits_2_at_the_cli(self, monkeypatch, capsys):
+        from repro.__main__ import main as repro_main
+        monkeypatch.setenv(faults.FAULTS_ENV_VAR, "worker_crash:0.1")
+        monkeypatch.setenv(faults.FAULTS_SEED_ENV_VAR, "x")
+        faults.reset()
+        assert repro_main(["figure8", "--bench"]) == 2
+        assert (f"error: {faults.FAULTS_SEED_ENV_VAR} must be an integer"
+                in capsys.readouterr().err)
+
     def test_rescope_is_deterministic(self):
         def scoped_pattern(tag):
             faults.configure("worker_crash:0.5", seed=9)

@@ -6,8 +6,9 @@ bit-identical :class:`TimingStats` *and* leave the hardware structures
 (TLB, walker caches, bitmap cache, DRAM counters) in the identical final
 state as the scalar per-access loop.  These tests fuzz that contract over
 all seven standard configurations, at multiple hardware scales, including
-fault paths and warm-structure reruns, and on both the compiled LRU
-kernel and the pure-numpy fallback.
+fault paths and warm-structure reruns, with the compiled LRU kernel and
+on a numpy-only host, where the fast engine refuses every batch
+(``no_kernel``) to the scalar loops.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro.common import faults
 from repro.common.errors import PageFault, ProtectionFault
 from repro.common.perms import Perm
 from repro.core.config import HardwareScale, standard_configs
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
-from repro.hw.iommu import IOMMU
+from repro.hw.iommu import IOMMU, TimingStats
 from repro.kernel.kernel import Kernel
-from repro.sim import _native
+from repro.sim import _native, fastpath
 
 MB = 1 << 20
 
@@ -103,11 +105,11 @@ def assert_equivalent(name, addrs, writes, scale=None, perm=Perm.READ_WRITE,
 
 @pytest.fixture(params=["native", "numpy"])
 def engine_backend(request, monkeypatch):
-    """Exercise the compiled kernels and the pure-numpy fallbacks.
+    """Exercise the compiled kernels and a numpy-only host.
 
-    The numpy side disables the compiled library as a whole, so every
-    entry point (LRU replays, walk replays, DRAM row accounting) runs
-    its fallback.
+    The numpy side disables the compiled library as a whole: the fast
+    engine refuses every batch (``no_kernel``) to the scalar loops, and
+    DRAM row accounting runs its numpy fallback.
     """
     if request.param == "numpy":
         monkeypatch.setattr(_native, "_load", lambda: None)
@@ -161,3 +163,37 @@ class TestEngineEquivalence:
         alloc, _ = build(name, perm=Perm.READ_ONLY)
         addrs, writes = fuzz_trace(alloc, seed=13, write_frac=0.5)
         assert_equivalent(name, addrs, writes, perm=Perm.READ_ONLY)
+
+
+@pytest.fixture(params=["no_library", "compile_fail"])
+def no_kernel(request, monkeypatch):
+    """A host without the compiled LRU kernel: no library at all, or an
+    injected compile failure on the first load."""
+    if request.param == "no_library":
+        monkeypatch.setattr(_native, "_load", lambda: None)
+    else:
+        monkeypatch.setattr(_native, "_lib", None)
+        monkeypatch.setattr(_native, "_tried", False)
+        faults.configure("compile_fail:1.0", seed=0)
+    return request.param
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+class TestNoKernel:
+    def test_run_batch_refuses_untouched(self, name, no_kernel):
+        alloc, iommu = build(name)
+        addrs, writes = fuzz_trace(alloc, seed=7)
+        iommu.run_trace(addrs[:500], writes[:500], engine="scalar")
+        before = structure_state(iommu)
+        stats = TimingStats()
+        outcome = fastpath.run_batch(
+            iommu, fastpath.PageRunBatch.from_trace(addrs, writes), stats)
+        assert not outcome
+        assert outcome.reason == "no_kernel"
+        assert asdict(stats) == asdict(TimingStats())
+        assert structure_state(iommu) == before
+
+    def test_fast_engine_matches_scalar(self, name, no_kernel):
+        alloc, _ = build(name)
+        addrs, writes = fuzz_trace(alloc, seed=11)
+        assert_equivalent(name, addrs, writes, repeat=2)

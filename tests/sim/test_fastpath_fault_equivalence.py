@@ -5,7 +5,8 @@ predicted faults up front, at their exact sites, through the real fault
 machinery (`repro.hw.fault_queue`, `repro.kernel.fault`), then replays
 the whole trace batched.  A trace whose faults cannot be pinned to sites
 is refused to the scalar loops.  These tests pin the contract across
-all seven standard configurations and both LRU backends: demand
+all seven standard configurations, with the compiled LRU kernel and on a
+numpy-only host (every batch on the scalar loops): demand
 page-in, swap-in under reclaim pressure, permission mosaics, warm
 reruns and chaos-injected faults must all produce bit-identical
 :class:`TimingStats` (fault and stall counters included), energy
@@ -175,17 +176,24 @@ def run_both(make_system, addrs, writes, repeat=1, prepare=None,
 
 @pytest.fixture(params=["native", "numpy"])
 def engine_backend(request, monkeypatch):
-    """Exercise the compiled kernels and the pure-numpy fallbacks.
+    """Exercise the compiled kernels and a numpy-only host.
 
-    The numpy side disables the compiled library as a whole, so every
-    entry point (LRU replays, walk replays, DRAM row accounting) runs
-    its fallback.
+    The numpy side disables the compiled library as a whole: the fast
+    engine refuses every batch (``no_kernel``) to the scalar loops, so
+    faults are delivered in-loop on both sides, and DRAM row accounting
+    runs its numpy fallback.
     """
     if request.param == "numpy":
         monkeypatch.setattr(_native, "_load", lambda: None)
     elif not _native.available():
         pytest.skip("no C compiler available for the native kernel")
     return request.param
+
+
+def kernel_reason(engine_backend, reason):
+    """The refusal ``reason`` expected with the compiled kernel; a
+    numpy-only host refuses every batch as ``no_kernel``."""
+    return reason if engine_backend == "native" else "no_kernel"
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -254,7 +262,8 @@ class TestFaultEquivalence:
                 probe.iommu, fastpath.PageRunBatch.from_trace(addrs, writes),
                 TimingStats())
             assert not outcome
-            assert outcome.reason == "order_dependent"
+            assert outcome.reason == kernel_reason(engine_backend,
+                                                   "order_dependent")
         stats, _ = run_both(lambda: build(name, extra=256 << 10),
                             addrs, writes,
                             compare_contents=name not in ("dvm_pe",
@@ -338,15 +347,18 @@ class TestSegmentStitching:
         assert scalar_stats.major_faults > 0
         sys_ = make()
         outcome, stats = self.outcome_for(sys_, addrs, writes)
-        assert outcome.accepted
-        assert asdict(stats) == asdict(scalar_stats)
+        if engine_backend == "numpy":
+            assert outcome.reason == "no_kernel"
+        else:
+            assert outcome.accepted
+            assert asdict(stats) == asdict(scalar_stats)
 
     def test_predelivery_miss_runs_scalar_over_healed_state(
             self, engine_backend, monkeypatch):
-        # Make the replay decline after the faults are delivered: the
-        # engine must refuse with "predelivery_miss", and the scalar loops
-        # over the healed state (delivered faults' charges kept) must
-        # reproduce the scalar run exactly.
+        # Make the post-delivery screen miss after the faults are
+        # delivered: the engine must refuse with "predelivery_miss", and
+        # the scalar loops over the healed state (delivered faults'
+        # charges kept) must reproduce the scalar run exactly.
         def make():
             return build("conv_4k", demand=True, heap=4 * MB)
 
@@ -357,12 +369,19 @@ class TestSegmentStitching:
                                                   engine="scalar")
         assert scalar_stats.major_faults > 0
 
-        monkeypatch.setattr(fastpath, "_fast_conventional",
-                            lambda *args, **kwargs: False)
+        screen = fastpath._screen_conventional
+
+        def missing(iommu, batch, parent=None):
+            if parent is None:
+                return screen(iommu, batch)
+            return "order_dependent", None
+
+        monkeypatch.setattr(fastpath, "_screen_conventional", missing)
         sys_ = make()
         outcome, _ = self.outcome_for(sys_, addrs, writes)
         assert not outcome
-        assert outcome.reason == "predelivery_miss"
+        assert outcome.reason == kernel_reason(engine_backend,
+                                               "predelivery_miss")
         fast_sys = make()
         fast_stats = fast_sys.iommu.run_trace(addrs, writes, engine="fast")
         assert asdict(fast_stats) == asdict(scalar_stats)

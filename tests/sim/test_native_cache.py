@@ -18,7 +18,6 @@ def fresh_loader(monkeypatch, tmp_path):
     monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setattr(_native, "_tried", False)
     monkeypatch.setattr(_native, "_cache_dirs", lambda tag: iter([tmp_path]))
-    monkeypatch.delenv(_native.NATIVE_ENV_VAR, raising=False)
     yield
     monkeypatch.setattr(_native, "_lib", None)
     monkeypatch.setattr(_native, "_tried", False)
@@ -56,12 +55,14 @@ def test_compile_failure_silent_without_debug(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_compile_fail_fault_degrades_to_numpy(monkeypatch, capsys):
+def test_compile_fail_fault_degrades_to_scalar(monkeypatch, capsys):
     monkeypatch.setenv(obs_log.DEBUG_ENV_VAR, "1")
     faults.configure("compile_fail:1.0", seed=0)
     assert _native._compile() is None
     assert not _native.available()
-    assert "injected compile_fail" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "injected compile_fail" in err
+    assert "scalar loops" in err
 
 
 @pytest.mark.skipif(not has_compiler(), reason="needs a C compiler")

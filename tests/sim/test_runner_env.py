@@ -75,9 +75,16 @@ class TestPairTimeoutFromEnv:
         assert pair_timeout_from_env() == 2.5
 
     def test_non_numeric_exits_with_message(self, monkeypatch):
+        # Library code raises ConfigError; the CLI turns it into exit 2.
         monkeypatch.setenv(PAIR_TIMEOUT_ENV_VAR, "soon")
-        with pytest.raises(SystemExit, match=PAIR_TIMEOUT_ENV_VAR):
+        with pytest.raises(ConfigError, match=PAIR_TIMEOUT_ENV_VAR):
             pair_timeout_from_env()
+
+    def test_entry_point_rejects_non_numeric(self, monkeypatch, capsys):
+        monkeypatch.setenv(PAIR_TIMEOUT_ENV_VAR, "soon")
+        assert repro_main(["figure8", "--bench"]) == 2
+        assert (f"error: {PAIR_TIMEOUT_ENV_VAR} must be a number"
+                in capsys.readouterr().err)
 
 
 class TestFromEnv:
