@@ -95,27 +95,23 @@ class ModuleContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source)
-        self.imports = self._import_table(self.tree)
+        # One walk builds both tables; in walk order, so a later
+        # import of a name wins.
+        self.imports: dict[str, str] = {}
         self.parents: dict[ast.AST, ast.AST] = {}
         for node in ast.walk(self.tree):
             for child in ast.iter_child_nodes(node):
                 self.parents[child] = node
-
-    @staticmethod
-    def _import_table(tree: ast.AST) -> dict[str, str]:
-        table: dict[str, str] = {}
-        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else local
-                    table[local] = target
+                    self.imports[local] = target
             elif isinstance(node, ast.ImportFrom) and node.module \
                     and not node.level:
                 for alias in node.names:
                     local = alias.asname or alias.name
-                    table[local] = f"{node.module}.{alias.name}"
-        return table
+                    self.imports[local] = f"{node.module}.{alias.name}"
 
     def dotted(self, node: ast.AST) -> str | None:
         """The import-resolved dotted path of a Name/Attribute chain.
@@ -174,10 +170,15 @@ def own_nodes(scope: ast.AST) -> list[ast.AST]:
 
 @dataclass
 class ProjectContext:
-    """Whole-tree view handed to :class:`ProjectRule`\\ s."""
+    """Whole-tree view handed to :class:`ProjectRule`\\ s.
+
+    ``memo`` holds whole-tree results that several rules share (computed
+    once per run by whichever rule asks first).
+    """
 
     root: Path
     modules: list[ModuleContext] = field(default_factory=list)
+    memo: dict = field(default_factory=dict, repr=False)
 
 
 class Rule:

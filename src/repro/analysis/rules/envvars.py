@@ -50,8 +50,12 @@ class DirectEnvRead(Rule):
 
 
 def _code_vars(project: ProjectContext) -> dict[str, list]:
-    """REPRO_* string literals -> [(module, node), ...] across the tree."""
-    sites: dict[str, list] = {}
+    """REPRO_* string literals -> [(module, node), ...] across the tree,
+    found in one walk per run that ENV002 and ENV003 share."""
+    sites = project.memo.get("env.code_vars")
+    if sites is not None:
+        return sites
+    sites = project.memo["env.code_vars"] = {}
     for ctx in project.modules:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Constant) \

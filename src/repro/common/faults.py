@@ -214,6 +214,19 @@ class FaultInjector:
             for site, s in sorted(self.stats.items())
         }
 
+    def merge(self, counts: dict) -> None:
+        """Add another injector's :meth:`to_dict` counters to this one's.
+
+        Sweep workers decide their faults in their own processes; the
+        parent merges each task's counters so its report and
+        :meth:`fire_counts` cover the whole sweep.  Perturbation marks
+        stay per process: they guard in-process reruns only.
+        """
+        for site, counted in counts.items():
+            stat = self.stats.setdefault(site, SiteStats())
+            stat.checks += counted["checks"]
+            stat.fires += counted["fires"]
+
 
 # -- module-level injector (the hooks production code calls) -----------------
 
@@ -305,6 +318,19 @@ def rescope(tag: str) -> None:
         return
     global _injector
     _injector = FaultInjector(inj.specs, seed=derive_seed(inj.seed, tag))
+
+
+def counts() -> dict | None:
+    """The active injector's :meth:`FaultInjector.to_dict`, or ``None``."""
+    inj = injector()
+    return inj.to_dict() if inj is not None else None
+
+
+def merge(worker_counts: dict | None) -> None:
+    """Merge a worker's :func:`counts` into the active injector."""
+    inj = injector()
+    if inj is not None and worker_counts:
+        inj.merge(worker_counts)
 
 
 def should_fire(site: str) -> bool:

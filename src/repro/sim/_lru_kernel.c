@@ -1,30 +1,201 @@
 /* Compiled kernels of the batched timing engine (repro.sim.fastpath).
  *
- * Three entry points, each reading a trace's page runs through the one
- * shared run -> page index (the skeleton's `uidx`) plus a page-scale table,
- * so no caller gathers a per-run column first:
+ * The page-run pre-pass, then three replays that read a trace's page runs
+ * through the one shared run -> page index (the skeleton's `uidx`) plus a
+ * page-scale table, so no caller gathers a per-run column first:
  *
- *   repro_lru_sim       exact set-associative LRU replay of a key stream
- *                       (TLB regions, bitmap-cache words): key of run i is
- *                       key_of[idx[i]], after a warm-resident prime prefix;
- *   repro_lru_sim_walk  the same replay over an indirect walk-block stream
- *                       (walk caches): run i touches its page's block
- *                       slice; per-walk misses fold into a histogram;
- *   repro_row_hits      DRAM open-row accounting over a page stream.
+ *   repro_page_runs       one scan of the access columns: the run
+ *                         decomposition (head, length, stores, head
+ *                         store) and each run's page key, in exact-size
+ *                         columns (a counting pass, then a filling pass);
+ *   repro_compact         sorted-unique factorization of a narrow-span
+ *                         key column (the page alphabet and its index);
+ *   repro_page_aggregates per-page run, access and store counts through
+ *                         the run -> page index;
+ *   repro_lru_sim         exact set-associative LRU replay of a key stream
+ *                         (TLB regions, bitmap-cache words): key of run i is
+ *                         key_of[idx[i]], after a warm-resident prime prefix;
+ *   repro_lru_sim_walk    the same replay over an indirect walk-block stream
+ *                         (walk caches): run i touches its page's block
+ *                         slice; per-walk misses fold into a histogram;
+ *   repro_row_hits        DRAM open-row accounting over a page stream.
  *
  * The LRU replay is the algorithm the simulator's Python structures
  * implement with insertion-ordered dicts (hit = move to MRU, miss = evict
  * the LRU entry when the set is full), restated with O(1) doubly-linked
  * recency lists so a multi-million access stream replays in milliseconds.
- * repro_row_hits has a bit-identical numpy fallback in repro.hw.dram.
+ * repro_row_hits has a bit-identical numpy fallback in repro.hw.dram; the
+ * other kernels have none.
  *
  * Compiled on demand by repro.sim._native (cc -O3 -shared -fPIC); without
- * a compiler every batch runs on the simulator's scalar loops.
+ * a compiler every batch runs on the simulator's scalar loops, which need
+ * no page runs.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#define PAGE_SHIFT 12
+#define INLINE static inline __attribute__((always_inline))
+
+/* Store value of access i: writes is int8 when wide == 0, else int64. */
+INLINE int64_t store_at(const void *writes, int wide, int64_t i)
+{
+    return wide ? ((const int64_t *)writes)[i]
+                : (int64_t)((const int8_t *)writes)[i];
+}
+
+/* The counting pass: runs, least and greatest page.  Branch-free, since
+ * run boundaries in real traces are as unpredictable as coin flips. */
+INLINE int64_t count_runs(const int8_t *streams, const int64_t *cols,
+                          int64_t n, int64_t *page_range)
+{
+    int64_t page = cols[0] >> PAGE_SHIFT;
+    int8_t stream = streams ? streams[0] : 0;
+    int64_t m = 1, lo = page, hi = page;
+    for (int64_t i = 1; i < n; i++) {
+        int64_t p = cols[i] >> PAGE_SHIFT;
+        int8_t s = streams ? streams[i] : 0;
+        m += (p != page) | (s != stream);
+        lo = p < lo ? p : lo;
+        hi = p > hi ? p : hi;
+        page = p;
+        stream = s;
+    }
+    page_range[0] = lo;
+    page_range[1] = hi;
+    return m;
+}
+
+/* The filling pass.  Every access rewrites the open run's stores and
+ * key and provisionally writes the *next* run's head (overwritten until
+ * a boundary makes it real), so the only branch is the predictable
+ * bound check on that provisional slot. */
+INLINE int64_t fill_runs(const int8_t *streams, const int64_t *cols,
+                         const void *writes, int wide, int64_t n,
+                         int64_t span, int64_t m, int64_t *starts,
+                         int64_t *lengths, int64_t *run_writes,
+                         int64_t *head_writes, int64_t *keys,
+                         int64_t *key_range)
+{
+    int64_t page = 0, cur = 0, stores = 0;
+    int64_t klo = INT64_MAX, khi = INT64_MIN;
+    int8_t stream = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t p = cols[i] >> PAGE_SHIFT;
+        int8_t s = streams ? streams[i] : 0;
+        int64_t w = store_at(writes, wide, i);
+        int64_t c = (i == 0) | (p != page) | (s != stream);
+        if (cur < m) {
+            starts[cur] = i;
+            head_writes[cur] = w;
+        }
+        cur += c;
+        if (cur > m)
+            return cur;
+        stores = (c ? 0 : stores) + w;
+        run_writes[cur - 1] = stores;
+        int64_t key = streams ? (int64_t)s * span + p : p;
+        keys[cur - 1] = key;
+        klo = key < klo ? key : klo;
+        khi = key > khi ? key : khi;
+        page = p;
+        stream = s;
+    }
+    for (int64_t r = 0; r + 1 < cur; r++)
+        lengths[r] = starts[r + 1] - starts[r];
+    if (cur > 0)
+        lengths[cur - 1] = n - starts[cur - 1];
+    key_range[0] = klo;
+    key_range[1] = khi;
+    return cur;
+}
+
+/* Page-run scan of n accesses.  Access i is on page cols[i] >> 12 of
+ * stream streams[i]; with streams NULL there is one stream and cols holds
+ * virtual addresses.  A run is a maximal stretch of consecutive accesses
+ * to one (stream, page) pair.
+ *
+ * Counting call (starts NULL): returns the number of runs m and stores
+ * the least and greatest page in range[0..1] (0, -1 when n == 0).
+ * Filling call (n > 0): with the m-entry outputs of that count, stores
+ * each run's head index in starts, its access count in lengths, the sum
+ * of its store values in run_writes, its head's store value in
+ * head_writes, and its key in keys: streams[head] * span + page, or the
+ * page when streams is NULL; and the least and greatest key in
+ * range[0..1].  Returns m, or another count when the columns changed
+ * between the calls (no output is written past entry m - 1).
+ */
+int64_t repro_page_runs(const int8_t *streams, const int64_t *cols,
+                        const void *writes, int32_t wide, int64_t n,
+                        int64_t span, int64_t m, int64_t *range,
+                        int64_t *starts, int64_t *lengths,
+                        int64_t *run_writes, int64_t *head_writes,
+                        int64_t *keys)
+{
+    if (!starts) {
+        if (n > 0)
+            return streams ? count_runs(streams, cols, n, range)
+                           : count_runs(NULL, cols, n, range);
+        range[0] = 0;
+        range[1] = -1;
+        return 0;
+    }
+#define FILL(S, W) fill_runs(S, cols, writes, W, n, span, m, starts, \
+                             lengths, run_writes, head_writes, keys, range)
+    if (streams)
+        return wide ? FILL(streams, 1) : FILL(streams, 0);
+    return wide ? FILL(NULL, 1) : FILL(NULL, 0);
+#undef FILL
+}
+
+/* Sorted-unique factorization of n values in lo .. lo + span - 1
+ * through a direct presence table: rank holds span caller-zeroed
+ * entries, uniq room for every unique value.  Writes the unique values
+ * in increasing order to uniq and each value's index among them to
+ * inverse; returns their number.
+ */
+int64_t repro_compact(const int64_t *values, int64_t n, int64_t lo,
+                      int64_t span, int32_t *rank, int64_t *uniq,
+                      int32_t *inverse)
+{
+    for (int64_t i = 0; i < n; i++)
+        rank[values[i] - lo] = 1;
+    int32_t u = 0;
+    for (int64_t j = 0; j < span; j++) {
+        if (rank[j]) {
+            uniq[u] = lo + j;
+            rank[j] = u++;
+        }
+    }
+    for (int64_t i = 0; i < n; i++)
+        inverse[i] = rank[values[i] - lo];
+    return u;
+}
+
+/* Per-page aggregates of m runs over u pages: run r is on page uidx[r].
+ * Adds each run to its page's run_count, access_count (its length) and
+ * write_count (its stores), and sets written where a run stores.  The
+ * caller zeroes the u-entry outputs.  Returns 0, or 1 (after partial
+ * counts) when an index falls outside 0..u-1.
+ */
+int repro_page_aggregates(const int32_t *uidx, int64_t m, int32_t u,
+                          const int64_t *lengths, const int64_t *run_writes,
+                          int64_t *run_count, int64_t *access_count,
+                          int64_t *write_count, uint8_t *written)
+{
+    for (int64_t r = 0; r < m; r++) {
+        int32_t p = uidx[r];
+        if (p < 0 || p >= u)
+            return 1;
+        run_count[p]++;
+        access_count[p] += lengths[r];
+        write_count[p] += run_writes[r];
+        written[p] |= run_writes[r] > 0;
+    }
+    return 0;
+}
 
 /* Recency lists of nsets LRU sets over k keys. */
 typedef struct {

@@ -1,7 +1,15 @@
 """Best-effort loader for the compiled kernels of the batched engine.
 
-``_lru_kernel.c`` holds three kernels, each exposed here:
+``_lru_kernel.c`` holds the engine's page-run pre-pass and its three
+replays, each exposed here:
 
+* :func:`page_runs` — one scan of a trace's access columns into its
+  page runs (heads, lengths, stores, head stores) and each run's page
+  key, in exact-size columns;
+* :func:`compact` — the sorted-unique factorization of a narrow-span
+  key column (the page alphabet and its run -> page index);
+* :func:`page_aggregates` — per-page run, access and store counts
+  through a run -> page index;
 * :func:`lru_sim` — exact set-associative LRU replay of a key stream
   read through a run -> page index and a per-page key table (TLB
   regions, bitmap-cache words), after a warm-resident prime prefix;
@@ -19,7 +27,8 @@ directory when the tree is read-only), and loads it through
 Everything here degrades gracefully: no compiler, a failed compile or
 an unwritable cache make :func:`_load` return ``None`` and
 :func:`available` false.  The fast engine then refuses every batch to
-the scalar loops (``fastpath.refused.no_kernel``), and :func:`row_hits`
+the scalar loops (``fastpath.refused.no_kernel``) — binding a trace
+concretizes it without scanning it — and :func:`row_hits`
 returns ``None`` so DRAM row accounting, which the scalar loops share,
 runs its numpy fallback.  Degradation is never untraceable: the
 ``no_kernel`` counter shows it, and ``REPRO_DEBUG=1`` logs why the
@@ -114,6 +123,14 @@ def _load() -> ctypes.CDLL | None:
             ptr, ptr, ptr, ptr, ptr, ptr]
         lib.repro_row_hits.restype = ctypes.c_int64
         lib.repro_row_hits.argtypes = [ptr, ptr, i64, ptr]
+        lib.repro_page_runs.restype = ctypes.c_int64
+        lib.repro_page_runs.argtypes = [
+            ptr, ptr, ptr, i32, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+        lib.repro_compact.restype = ctypes.c_int64
+        lib.repro_compact.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
+        lib.repro_page_aggregates.restype = ctypes.c_int
+        lib.repro_page_aggregates.argtypes = [
+            ptr, i64, i32, ptr, ptr, ptr, ptr, ptr, ptr]
     _lib = lib
     return _lib
 
@@ -138,6 +155,104 @@ def _lru_outputs(k: int):
 
 def _set_table(nsets: int, sid_u):
     return _i32(sid_u) if nsets > 1 else None
+
+
+def _store_column(writes) -> tuple[np.ndarray, int]:
+    """``(column, wide)``: the store values as the kernel reads them —
+    int8 (``wide`` 0) for int8 and bool columns, int64 (``wide`` 1)
+    for every other dtype, converted when it is not int64 already."""
+    writes = np.ascontiguousarray(writes)
+    if writes.dtype == np.int8:
+        return writes, 0
+    if writes.dtype == np.bool_:
+        return writes.view(np.int8), 0
+    return np.ascontiguousarray(writes, dtype=np.int64), 1
+
+
+def page_runs(streams, cols, writes):
+    """Scan an access trace into its page runs through the kernel.
+
+    Access ``i`` is on page ``cols[i] >> PAGE_SHIFT`` of stream
+    ``streams[i]`` (int8); with ``streams`` ``None`` the trace is one
+    stream and ``cols`` holds virtual addresses.  A run is a maximal
+    stretch of consecutive accesses to one (stream, page) pair.  Returns
+    ``(runs, keys, key_bounds, lo, span)``: the int64 run columns
+    ``(starts, lengths, run_writes, head_writes)`` (``run_writes`` sums
+    each run's store values, ``head_writes`` is its head's); each run's
+    int64 key, ``stream * span + page`` with ``span = max(hi, 0) + 1``,
+    or the page itself (``span`` 0) without streams; the least and
+    greatest key; and ``lo``/``hi``, the least and greatest page (0 and
+    -1 for an empty trace).  Two passes over the accesses — count, then
+    fill exact-size columns — both with the GIL released.  Callers check
+    :func:`available` first.
+    """
+    lib = _load()
+    cols64 = np.ascontiguousarray(cols, dtype=np.int64)
+    streams8 = (None if streams is None
+                else np.ascontiguousarray(streams, dtype=np.int8))
+    stores, wide = _store_column(writes)
+    n = int(cols64.shape[0])
+    if stores.shape != (n,) or (streams8 is not None
+                                and streams8.shape != (n,)):
+        raise ValueError("page_runs: columns must have equal length")
+    bounds = np.empty(2, np.int64)
+    args = (_ptr(streams8), cols64.ctypes.data, stores.ctypes.data, wide, n)
+    m = lib.repro_page_runs(*args, 0, 0, bounds.ctypes.data,
+                            None, None, None, None, None)
+    lo, hi = int(bounds[0]), int(bounds[1])
+    span = 0 if streams8 is None else max(hi, 0) + 1
+    runs = [np.empty(m, np.int64) for _ in range(4)]
+    keys = np.empty(m, np.int64)
+    if m:
+        filled = lib.repro_page_runs(
+            *args, span, m, bounds.ctypes.data,
+            *(column.ctypes.data for column in runs), keys.ctypes.data)
+        if filled != m:
+            raise RuntimeError("page_runs: the filling pass disagrees "
+                               "with the counting pass")
+    return tuple(runs), keys, (int(bounds[0]), int(bounds[1])), lo, span
+
+
+def compact(values, lo: int, span: int):
+    """``(unique values, int32 inverse)`` of int64 ``values``, all in
+    ``lo .. lo + span - 1``, through a direct presence table of ``span``
+    entries — identical to sorted ``np.unique``.  Callers check
+    :func:`available` first and bound ``span``.
+    """
+    lib = _load()
+    values64 = np.ascontiguousarray(values, dtype=np.int64)
+    n = int(values64.shape[0])
+    rank = np.zeros(span, np.int32)
+    uniq = np.empty(min(n, span), np.int64)
+    inverse = np.empty(n, np.int32)
+    u = lib.repro_compact(values64.ctypes.data, n, lo, span,
+                          rank.ctypes.data, uniq.ctypes.data,
+                          inverse.ctypes.data)
+    return (uniq if u == uniq.shape[0] else uniq[:u].copy()), inverse
+
+
+def page_aggregates(uidx: np.ndarray, u: int, lengths: np.ndarray,
+                    run_writes: np.ndarray):
+    """``(run_count, access_count, write_count, written)`` over the ``u``
+    pages of a run -> page index, from the run columns of
+    :func:`page_runs`.  ``written`` is bool: whether some run of the page
+    stores.  Callers check :func:`available` first.
+    """
+    lib = _load()
+    idx32 = _i32(uidx)
+    m = int(idx32.shape[0])
+    lengths64 = np.ascontiguousarray(lengths, dtype=np.int64)
+    writes64 = np.ascontiguousarray(run_writes, dtype=np.int64)
+    if lengths64.shape != (m,) or writes64.shape != (m,):
+        raise ValueError("page_aggregates: run columns differ in length")
+    counts = [np.zeros(u, np.int64) for _ in range(3)]
+    written = np.zeros(u, bool)
+    if lib.repro_page_aggregates(
+            idx32.ctypes.data, m, u, lengths64.ctypes.data,
+            writes64.ctypes.data, *(column.ctypes.data for column in counts),
+            written.ctypes.data):
+        raise ValueError("page_aggregates: page index out of range")
+    return (*counts, written)
 
 
 def lru_sim(idx: np.ndarray, key_of: np.ndarray, prime_ids: np.ndarray,

@@ -2,7 +2,7 @@
 
 The scalar loops in :mod:`repro.hw.iommu` execute a few dict operations per
 access, millions of times per experiment.  This module reproduces their
-results *bit-identically* from a numpy pre-pass with no per-access Python
+results *bit-identically* from compiled passes with no per-access Python
 work at all; only final-state reconstruction touches the real dicts, once
 per resident entry.
 
@@ -15,7 +15,9 @@ DESIGN.md, "Key design decisions"):
     structure sees the same keys it saw at the run's head access, with the
     keys at the MRU end of their sets — so accesses 2..k of a run are
     *guaranteed* hits whose LRU re-touches leave every dict in exactly the
-    state the head left it.  Only run heads can change state.
+    state the head left it.  Only run heads can change state.  One
+    compiled scan per trace (:func:`_scan`) finds the runs, the page
+    alphabet and the per-page aggregates.
 
 2.  **One compiled LRU replay per structure.**  The head stream of each
     lookup structure (TLB regions, walk-cache blocks, bitmap-cache words)
@@ -131,52 +133,25 @@ class EngineOutcome:
 # Page-run pre-pass
 # ---------------------------------------------------------------------------
 
-def _page_runs(change: np.ndarray, writes: np.ndarray):
-    """``(starts, lengths, run_writes, head_writes)`` of the runs that
-    begin wherever ``change`` is set (``change[0]`` must be, unless the
-    trace is empty).
+def _scan(streams, cols, writes):
+    """The page-run pre-pass of one access trace, in compiled passes.
 
-    One ``reduceat`` sums each run's stores — no access-scale prefix sum.
-    Its input is cast to int64 first: a ``reduceat`` that casts int8 to
-    int64 itself holds the GIL for the whole cast (0.5-0.6 s on
-    sssp/S24), long enough for a sweep worker's heartbeat to go stale
-    and the worker to be killed as hung, while ``astype`` releases it.
-    Either way the trace-length int64 copy is made once.
+    ``streams``/``cols`` are as :func:`repro.sim._native.page_runs`
+    reads them: a symbolic trace's stream and offset columns, or
+    ``None`` and a concrete address column.  Returns ``(runs, (ukeys,
+    uidx), aggregates, written, lo, span)``: the int64 run columns
+    ``(starts, lengths, run_writes, head_writes)``, the sorted unique
+    run keys with each run's int32 index into them, the per-key
+    ``(run_count, access_count, write_count)``, the bool per-key
+    "some run stores" flag, the least page and the key span.
     """
-    starts = np.flatnonzero(change)
-    lengths = np.empty_like(starts)
-    if starts.shape[0] == 0:
-        return starts, lengths, lengths.copy(), lengths.copy()
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-    lengths[-1] = change.shape[0] - starts[-1]
-    # No ``out=``: given one, ``reduceat`` holds the GIL throughout.
-    run_writes = np.add.reduceat(writes.astype(np.int64, copy=False), starts)
-    return starts, lengths, run_writes, writes[starts].astype(np.int64)
-
-
-def _written_flags(uidx: np.ndarray, u: int,
-                   run_writes: np.ndarray) -> np.ndarray:
-    """bool[u]: whether any run of each unique page stores."""
-    written = np.zeros(u, bool)
-    written[uidx[run_writes > 0]] = True
-    return written
-
-
-def _run_aggregates(uidx: np.ndarray, u: int, lengths: np.ndarray,
-                    run_writes: np.ndarray, n: int):
-    """``(run_count, access_count, write_count)`` per unique page of an
-    ``n``-access trace."""
-    run_count = np.bincount(uidx, minlength=u)
-    if lengths.shape[0] == n:
-        # Degenerate compression (every run one access): the weighted
-        # reductions collapse to integer bincounts.
-        return (run_count, run_count,
-                np.bincount(uidx[run_writes > 0], minlength=u))
-    # float64 weights are exact for any count below 2**53.
-    access_count = np.bincount(uidx, weights=lengths, minlength=u)
-    write_count = np.bincount(uidx, weights=run_writes, minlength=u)
-    return (run_count, access_count.astype(np.int64),
-            write_count.astype(np.int64))
+    runs, keys, key_bounds, lo, span = _native.page_runs(streams, cols,
+                                                         writes)
+    ukeys, uidx = _compact(keys, key_bounds)
+    del keys                    # run-scale: free it before the aggregates
+    *aggregates, written = _native.page_aggregates(
+        uidx, ukeys.shape[0], runs[1], runs[2])
+    return runs, (ukeys, uidx), tuple(aggregates), written, lo, span
 
 
 class PageRunBatch:
@@ -184,7 +159,8 @@ class PageRunBatch:
 
     A *run* is a maximal stretch of consecutive accesses to one 4 KB page.
     ``writes`` is the per-access store flag; every other column is one
-    entry per run (or per unique page), computed lazily on first use.
+    entry per run (or per unique page), filled together by one compiled
+    scan (:func:`_scan`) on first use.
     Batches are immutable and safe to share across configurations
     simulating the same concretized trace.
 
@@ -296,6 +272,7 @@ class PageRunBatch:
         batch._runs = (skel.starts, skel.lengths, skel.run_writes,
                        skel.head_writes)
         batch._upages = (upages, skel.uidx)
+        batch._paggs, batch._written = skel.paggs, skel.written
         return batch
 
     def unique_pages(self):
@@ -304,20 +281,13 @@ class PageRunBatch:
         Sorted for :meth:`from_trace` batches, in the skeleton's alphabet
         order for skeleton batches (whose index is the skeleton's own).
         """
-        if self._upages is None:
-            self._compress()
+        self._compress()
         return self._upages
 
     def written_pages(self) -> np.ndarray:
         """bool[u] whether any access to each unique page stores (indexed
         like :meth:`unique_pages`), memoized per batch."""
-        if self._written is None:
-            if self._lazy is not None:
-                self._written = self._lazy[0].written_pages()
-            else:
-                upages, uidx = self.unique_pages()
-                self._written = _written_flags(uidx, upages.shape[0],
-                                               self.run_writes)
+        self._compress()
         return self._written
 
     def page_aggregates(self):
@@ -328,33 +298,13 @@ class PageRunBatch:
         mechanism runners turn run-scale (m) reductions into
         unique-page-scale (u << m for degenerate traces) ones.
         """
-        if self._paggs is None:
-            if self._lazy is not None:
-                self._paggs = self._lazy[0].page_aggregates()
-            else:
-                upages, uidx = self.unique_pages()
-                self._paggs = _run_aggregates(
-                    uidx, upages.shape[0], self.lengths, self.run_writes,
-                    self.num_accesses)
+        self._compress()
         return self._paggs
 
     def _compress(self):
-        if self._runs is not None:
-            return self._runs
-        addrs, writes = self.addrs, self.writes
-        n = addrs.shape[0]
-        if n == 0:
-            empty = np.empty(0, np.int64)
-            self._runs = (empty, empty, empty, empty)
-            self._upages = (empty, np.empty(0, np.int32))
-            return self._runs
-        pages_all = addrs >> PAGE_SHIFT
-        change = np.empty(n, bool)
-        change[0] = True
-        np.not_equal(pages_all[1:], pages_all[:-1], out=change[1:])
-        starts, lengths, run_writes, head_writes = _page_runs(change, writes)
-        self._runs = (starts, lengths, run_writes, head_writes)
-        self._upages = _compact(pages_all[starts])
+        if self._runs is None:
+            (self._runs, self._upages, self._paggs, self._written,
+             _, _) = _scan(None, self.addrs, self.writes)
         return self._runs
 
 
@@ -377,64 +327,26 @@ class TraceRunSkeleton:
 
     __slots__ = ("streams", "offsets", "writes", "starts", "lengths",
                  "run_writes", "head_writes", "num_writes", "max_opage",
-                 "min_opage", "u_streams", "u_opages", "uidx", "_written",
-                 "_paggs")
+                 "min_opage", "u_streams", "u_opages", "uidx", "written",
+                 "paggs")
 
     def __init__(self, trace):
-        streams = np.asarray(trace.streams)
-        offsets = np.asarray(trace.offsets, dtype=np.int64)
-        writes = np.asarray(trace.writes)
-        self.streams = streams
-        self.offsets = offsets
-        self.writes = writes
-        self._written = self._paggs = None
-        n = streams.shape[0]
-        if n == 0:
-            empty = np.empty(0, np.int64)
-            self.starts = self.lengths = self.run_writes = empty
-            self.head_writes = self.u_streams = self.u_opages = empty
-            self.uidx = np.empty(0, np.int32)
-            self.num_writes = 0
-            self.max_opage = {}
-            self.min_opage = 0
-            return
-        opage = offsets >> PAGE_SHIFT
-        change = np.empty(n, bool)
-        change[0] = True
-        np.not_equal(streams[1:], streams[:-1], out=change[1:])
-        change[1:] |= opage[1:] != opage[:-1]
-        (self.starts, self.lengths, self.run_writes,
-         self.head_writes) = _page_runs(change, writes)
-        self.num_writes = int(self.run_writes.sum())
-        # Runs never span streams or pages, so the heads alone carry every
-        # access's (stream, page) pair.
-        head_opage = opage[self.starts]
-        self.min_opage = int(head_opage.min())
-        span = max(int(head_opage.max()), 0) + 1
-        keys = np.multiply(streams[self.starts], span, dtype=np.int64)
-        keys += head_opage
-        ukeys, self.uidx = _compact(keys)
+        self.streams = np.asarray(trace.streams)
+        self.offsets = np.asarray(trace.offsets, dtype=np.int64)
+        self.writes = np.asarray(trace.writes)
+        # Runs never span streams or pages, so a run's key — its head's
+        # (stream, in-stream page) pair, ``stream * span + page`` —
+        # carries every access's pair.
+        (runs, (ukeys, self.uidx), self.paggs, self.written,
+         self.min_opage, span) = _scan(self.streams, self.offsets,
+                                       self.writes)
+        self.starts, self.lengths, self.run_writes, self.head_writes = runs
+        self.num_writes = int(self.paggs[2].sum())
         self.u_streams, self.u_opages = np.divmod(ukeys, span)
         # Sorted by (stream, page): each stream's last entry is its extent.
         last = np.flatnonzero(np.diff(self.u_streams, append=-1))
         self.max_opage = dict(zip(self.u_streams[last].tolist(),
                                   self.u_opages[last].tolist()))
-
-    def written_pages(self) -> np.ndarray:
-        """bool per alphabet page: whether any access stores, memoized."""
-        if self._written is None:
-            self._written = _written_flags(
-                self.uidx, self.u_streams.shape[0], self.run_writes)
-        return self._written
-
-    def page_aggregates(self):
-        """``(run_count, access_count, write_count)`` per alphabet page,
-        memoized."""
-        if self._paggs is None:
-            self._paggs = _run_aggregates(
-                self.uidx, self.u_streams.shape[0], self.lengths,
-                self.run_writes, self.streams.shape[0])
-        return self._paggs
 
 
 def _skeleton_layout_ok(skel: TraceRunSkeleton, layout) -> bool:
@@ -468,21 +380,26 @@ def batch_for(trace, layout, cache: dict | None = None) -> PageRunBatch:
     Reuses two levels from ``cache`` when given: the finished per-layout
     batch (keyed by the concrete base addresses) and the per-trace
     :class:`TraceRunSkeleton` that makes a second layout's batch cost
-    run-scale instead of access-scale.  Layouts the skeleton cannot serve
-    exactly fall back to eager concretization.
+    page-scale instead of access-scale.  Layouts the skeleton cannot serve
+    exactly fall back to eager concretization, and so does every layout
+    on a host without the compiled kernel: :func:`run_batch` refuses
+    such a batch (``no_kernel``) before touching its runs, so nothing is
+    scanned.
     """
     bases = layout.stream_bases
     token = trace.content_token()
     key = (token, tuple(sorted(bases.items())))
     if cache is not None and key in cache:
         return cache[key]
-    skel_key = ("skeleton", token)
-    skel = cache.get(skel_key) if cache is not None else None
-    if skel is None:
-        skel = TraceRunSkeleton(trace)
-        if cache is not None:
-            cache[skel_key] = skel
-    if _skeleton_layout_ok(skel, layout):
+    skel = None
+    if _native.available():
+        skel_key = ("skeleton", token)
+        skel = cache.get(skel_key) if cache is not None else None
+        if skel is None:
+            skel = TraceRunSkeleton(trace)
+            if cache is not None:
+                cache[skel_key] = skel
+    if skel is not None and _skeleton_layout_ok(skel, layout):
         max_stream = max(skel.max_opage, default=-1)
         bases_arr = np.zeros(max_stream + 1, dtype=np.int64)
         for stream, base in bases.items():
@@ -586,30 +503,25 @@ class _WalkTable:
 _COMPACT_SPAN_BUDGET = 1 << 26
 
 
-def _compact(values: np.ndarray):
+def _compact(values: np.ndarray, bounds=None):
     """(unique values, int32 inverse) — identical to sorted ``np.unique``.
 
+    ``bounds`` is the values' known ``(min, max)``, saving two passes.
+
     Page/VPN/walk-block alphabets span narrow ranges (the heap's), so a
-    direct presence table factorizes the stream in linear time instead of
-    ``np.unique``'s sort; the sort stays as the fallback for wide spans.
+    direct presence table (:func:`repro.sim._native.compact`) factorizes
+    the stream in linear time instead of ``np.unique``'s sort; the sort
+    stays for wide spans.  Like every caller, needs the compiled kernel.
     """
     if not values.size:
         return values.astype(np.int64), np.empty(0, np.int32)
-    lo = int(values.min())
-    span = int(values.max()) - lo + 1
+    lo, hi = bounds if bounds is not None else (values.min(), values.max())
+    lo, span = int(lo), int(hi) - int(lo) + 1
     # The presence table costs O(span) regardless of input size, which
     # loses badly for short streams over a wide heap: keep it for
     # streams dense in their span, sort the sparse ones.
     if span <= _COMPACT_SPAN_BUDGET and span <= 64 * values.size:
-        shifted = values - lo          # only ever used as an index column
-        present = np.zeros(span, bool)
-        present[shifted] = True
-        # Rank of each span slot among the present ones == sorted-unique id.
-        rank = np.cumsum(present, dtype=np.int32)
-        rank -= 1
-        uniq = np.flatnonzero(present).astype(np.int64)
-        uniq += lo
-        return uniq, rank[shifted]
+        return _native.compact(values, lo, span)
     uniq, inverse = np.unique(values, return_inverse=True)
     return uniq, inverse.astype(np.int32)
 

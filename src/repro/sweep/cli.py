@@ -164,8 +164,10 @@ def _chaos_round(site, spec, overrides, *, count, workers, pair_timeout,
                       f"{service.report.torn_records} truncated)")
     got = merged_digest(results)
     ok = got == want and len(results) == site_count
-    # Parent-side firings only: worker-side sites (hangs, exits) show
-    # up through the report's repair counters instead.
+    # Parent-side firings plus those of worker attempts that shipped a
+    # result (crashes); sites that end or silence the worker (hangs,
+    # exits, heartbeat loss) show up through the report's repair
+    # counters instead.
     fired += sum(faults.injector().fire_counts().values()) \
         if faults.injector() else 0
     repairs = {k: v for k, v in asdict(service.report).items()

@@ -378,6 +378,9 @@ class SweepService:
             self.report.duplicate_results += 1
             self._emit("duplicate", key=key, slot=worker.slot)
             return
+        # Fault decisions the worker made count as the sweep's, whether
+        # the attempt completed or failed.
+        faults.merge(payload.get("faults"))
         error = payload.get("error")
         if isinstance(error, (PageFault, ProtectionFault)):
             self.done.add(key)

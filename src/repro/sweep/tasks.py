@@ -22,9 +22,9 @@ one cache, one journal, and one resilience report:
 Workers are long-lived processes (one per scheduler slot) running
 :func:`_sweep_worker_main`: pull a task, re-key fault injection for the
 attempt, reset observability, execute, ship
-``{"key", "attempt", "entries"|"error", "report", "obs"}`` back on the
-slot's private result pipe.  The scheduler's serial tier runs the same
-executors in-process.  Chaos hooks for ``worker_exit`` /
+``{"key", "attempt", "entries"|"error", "report", "faults", "obs"}``
+back on the slot's private result pipe.  The scheduler's serial tier
+runs the same executors in-process.  Chaos hooks for ``worker_exit`` /
 ``worker_hang`` / ``worker_crash`` / ``heartbeat_loss`` live at the top
 of the task loop.
 """
@@ -221,6 +221,9 @@ def _sweep_worker_main(slot: int, task_r, result_w, beats,
         except BaseException as exc:        # noqa: BLE001
             result["error"] = WorkerCrashError(
                 f"worker failed on {key}: {exc!r}")
+        # This attempt's fault checks and fires (the injector was
+        # re-keyed for it), merged into the parent's injector.
+        result["faults"] = faults.counts()
         if obs_core.ENABLED:
             result["obs"] = {"registry": obs_core.REGISTRY.to_dict(),
                              "events": obs_trace.COLLECTOR.drain()}

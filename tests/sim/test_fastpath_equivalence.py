@@ -18,15 +18,20 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.accel.algorithms import run_workload
 from repro.common import faults
 from repro.common.errors import PageFault, ProtectionFault
 from repro.common.perms import Perm
 from repro.core.config import HardwareScale, standard_configs
+from repro.graphs.rmat import rmat_graph
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
 from repro.hw.iommu import IOMMU, TimingStats
 from repro.kernel.kernel import Kernel
+from repro.obs import core as obs_core
 from repro.sim import _native, fastpath
+from repro.sim.system import HeterogeneousSystem, SystemParams
 
 MB = 1 << 20
 
@@ -197,3 +202,36 @@ class TestNoKernel:
         alloc, _ = build(name)
         addrs, writes = fuzz_trace(alloc, seed=11)
         assert_equivalent(name, addrs, writes, repeat=2)
+
+    def test_system_run_binds_without_scanning(self, name, no_kernel,
+                                               monkeypatch):
+        # Without the kernel a symbolic trace binds by concretizing it,
+        # and run_batch refuses the batch before touching its runs: the
+        # page-run scan never runs.
+        def no_scan(*args, **kwargs):
+            raise AssertionError("page-run scan on a host without the kernel")
+
+        monkeypatch.setattr(fastpath, "_scan", no_scan)
+        monkeypatch.setattr(_native, "page_runs", no_scan)
+        graph = rmat_graph(scale=8, edge_factor=8, seed=30)
+        trace = run_workload("bfs", graph).trace
+
+        def system():
+            sys_ = HeterogeneousSystem(standard_configs()[name],
+                                       SystemParams(phys_bytes=128 * MB))
+            sys_.load_graph(graph)
+            return sys_
+
+        obs_core.configure(enabled=True)
+        obs.reset()
+        try:
+            fast = system().run_trace(trace, engine="fast", batch_cache={})
+            refused = obs_core.REGISTRY.counter(
+                "fastpath.refused.no_kernel",
+                mech=standard_configs()[name].mech).value
+        finally:
+            obs_core.configure(enabled=False)
+            obs.reset()
+        assert refused == 1
+        assert asdict(fast) == asdict(system().run_trace(trace,
+                                                         engine="scalar"))

@@ -1,4 +1,5 @@
-"""The page-run pre-pass: skeleton-bound batches vs concretized batches.
+"""The page-run pre-pass: skeleton-bound batches vs concretized batches,
+and the compiled scan against its numpy formulation.
 
 :func:`repro.sim.fastpath.batch_for` binds a layout-independent
 :class:`~repro.sim.fastpath.TraceRunSkeleton` to a layout by relocating
@@ -15,14 +16,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accel.trace import SymbolicTrace
 from repro.common.consts import PAGE_SHIFT
-from repro.sim import fastpath
+from repro.sim import _native, fastpath
 from repro.sim.fastpath import (PageRunBatch, TraceRunSkeleton,
                                 _skeleton_layout_ok, batch_for)
 
 PAGE = 1 << PAGE_SHIFT
+
+#: Every batch here is scanned, and the scan is compiled.
+pytestmark = pytest.mark.skipif(not _native.available(),
+                                reason="no C compiler for the kernel")
 
 
 def make_trace(streams, offsets, writes) -> SymbolicTrace:
@@ -250,9 +257,61 @@ class TestBatchCache:
         assert_batches_match(second, trace, second_layout)
 
 
+def reference_scan(streams, cols, writes):
+    """The page-run pre-pass in numpy, as the engine computed it before
+    the compiled scan: ``(runs, (ukeys, uidx), aggregates, written, lo,
+    span)`` exactly as :func:`repro.sim.fastpath._scan` returns them."""
+    cols = np.asarray(cols, np.int64)
+    pages = cols >> PAGE_SHIFT
+    n = pages.shape[0]
+    change = np.ones(n, bool)
+    np.not_equal(pages[1:], pages[:-1], out=change[1:])
+    if streams is not None:
+        streams = np.asarray(streams, np.int8)
+        change[1:] |= streams[1:] != streams[:-1]
+    starts = np.flatnonzero(change)
+    lengths = np.diff(np.append(starts, n))
+    run_writes = (np.add.reduceat(writes, starts, dtype=np.int64) if n
+                  else np.zeros(0, np.int64))
+    head_writes = writes[starts].astype(np.int64)
+    heads = pages[starts]
+    lo = int(heads.min()) if n else 0
+    span = 0
+    keys = heads
+    if streams is not None:
+        span = max(int(heads.max(initial=-1)), 0) + 1
+        keys = streams[starts].astype(np.int64) * span + heads
+    ukeys, uidx = np.unique(keys, return_inverse=True)
+    u = ukeys.shape[0]
+    aggregates = (
+        np.bincount(uidx, minlength=u),
+        np.bincount(uidx, weights=lengths, minlength=u).astype(np.int64),
+        np.bincount(uidx, weights=run_writes, minlength=u).astype(np.int64))
+    written = np.zeros(u, bool)
+    written[uidx[run_writes > 0]] = True
+    return ((starts, lengths, run_writes, head_writes),
+            (ukeys.astype(np.int64), uidx.astype(np.int32)), aggregates,
+            written, lo, span)
+
+
+def assert_scan_matches(streams, cols, writes):
+    got = fastpath._scan(streams, cols, writes)
+    want = reference_scan(streams, cols, writes)
+    (runs, alphabet, aggregates, written, lo, span) = got
+    (ref_runs, ref_alphabet, ref_aggregates, ref_written, ref_lo,
+     ref_span) = want
+    for column, ref in zip(runs + alphabet + aggregates + (written,),
+                           ref_runs + ref_alphabet + ref_aggregates
+                           + (ref_written,)):
+        assert column.dtype == ref.dtype
+        np.testing.assert_array_equal(column, ref)
+    assert (lo, span) == (ref_lo, ref_span)
+    return got
+
+
 class TestPageRuns:
-    """:func:`fastpath._page_runs` against a whole-trace ``reduceat``
-    that casts its input itself (the form that held the GIL)."""
+    """The compiled page-run scan (:func:`fastpath._scan`) against a
+    whole-trace ``reduceat`` that casts its input itself."""
 
     @staticmethod
     def reference(change, writes):
@@ -263,8 +322,10 @@ class TestPageRuns:
                 writes[starts].astype(np.int64))
 
     def check(self, change, writes):
-        got = fastpath._page_runs(change, writes)
-        for column, want in zip(got, self.reference(change, writes)):
+        # One stream whose page changes exactly where ``change`` is set.
+        addrs = np.cumsum(change, dtype=np.int64) * PAGE + 8
+        runs = assert_scan_matches(None, addrs, writes)[0]
+        for column, want in zip(runs, self.reference(change, writes)):
             assert column.dtype == np.int64
             np.testing.assert_array_equal(column, want)
 
@@ -283,7 +344,96 @@ class TestPageRuns:
         self.check(change, np.array([1, 0, 1, 1, 0, 0, 1], np.int8))
 
     def test_empty_trace(self):
-        starts, lengths, run_writes, head_writes = fastpath._page_runs(
-            np.zeros(0, bool), np.zeros(0, np.int8))
-        for column in (starts, lengths, run_writes, head_writes):
+        runs, (ukeys, uidx), aggregates, written, _, _ = assert_scan_matches(
+            None, np.zeros(0, np.int64), np.zeros(0, np.int8))
+        for column in runs + (ukeys,) + aggregates:
             assert column.shape == (0,) and column.dtype == np.int64
+        assert uidx.shape == written.shape == (0,)
+
+    def test_wide_page_span_takes_the_sort_path(self):
+        # Two pages 2**40 pages apart: far past the presence table's
+        # budget, so the alphabet comes from the sort.
+        far = (1 << 40) << PAGE_SHIFT
+        addrs = np.array([0, 8, far, far + 8, 16, far], np.int64)
+        writes = np.array([0, 1, 0, 0, 1, 1], np.int8)
+        (starts, lengths, run_writes, _), (ukeys, uidx), aggregates, _, _, \
+            _ = assert_scan_matches(None, addrs, writes)
+        assert ukeys[-1] - ukeys[0] > fastpath._COMPACT_SPAN_BUDGET
+        np.testing.assert_array_equal(starts, [0, 2, 4, 5])
+        np.testing.assert_array_equal(lengths, [2, 2, 1, 1])
+        np.testing.assert_array_equal(run_writes, [1, 0, 1, 1])
+        np.testing.assert_array_equal(uidx, [0, 1, 0, 1])
+        np.testing.assert_array_equal(aggregates[1], [3, 3])
+
+
+class TestScanProperties:
+    """The compiled scan equals the numpy reference on symbolic traces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, 5, 127]),
+                              st.integers(-3, 6), st.integers(0, 4095),
+                              st.integers(0, 1)),
+                    max_size=60),
+           st.sampled_from([np.int8, np.bool_, np.int64]))
+    def test_matches_numpy_reference(self, accesses, dtype):
+        streams = np.array([a[0] for a in accesses], np.int8)
+        offsets = np.array([a[1] * PAGE + a[2] for a in accesses], np.int64)
+        writes = np.array([a[3] for a in accesses], dtype)
+        assert_scan_matches(streams, offsets, writes)
+        assert_scan_matches(None, offsets, writes)
+
+    def test_empty_trace(self):
+        skel = TraceRunSkeleton(make_trace([], [], []))
+        assert skel.num_writes == 0 and skel.max_opage == {}
+        assert skel.min_opage == 0
+        assert_scan_matches(np.zeros(0, np.int8), np.zeros(0, np.int64),
+                            np.zeros(0, np.int8))
+
+    def test_one_access(self):
+        (starts, lengths, run_writes, head_writes), (ukeys, _), _, _, lo, \
+            span = assert_scan_matches(np.array([3], np.int8),
+                                       np.array([5 * PAGE + 8]),
+                                       np.array([1], np.int8))
+        assert (starts.tolist(), lengths.tolist(), run_writes.tolist(),
+                head_writes.tolist()) == ([0], [1], [1], [1])
+        assert (lo, span) == (5, 6)
+        assert ukeys.tolist() == [3 * 6 + 5]
+
+    def test_one_page(self):
+        writes = np.array([0, 1, 1, 0, 1], np.int8)
+        runs, _, aggregates, written, _, _ = assert_scan_matches(
+            np.zeros(5, np.int8), np.arange(5, dtype=np.int64) * 8, writes)
+        assert [column.tolist() for column in runs] == [[0], [5], [3], [0]]
+        assert [column.tolist() for column in aggregates] == [[1], [5], [3]]
+        assert written.tolist() == [True]
+
+    def test_stream_switch_on_same_page_splits_the_run(self):
+        runs, (ukeys, uidx), _, _, _, span = assert_scan_matches(
+            np.array([0, 0, 1, 1, 0], np.int8),
+            np.array([8, 16, 8, 16, 24], np.int64),
+            np.array([0, 1, 0, 0, 1], np.int8))
+        np.testing.assert_array_equal(runs[0], [0, 2, 4])
+        np.testing.assert_array_equal(uidx, [0, 1, 0])
+        assert span == 1 and ukeys.tolist() == [0, 1]
+
+    def test_stream_127(self):
+        trace = make_trace([127, 127, 0, 127], [0, PAGE, 0, 3 * PAGE],
+                           [1, 0, 0, 1])
+        skel = TraceRunSkeleton(trace)
+        assert skel.max_opage == {0: 0, 127: 3}
+        assert skel.u_streams.tolist() == [0, 127, 127, 127]
+        layout = make_layout({0: PAGE, 127: 4 * PAGE})
+        assert_batches_match(skeleton_batch(trace, layout), trace, layout)
+
+    @pytest.mark.parametrize("offsets", [[-8, 0, PAGE], [0, -PAGE - 8, 8]])
+    def test_negative_offsets_concretize(self, offsets):
+        trace = make_trace([0, 1, 1], offsets, [1, 0, 1])
+        skel = TraceRunSkeleton(trace)
+        assert skel.min_opage < 0
+        assert_scan_matches(trace.streams, trace.offsets, trace.writes)
+        layout = make_layout({0: 2 * PAGE, 1: 2 * PAGE})
+        batch = batch_for(trace, layout, {})
+        assert batch._lazy is None
+        addrs, writes = trace.concretize(layout.stream_bases)
+        np.testing.assert_array_equal(batch.addrs, addrs)
+        assert_scan_matches(None, addrs, writes)

@@ -24,6 +24,7 @@ from repro.accel.algorithms import run_workload
 from repro.common import faults
 from repro.core.config import demand_faulting_config, standard_configs
 from repro.graphs.rmat import rmat_graph
+from repro.sim import _native
 from repro.sim.fastpath import PageRunBatch, TraceRunSkeleton
 from repro.sim.system import HeterogeneousSystem, SystemParams
 
@@ -35,6 +36,12 @@ CONFIGS = ("conv_4k", "conv_2m", "conv_1g", "dvm_bm", "dvm_pe",
            "dvm_pe_plus", "ideal")
 CASES = [(name, "none") for name in CONFIGS]
 CASES += [("conv_4k", "demand"), ("dvm_pe", "swap"), ("dvm_bm", "swap")]
+
+
+#: Skeletons exist only where the compiled scan does; a host without the
+#: kernel concretizes every batch and runs it on the scalar loops.
+needs_kernel = pytest.mark.skipif(not _native.available(),
+                                  reason="no C compiler for the kernel")
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +67,7 @@ def run(name, mode, workload, engine, cache=None):
                                              batch_cache=cache)
 
 
+@needs_kernel
 @pytest.mark.parametrize("name,mode", CASES)
 def test_fast_run_keeps_batches_run_scale(name, mode, workload):
     cache: dict = {}
@@ -86,6 +94,7 @@ def _held_arrays(batch: PageRunBatch):
             stack.extend(value)
 
 
+@needs_kernel
 def test_configs_share_one_run_stream(workload):
     graph, trace = workload
     cache: dict = {}

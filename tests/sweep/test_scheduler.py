@@ -226,6 +226,24 @@ class TestOneAttemptInFlight:
         assert len(sends) > len(set(sends))
 
 
+class TestWorkerFaultCounts:
+    def test_worker_fires_reach_the_parent(self):
+        # worker_crash is decided only inside workers (the serial tier
+        # runs executors, not the worker loop), yet every fire must show
+        # in the parent's injector: one per crash the supervisor saw.
+        faults.configure("worker_crash:0.3", seed=7)
+        harness = Harness(probe_tasks(20), workers=2)
+        assert harness.run() == expected(20)
+        report = harness.report
+        fires = faults.injector().fire_counts().get("worker_crash", 0)
+        assert fires == report.worker_crashes > 0
+        # One check per worker attempt: each crash, plus each task a
+        # worker completed (a task that ran out of retries finished on
+        # the serial tier instead).
+        counts = faults.injector().to_dict()["worker_crash"]
+        assert counts["checks"] == fires + 20 - report.serial_degradations
+
+
 class TestPoolBudget:
     def test_exhausted_pool_budget_degrades_to_serial(self):
         # Every dispatch kills its worker: the first death spends the
