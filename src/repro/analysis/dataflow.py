@@ -391,20 +391,58 @@ class _TaintPass:
 _MAX_ROUNDS = 8
 
 
+class _ReadLog:
+    """The summary table as one pass sees it, logging every key it reads."""
+
+    __slots__ = ("summaries", "keys")
+
+    def __init__(self, summaries: dict):
+        self.summaries = summaries
+        self.keys: set[str] = set()
+
+    def get(self, key: str, default=None):
+        self.keys.add(key)
+        return self.summaries.get(key, default)
+
+
+def _fixpoint(order: list[str], run, same) -> dict:
+    """Iterate per-function summaries to their fixpoint, worklist style.
+
+    ``run(qual, view)`` computes one function's summary, reading callee
+    summaries through ``view``; ``same(old, new)`` says whether the new
+    summary changes nothing (``old`` is ``None`` before the first
+    store).  The first round runs every function in ``order``; each
+    later round re-runs, in order, only the functions that read a
+    summary the previous round changed.  A pass reads the same callees
+    every time, so a function none of whose callees changed would only
+    recompute its summary — the fixpoint is the one full rounds reach.
+    """
+    summaries: dict = {}
+    readers: dict[str, set[str]] = {}
+    dirty = set(order)
+    for _ in range(_MAX_ROUNDS):
+        if not dirty:
+            break
+        batch, dirty = sorted(dirty), set()
+        for qual in batch:
+            view = _ReadLog(summaries)
+            summary = run(qual, view)
+            for key in view.keys:
+                readers.setdefault(key, set()).add(qual)
+            if not same(summaries.get(qual), summary):
+                summaries[qual] = summary
+                dirty |= readers.get(qual, set())
+    return summaries
+
+
 def compute_taint(graph: ProjectGraph) -> list[TaintFlow]:
     """All taint flows in the tree, sorted and de-duplicated."""
-    summaries: dict[str, TaintSummary] = {}
     order = sorted(graph.functions)
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for qual in order:
-            summary = _TaintPass(graph, graph.functions[qual],
-                                 summaries, None).run()
-            if summaries.get(qual, TaintSummary()).key() != summary.key():
-                summaries[qual] = summary
-                changed = True
-        if not changed:
-            break
+    summaries = _fixpoint(
+        order,
+        lambda qual, view: _TaintPass(graph, graph.functions[qual],
+                                      view, None).run(),
+        lambda old, new: (old or TaintSummary()).key() == new.key())
     flows: list[TaintFlow] = []
     for qual in order:
         _TaintPass(graph, graph.functions[qual], summaries, flows).run()
@@ -597,18 +635,12 @@ class _RaisePass:
 
 def compute_may_raise(graph: ProjectGraph) -> dict[str, dict[str, int]]:
     """qualname -> {escaping exception name -> first origin line}."""
-    summaries: dict[str, dict[str, int]] = {}
     order = sorted(graph.functions)
-    for _ in range(_MAX_ROUNDS):
-        changed = False
-        for qual in order:
-            escapes = _RaisePass(graph, graph.functions[qual],
-                                 summaries).run()
-            if summaries.get(qual) != escapes:
-                summaries[qual] = escapes
-                changed = True
-        if not changed:
-            break
+    summaries = _fixpoint(
+        order,
+        lambda qual, view: _RaisePass(graph, graph.functions[qual],
+                                      view).run(),
+        lambda old, new: old == new)
     return {qual: summaries[qual] for qual in order}
 
 

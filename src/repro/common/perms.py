@@ -39,7 +39,10 @@ def allows(perm: Perm, access: str) -> bool:
     """Return whether ``perm`` authorises an access of kind ``access``."""
     if access not in ACCESS_KINDS:
         raise ValueError(f"unknown access kind: {access!r}")
-    return access in _ALLOWED[Perm(perm)]
+    allowed = _ALLOWED.get(perm)    # a Perm key matches its int value
+    if allowed is None:
+        allowed = _ALLOWED[Perm(perm)]   # ValueError on a bad encoding
+    return access in allowed
 
 
 def pack_fields(fields: list[Perm]) -> int:

@@ -19,7 +19,13 @@ of crashing the simulation, so the cost DVM avoids becomes measurable:
 * :class:`FaultPath` — glue between the queue and the kernel-side
   handler (:mod:`repro.kernel.fault`): delivers a fault, charges the
   stall, and escalates unserviceable faults to a structured
-  :class:`~repro.common.errors.AccessViolation`.
+  :class:`~repro.common.errors.AccessViolation`.  A refused or raising
+  delivery discards its record, so the queue is empty between
+  deliveries.  :meth:`FaultPath.deliver_batch` is the fast engine's
+  batch delivery: a batch's predicted faults in one handler pass, the
+  queue charged once in closed form (a serial fault on an empty queue
+  admits and retires at once), stopping before the first fault that
+  would escalate.
 
 The seven IOMMU configurations call :meth:`FaultPath.deliver` from their
 fault sites instead of raising mid-stream; fault-free traces never touch
@@ -95,6 +101,12 @@ class FaultQueue:
         self.stats = FaultQueueStats()
         self._pending: dict[int, FaultRecord] = {}
 
+    @property
+    def round_trip(self) -> int:
+        """A primary fault's stall: request + service + response legs."""
+        return (self.request_cycles + self.service_cycles
+                + self.response_cycles)
+
     # -- queue operations ------------------------------------------------------
 
     def admit(self, record: FaultRecord) -> tuple[FaultRecord, int]:
@@ -130,11 +142,33 @@ class FaultQueue:
         """
         self._pending.pop(record.page, None)
         self.stats.serviced += 1
-        stall = (self.response_cycles if coalesced else
-                 self.request_cycles + self.service_cycles
-                 + self.response_cycles)
+        stall = self.response_cycles if coalesced else self.round_trip
         self.stats.stall_cycles += stall
         return stall
+
+    def charge_serial(self, count: int) -> int:
+        """Charge ``count`` faults delivered one after another; returns
+        each one's stall.
+
+        Between deliveries the queue is empty (every delivery retires or
+        discards its record), so each of these faults admits without
+        coalescing or a full-queue stall and retires at once: the
+        closed form of ``count`` :meth:`admit`/:meth:`retire` pairs.
+        """
+        assert not self._pending, "serial faults need an empty queue"
+        stall = self.round_trip
+        self.stats.enqueued += count
+        self.stats.serviced += count
+        self.stats.stall_cycles += count * stall
+        return stall
+
+    def discard(self, record: FaultRecord) -> None:
+        """Drop a record whose service was refused or raised.
+
+        A refused fault is not in flight any more: leaving it pending
+        would let the page's next fault coalesce onto a dead record.
+        """
+        self._pending.pop(record.page, None)
 
     def pending(self) -> int:
         """Number of in-flight (unretired) fault records."""
@@ -152,6 +186,7 @@ class FaultPath:
     ``handler`` is any object with ``service(va, access) -> str | None``
     (see :class:`repro.kernel.fault.FaultHandler`): the returned string is
     the fault kind serviced, ``None`` means the fault is a true violation.
+    :meth:`deliver_batch` also needs its ``service_batch``.
     """
 
     def __init__(self, queue: FaultQueue, handler, config: str = ""):
@@ -172,8 +207,13 @@ class FaultPath:
                              config=self.config, index=index)
         record, admit_stall = self.queue.admit(record)
         coalesced = record.coalesced > 0
-        kind = self.handler.service(va, access)
+        try:
+            kind = self.handler.service(va, access)
+        except BaseException:
+            self.queue.discard(record)
+            raise
         if kind is None:
+            self.queue.discard(record)
             self.queue.stats.violations += 1
             record.kind = "perm"
             if obs_core.ENABLED:
@@ -189,6 +229,35 @@ class FaultPath:
                 obs_core.REGISTRY.counter("fault.coalesced",
                                           config=self.config).inc()
         return kind, stall
+
+    def deliver_batch(self, vas: list, accesses: list,
+                      served: list) -> int:
+        """Service a batch's predicted faults in one handler pass.
+
+        The batch twin of :meth:`deliver` for fault pre-delivery: the
+        handler services the sites in order (see
+        :meth:`repro.kernel.fault.FaultHandler.service_batch`), appending
+        ``(i, kind)`` per serviced site to ``served``, and stops before
+        the first site that would escalate; its index is returned and
+        the caller delivers that site and the rest one by one.  The
+        queue is charged once in closed form
+        (:meth:`FaultQueue.charge_serial`) for the sites served — also
+        when a service raises mid-pass; that site counts as enqueued,
+        as :meth:`deliver` admits before it services.  With
+        observability on, each serviced fault is recorded as
+        :meth:`deliver` records it.
+        """
+        try:
+            return self.handler.service_batch(vas, accesses, served)
+        except BaseException:
+            self.queue.stats.enqueued += 1
+            raise
+        finally:
+            stall = self.queue.charge_serial(len(served))
+            if obs_core.ENABLED:
+                for i, kind in served:
+                    obs_record.record_fault_service(
+                        self.config, kind, stall, vas[i], accesses[i])
 
     def escalate(self, va: int, access: str, *, kind: str = "perm",
                  index: int = -1, reason: str = ""):

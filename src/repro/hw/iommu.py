@@ -726,6 +726,42 @@ class IOMMU:
                           reason=f"fault persists after {kind} service")
         return info
 
+    def _deliver_faults(self, vas: list, accesses: list,
+                        stats: TimingStats) -> int:
+        """Batch twin of :meth:`_deliver_fault` for fault pre-delivery.
+
+        Services the sites in order through
+        :meth:`~repro.hw.fault_queue.FaultPath.deliver_batch` and returns
+        the index of the first site that would escalate (``len(vas)``
+        when none does); the caller delivers it and the rest one by one.
+        The served sites' stall and fault counts are charged to
+        ``stats``, and their TLB entries and walker memo entries dropped,
+        once after the pass — also when a service raises mid-pass.  No
+        post-service re-walk: pre-delivery's re-screen re-walks every
+        page a service could have healed.
+        """
+        served: list = []
+        try:
+            return self.fault_path.deliver_batch(vas, accesses, served)
+        finally:
+            count = len(served)
+            swaps = sum(kind == "swap" for _, kind in served)
+            stats.faults += count
+            stats.swap_faults += swaps
+            stats.major_faults += count - swaps
+            stats.fault_stall_cycles += count * self.fault_path.queue.round_trip
+            served_vas = [vas[i] for i, _ in served]
+            for tlb in (self.tlb, self.tlb_l2):
+                if tlb is not None:
+                    shift, tsets = tlb.page_shift, tlb._sets
+                    for va in served_vas:
+                        vpn = va >> shift
+                        tsets[vpn % tlb.num_sets].pop(vpn, None)
+            if self.walker is not None:
+                memo = self.walker._memo
+                for va in served_vas:
+                    memo.pop(va >> 12, None)
+
     def _maybe_inject_fault(self, addrs, writes, stats: TimingStats) -> None:
         """Chaos hook: synthesize one guest fault for this trace.
 

@@ -7,9 +7,10 @@ one SRAM cycle, misses cost one memory access.  L1-level blocks are only
 eligible when the cache says so — the PWC/AVC policy split at the heart of
 Section 4.1.2.
 
-Functional outcomes are memoized per 4 KB virtual page: page tables are
-immutable during a trace run, and every VA in a page shares its walk path
-(PE sub-regions are >= 128 KB, so a page never straddles fields).  The memo
+Functional outcomes of mapped pages are memoized per 4 KB virtual page:
+existing mappings are immutable during a trace run (fault services only
+create mappings), and every VA in a page shares its walk path (PE
+sub-regions are >= 128 KB, so a page never straddles fields).  The memo
 stores exactly what the IOMMU's hot loop needs:
 
 ``(ok, perm, pa_page_base, identity, cacheable_block_ids, fixed_mem)``
@@ -40,26 +41,38 @@ class PageTableWalker:
         self.cache = walk_cache
         self.walks = 0
         self._memo: dict[int, WalkInfo] = {}
+        # Whether each walk step (L4 first) may live in the walk cache.
+        self._cached = tuple(walk_cache.caches_level(level)
+                             for level in (4, 3, 2, 1))
 
     def info_for(self, page: int) -> WalkInfo:
         """Functional walk outcome for a 4 KB page number (memoized)."""
         info = self._memo.get(page)
         if info is None:
-            result = self.page_table.walk(page << PAGE_SHIFT)
-            pa_base = (result.pa - (result.pa & 0xFFF)) if result.ok else 0
-            cacheable: list[int] = []
-            fixed_mem = 0
-            caches_level = self.cache.caches_level
-            for i, entry_addr in enumerate(result.visited):
-                level = 4 - i
-                if caches_level(level):
-                    cacheable.append(entry_addr >> _BLOCK_SHIFT)
-                else:
-                    fixed_mem += 1
-            info = (result.ok, int(result.perm), pa_base, result.identity,
-                    tuple(cacheable), fixed_mem)
-            self._memo[page] = info
+            info = self.outcome(page)[0]
         return info
+
+    def outcome(self, page: int) -> tuple[WalkInfo, bool]:
+        """``(info, swapped)`` for a page: :meth:`info_for` plus whether
+        a not-ok page is swapped out rather than unmapped.
+
+        Only ``ok`` outcomes are memoized: a fault service can heal a
+        not-ok page at any time, so its next lookup walks again — and a
+        memoized page is never swapped.
+        """
+        info = self._memo.get(page)
+        if info is not None:
+            return info, False
+        result = self.page_table.walk(page << PAGE_SHIFT)
+        pa_base = (result.pa - (result.pa & 0xFFF)) if result.ok else 0
+        visited = result.visited
+        cacheable = tuple([entry_addr >> _BLOCK_SHIFT for entry_addr, cached
+                           in zip(visited, self._cached) if cached])
+        info = (result.ok, int(result.perm), pa_base, result.identity,
+                cacheable, len(visited) - len(cacheable))
+        if result.ok:
+            self._memo[page] = info
+        return info, result.swapped
 
     def walk(self, va: int) -> tuple[WalkInfo, int, int]:
         """Timed walk for ``va``: (info, sram accesses, memory accesses).

@@ -681,7 +681,13 @@ class PageTable:
                     create: bool) -> PageTableNode:
         node = self.root
         while node.level > target_level:
-            node = self._child(node, level_index(va, node.level), create)
+            index = (va >> _LEVEL_SHIFT[node.level]) & _INDEX_MASK
+            entry = node.entries.get(index)
+            if type(entry) is TablePointer:
+                node = entry.node
+            else:
+                # Missing (create or raise) or a leaf/PE in the way.
+                node = self._child(node, index, create)
         return node
 
     def _iter_nodes(self, node: PageTableNode):

@@ -115,10 +115,14 @@ class Reclaimer:
         it until :meth:`reestablish_identity` runs.
         """
         page_va = va & ~(PAGE_SIZE - 1)
-        slot = self._swap.pop((process.pid, page_va), None)
-        if slot is None:
+        key = (process.pid, page_va)
+        if key not in self._swap:
             raise ReclaimError(f"page {page_va:#x} is not in swap")
+        # Allocate before dropping the slot: an out-of-memory swap-in
+        # must leave the page swapped (slot and SwappedPTE together) so
+        # a retry after memory frees up can still bring it back.
         frame = self.kernel.phys.alloc_frame()
+        del self._swap[key]
         process.page_table.swap_in_page(page_va, frame)
         alloc = process.vmm.allocation_at(page_va)
         if alloc is not None:

@@ -415,22 +415,31 @@ def batch_for(trace, layout, cache: dict | None = None) -> PageRunBatch:
 
 
 class _WalkTable:
-    """Functional walk outcomes for a batch's unique pages, as columns."""
+    """Functional walk outcomes for a batch's unique pages, as columns.
+
+    ``swapped`` marks not-ok pages the reclaimer swapped out (their
+    ``perm`` is the pre-swap permission); other not-ok pages are
+    unmapped.  Each page costs at most the one walk
+    :meth:`~repro.hw.walker.PageTableWalker.outcome` makes, and the fault
+    screens read these columns instead of walking again.
+    """
 
     __slots__ = ("ok", "perm", "pa_base", "identity", "blocks", "fixed",
-                 "counts")
+                 "counts", "swapped")
 
     def __init__(self, walker, upages: np.ndarray):
-        info_for = walker.info_for
+        outcome = walker.outcome
         ok, perm, pa_base, identity, blocks, fixed = [], [], [], [], [], []
+        swapped = []
         for page in upages.tolist():
-            info = info_for(page)
+            info, page_swapped = outcome(page)
             ok.append(info[0])
             perm.append(info[1])
             pa_base.append(info[2])
             identity.append(info[3])
             blocks.append(info[4])
             fixed.append(info[5])
+            swapped.append(page_swapped)
         self.ok = np.array(ok, dtype=bool)
         self.perm = np.array(perm, dtype=np.int64)
         self.pa_base = pa_base          # python ints, read by _rebuild_tlb
@@ -438,17 +447,7 @@ class _WalkTable:
         self.blocks = blocks            # list of block-id tuples
         self.fixed = np.array(fixed, dtype=np.int64)
         self.counts = np.array([len(b) for b in blocks], dtype=np.int64)
-        if not self.ok.all():
-            # A chunk-granular fault service (demand page-in, swap-in)
-            # can heal a page after this eager memoization; drop not-ok
-            # outcomes so post-service accesses — and pre-delivery's
-            # re-screen — re-walk authoritatively instead of
-            # faulting on a stale memo entry the pure scalar engine
-            # would never have held.
-            memo = walker._memo
-            for page, page_ok in zip(upages.tolist(), self.ok.tolist()):
-                if not page_ok:
-                    memo.pop(page, None)
+        self.swapped = np.array(swapped, dtype=bool)
 
     @classmethod
     def narrowed(cls, base: "_WalkTable", base_upages: np.ndarray,
@@ -460,10 +459,12 @@ class _WalkTable:
         base-build time keeps an immutable walk outcome for the rest of
         the trace (fault services only *create* mappings — existing
         entries never move), so only the not-ok rows — pages the
-        delivered faults may have healed — are re-queried through the
-        walker.  ``upages`` must be a subset of ``base_upages`` (a DVM-BM
-        swap-in can move a page from the fallback set to the bitmap);
-        neither needs to be sorted.
+        delivered faults may have healed — are walked again.  That walk
+        is also pre-delivery's post-service check: a page its service
+        did not heal stays not-ok here, and the re-screen refuses.
+        ``upages`` must be a subset of ``base_upages`` (a DVM-BM swap-in
+        can move a page from the fallback set to the bitmap); neither
+        needs to be sorted.
         """
         self = object.__new__(cls)
         order = np.argsort(base_upages, kind="stable")
@@ -473,25 +474,24 @@ class _WalkTable:
         self.identity = base.identity[pos]
         self.fixed = base.fixed[pos]
         self.counts = base.counts[pos]
+        self.swapped = base.swapped[pos]
         idx = pos.tolist()
         self.pa_base = [base.pa_base[i] for i in idx]
         self.blocks = [base.blocks[i] for i in idx]
         stale = np.flatnonzero(~self.ok)
         if stale.size:
-            info_for = walker.info_for
-            memo = walker._memo
-            for j in stale.tolist():
-                page = int(upages[j])
-                info = info_for(page)
-                self.ok[j] = info[0]
-                self.perm[j] = info[1]
+            outcome = walker.outcome
+            fresh = [outcome(page) for page in upages[stale].tolist()]
+            self.swapped[stale] = [swapped for _, swapped in fresh]
+            infos = [info for info, _ in fresh]
+            self.ok[stale] = [info[0] for info in infos]
+            self.perm[stale] = [info[1] for info in infos]
+            self.identity[stale] = [info[3] for info in infos]
+            self.fixed[stale] = [info[5] for info in infos]
+            self.counts[stale] = [len(info[4]) for info in infos]
+            for j, info in zip(stale.tolist(), infos):
                 self.pa_base[j] = info[2]
-                self.identity[j] = info[3]
                 self.blocks[j] = info[4]
-                self.fixed[j] = info[5]
-                self.counts[j] = len(info[4])
-                if not info[0]:
-                    memo.pop(page, None)
         return self
 
 
@@ -724,35 +724,25 @@ def _vpn_alphabet(tlb, upages: np.ndarray, warm):
 def _post_perms(iommu, upages: np.ndarray, table: _WalkTable) -> np.ndarray:
     """Predicted per-page permission after any successful fault service.
 
-    Mirrors :meth:`repro.kernel.fault.FaultHandler._classify_and_service`
-    without mutating anything: a mapped page keeps its walked permission;
-    a swapped page returns at its pre-swap permission when a reclaimer
-    exists; an unmapped page inside a non-identity allocation comes in at
-    its VMA's protection.  Everything else services to 0 — meaning the
-    first delivered fault escalates, which pre-delivery turns into the
-    scalar loop's abort at that site.
+    Mirrors :meth:`repro.kernel.fault.FaultHandler._classify` from the
+    walk table's columns, without walking or mutating anything: a mapped
+    page keeps its walked permission; a swapped page returns at its
+    pre-swap permission when a reclaimer exists; an unmapped page inside
+    a non-identity allocation comes in at its VMA's protection.
+    Everything else services to 0 — meaning the first delivered fault
+    escalates, which pre-delivery turns into the scalar loop's abort at
+    that site.
     """
     post = np.where(table.ok, table.perm, 0)
-    bad = np.flatnonzero(~table.ok)
-    if not bad.size:
-        return post
     handler = iommu.fault_path.handler
-    page_table = handler.process.page_table
+    if getattr(handler.kernel, "reclaimer", None) is not None:
+        post = np.where(table.swapped, table.perm, post)
+    unmapped = np.flatnonzero(~table.ok & ~table.swapped)
     vmm = handler.process.vmm
-    has_reclaimer = getattr(handler.kernel, "reclaimer", None) is not None
-    for i in bad.tolist():
-        va = int(upages[i]) << PAGE_SHIFT
-        result = page_table.walk(va)
-        if result.ok:
-            post[i] = result.perm
-        elif result.swapped:
-            post[i] = result.perm if has_reclaimer else 0
-        else:
-            alloc = vmm.allocation_at(va)
-            if alloc is not None and not alloc.identity:
-                post[i] = alloc.vma.perm
-            else:
-                post[i] = 0
+    for i in unmapped.tolist():
+        alloc = vmm.allocation_at(int(upages[i]) << PAGE_SHIFT)
+        if alloc is not None and not alloc.identity:
+            post[i] = alloc.vma.perm
     return post
 
 
@@ -771,22 +761,17 @@ def _first_fault_heads(iommu, upages: np.ndarray, table: _WalkTable,
     at a time and keep their own positions.  Returns the sorted
     candidate positions.
     """
-    handler = iommu.fault_path.handler
-    page_table = handler.process.page_table
-    vmm = handler.process.vmm
+    vmm = iommu.fault_path.handler.process.vmm
     chunk_size = vmm.policy.page_size
     singles: list[int] = []
     chunks: dict[int, int] = {}
+    ok, swapped = table.ok, table.swapped
     for i in np.flatnonzero(first_pos >= 0).tolist():
         pos = int(first_pos[i])
-        if table.ok[i]:
+        if ok[i] or swapped[i]:
             singles.append(pos)
             continue
         va = int(upages[i]) << PAGE_SHIFT
-        result = page_table.walk(va)
-        if result.ok or result.swapped:
-            singles.append(pos)
-            continue
         alloc = vmm.allocation_at(va)
         if alloc is None or alloc.identity:
             singles.append(pos)
@@ -1359,9 +1344,13 @@ def _run_predelivered(iommu, batch: PageRunBatch, stats, screen, fast,
     charge a faulting access entirely from its *post-service* walk info.
     So servicing every predicted fault first — in trace order, through
     the real fault machinery, exactly as the scalar loop would — leaves
-    a trace the batched kernels replay in one clean pass.  An
-    escalation aborts with the scalar loop's abort semantics (committed
-    counters restored, live kernel state kept).
+    a trace the batched kernels replay in one clean pass.  The sites go
+    through one handler pass (:meth:`IOMMU._deliver_faults`) up to the
+    first one that would escalate; that one and the rest are delivered
+    one by one, so an escalation aborts with the scalar loop's abort
+    semantics (committed counters restored, live kernel state kept).
+    The re-screen re-walks every page the services could have healed,
+    which is the per-fault path's "fault persists after service" check.
 
     Refuses with ``"predelivery_miss"`` when the post-delivery screen is
     not clean (the prediction missed; it never should, the screens
@@ -1378,7 +1367,12 @@ def _run_predelivered(iommu, batch: PageRunBatch, stats, screen, fast,
     tick = time.perf_counter
     mark = tick()
     try:
-        for va, w in zip(vas, site_writes):
+        accesses = ["w" if w else "r" for w in site_writes]
+        stop = iommu._deliver_faults(vas, accesses, stats)
+        # The first site that would escalate, and every later one, take
+        # the per-fault path: its AccessViolation and abort state are
+        # exactly the scalar loop's.
+        for va, w in zip(vas[stop:], site_writes[stop:]):
             info = walker.info_for(va >> PAGE_SHIFT)
             if not info[0]:
                 info = iommu._page_fault(va, w, stats)

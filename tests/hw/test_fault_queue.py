@@ -111,6 +111,32 @@ class TestFaultPath:
         assert exc.record.config == "dvm_pe"
         assert path.queue.stats.violations == 1
 
+    def test_refused_fault_leaves_the_queue_empty(self):
+        # A refused delivery is not in flight: the page's next fault
+        # must pay the full round trip, not coalesce onto the dead record.
+        outcomes = {0x1000: None}
+        path, _ = self.path(outcomes)
+        with pytest.raises(AccessViolation):
+            path.deliver(0x1000, "w")
+        assert path.queue.pending() == 0
+        outcomes[0x1000] = "major"
+        kind, stall = path.deliver(0x1000, "w")
+        assert (kind, stall) == ("major", ROUND_TRIP)
+        assert path.queue.stats.coalesced == 0
+        assert path.queue.pending() == 0
+
+    def test_raising_handler_leaves_the_queue_empty(self):
+        class Exploding:
+            def service(self, va, access):
+                raise MemoryError("no frame")
+
+        path = FaultPath(FaultQueue(), Exploding(), config="dvm_pe")
+        with pytest.raises(MemoryError):
+            path.deliver(0x1000, "r")
+        assert path.queue.pending() == 0
+        assert path.queue.stats.enqueued == 1
+        assert path.queue.stats.serviced == 0
+
     def test_escalate_carries_reason_and_config(self):
         path, _ = self.path({})
         with pytest.raises(AccessViolation, match="injected"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.consts import PAGE_SIZE
+from repro.common.errors import OutOfMemoryError
 from repro.common.perms import Perm
 from repro.kernel.kernel import Kernel
 from repro.kernel.reclaim import ReclaimError, Reclaimer
@@ -100,6 +101,34 @@ class TestSwapIn:
         _kernel, proc, reclaimer = setup
         with pytest.raises(ReclaimError):
             reclaimer.swap_in(proc, 0x1234_5000)
+
+    def test_swap_in_unknown_page_allocates_nothing(self, setup):
+        kernel, proc, reclaimer = setup
+        free = kernel.phys.free_bytes
+        with pytest.raises(ReclaimError):
+            reclaimer.swap_in(proc, 0x1234_5000)
+        assert kernel.phys.free_bytes == free
+
+    def test_out_of_memory_swap_in_keeps_the_slot(self, setup):
+        # An out-of-memory swap-in must leave the page swapped — slot
+        # and SwappedPTE together — so a retry once a frame frees up
+        # brings it back instead of reporting it "not in swap".
+        kernel, proc, reclaimer = setup
+        alloc = proc.vmm.mmap(1 * MB, Perm.READ_WRITE)
+        reclaimer.reclaim_allocation(proc, alloc)
+        frames = []
+        while kernel.phys.free_bytes:
+            frames.append(kernel.phys.alloc_frame())
+        with pytest.raises(OutOfMemoryError):
+            reclaimer.swap_in(proc, alloc.va)
+        assert reclaimer.is_swapped(proc, alloc.va)
+        assert proc.page_table.walk(alloc.va).swapped
+        assert reclaimer.stats.pages_swapped_in == 0
+        kernel.phys.free_frame(frames.pop())
+        reclaimer.swap_in(proc, alloc.va)
+        assert not reclaimer.is_swapped(proc, alloc.va)
+        assert proc.page_table.walk(alloc.va).ok
+        assert reclaimer.stats.pages_swapped_in == 1
 
     def test_swap_in_allocation(self, setup):
         _kernel, proc, reclaimer = setup

@@ -12,7 +12,7 @@ import json
 
 from repro import obs
 from repro.accel.algorithms import prop_bytes_for
-from repro.core.config import HardwareScale
+from repro.core.config import HardwareScale, demand_faulting_config
 from repro.obs import bus as obs_bus
 from repro.obs import core
 from repro.obs import log as obs_log
@@ -39,6 +39,53 @@ def _faulting_metrics():
     system.apply_reclaim_pressure(0.3)
     metrics = system.run(prepared.result.trace, workload="bfs", graph="FR")
     return metrics.to_dict()
+
+
+#: Registry series a serviced guest fault feeds.
+_FAULT_SERIES = ("fault.kind", "fault.latency_cycles",
+                 "kernel.fault.serviced", "kernel.reclaim.pages_swapped_in")
+
+
+def _fault_observations(engine: str) -> dict:
+    """Fault observations of demand and swap runs under one engine."""
+    obs.reset()
+    runner = ExperimentRunner(profile="bench", scale=HardwareScale.bench())
+    prepared = runner.prepare("bfs", "FR")
+    configs = runner.configs()
+    modes = ((demand_faulting_config(configs["conv_4k"]), None),
+             (configs["dvm_pe"], 0.3), (configs["dvm_bm"], 0.3))
+    for config, pressure in modes:
+        system = HeterogeneousSystem(config, runner.params)
+        system.load_graph(prepared.graph, prop_bytes=prop_bytes_for("bfs"))
+        if pressure is not None:
+            system.apply_reclaim_pressure(pressure)
+        system.run_trace(prepared.result.trace, engine=engine)
+    snap = obs.snapshot()
+    registry = snap["registry"]
+    series = {kind: {key: value for key, value in registry[kind].items()
+                     if key.startswith(_FAULT_SERIES)}
+              for kind in ("counters", "histograms")}
+    return {"series": series,
+            "instants": [e["args"] for e in snap["events"]
+                         if e["name"] == "fault-service"],
+            "accepted": sum(value for key, value
+                            in registry["counters"].items()
+                            if key.startswith("fastpath.accepted"))}
+
+
+class TestFaultObservations:
+    def test_batch_delivery_observes_like_the_scalar_loops(self, obs_enabled):
+        # Pre-delivery's batch pass records every serviced fault as the
+        # per-fault path does: same counters, same latency histogram,
+        # same fault-service instants in the same order.
+        scalar = _fault_observations("scalar")
+        fast = _fault_observations("fast")
+        assert fast["accepted"] == 3 and scalar["accepted"] == 0
+        assert scalar["instants"], "the runs must service guest faults"
+        kinds = {args["kind"] for args in scalar["instants"]}
+        assert kinds == {"major", "swap"}
+        assert fast["series"] == scalar["series"]
+        assert fast["instants"] == scalar["instants"]
 
 
 class TestBitIdentical:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.common import faults
-from repro.common.errors import AccessViolation
+from repro.common.errors import AccessViolation, OutOfMemoryError
 from repro.common.perms import Perm
 from repro.core.config import demand_faulting_config, standard_configs
 from repro.hw.bitmap import PermissionBitmap
@@ -32,6 +32,7 @@ from repro.hw.fault_queue import FaultPath, FaultQueue
 from repro.hw.iommu import IOMMU, TimingStats
 from repro.kernel.fault import FaultHandler
 from repro.kernel.kernel import Kernel
+from repro.kernel.page_table import PageTable
 from repro.kernel.reclaim import Reclaimer
 from repro.sim import _native, fastpath
 
@@ -436,3 +437,233 @@ class TestSegmentStitching:
         scalar_stats, _ = run_both(make, addrs, writes)
         # One major fault per touched chunk, not per touched page.
         assert scalar_stats.major_faults == 2
+
+
+# ---------------------------------------------------------------------------
+# Batch delivery: abort semantics and walk budget
+# ---------------------------------------------------------------------------
+
+#: A page in no allocation, in a 1 GB region no trace here otherwise
+#: touches (so no TLB region around it is ever written).
+FAR_VA = 0x5000_0000_0000
+
+
+def table_entries(page_table) -> list:
+    """Every page-table entry, node by node (the page table's full state)."""
+    out = []
+    for node in page_table._iter_nodes(page_table.root):
+        for index, entry in sorted(node.entries.items()):
+            child = getattr(entry, "node", None)
+            out.append((node.level, node.phys_addr, index,
+                        child.phys_addr if child is not None
+                        else repr(entry)))
+    return out
+
+
+def abort_state(sys_, stats, exc) -> dict:
+    """Everything an aborted run leaves observable, engine for engine."""
+    reclaimer = sys_.kernel.reclaimer
+    hw = structure_state(sys_.iommu)
+    record = getattr(exc, "record", None)
+    return {
+        "exc": (type(exc).__name__,
+                asdict(record) if record is not None else str(exc)),
+        "stats": asdict(stats),
+        "fault": fault_state(sys_),
+        "hw": {key: hw.get(key) for key in ("tlb_stats", "wc_stats",
+                                            "bm_stats", "walks", "dram")},
+        "swap": (None if reclaimer is None else
+                 {key: (slot.perm, slot.was_identity)
+                  for key, slot in reclaimer._swap.items()}),
+        "free": sys_.kernel.phys.free_bytes,
+        "entries": table_entries(sys_.process.page_table),
+    }
+
+
+def run_aborting(sys_, engine, addrs, writes, spy):
+    """Run one engine into its abort with a caller-owned TimingStats.
+
+    The fast side must take fault pre-delivery (the batch pass is
+    recorded in ``spy``); returns :func:`abort_state`.
+    """
+    stats = TimingStats()
+    try:
+        if engine == "scalar":
+            sys_.iommu._run_scalar([int(a) for a in addrs],
+                                   [int(w) for w in writes], stats)
+        else:
+            deliver = sys_.iommu._deliver_faults
+
+            def spying(vas, accesses, stats_):
+                spy.append(len(vas))
+                stop = deliver(vas, accesses, stats_)
+                spy.append(stop)
+                return stop
+
+            sys_.iommu._deliver_faults = spying
+            fastpath.run_batch(sys_.iommu, fastpath.PageRunBatch.from_trace(
+                addrs, writes), stats)
+    except (AccessViolation, OutOfMemoryError) as exc:
+        return abort_state(sys_, stats, exc)
+    pytest.fail(f"the {engine} engine did not abort")
+
+
+def both_abort(make, addrs, writes, prepare):
+    """Both engines' abort states, plus the fast side's batch spy."""
+    states, spy = [], []
+    for engine in ("scalar", "fast"):
+        sys_ = make()
+        prepare(sys_)
+        states.append(run_aborting(sys_, engine, addrs, writes, spy))
+    assert states[0] == states[1]
+    return states[0], spy
+
+
+def pages(base, first, count, reps=6):
+    """``reps`` reads of each page ``first .. first+count-1`` from ``base``."""
+    return base + np.repeat(np.arange(first, first + count), reps) * 4096
+
+
+def hog(sys_, keep):
+    """Allocate physical frames until only ``keep`` are free."""
+    phys = sys_.kernel.phys
+    while phys.free_bytes > keep * 4096:
+        phys.alloc_frame()
+
+
+@pytest.fixture
+def native_kernel():
+    if not _native.available():
+        pytest.skip("no C compiler available for the native kernel")
+
+
+@pytest.mark.usefixtures("native_kernel")
+class TestBatchDelivery:
+    """One handler pass per batch stops before the first escalation;
+    that site and the rest are delivered one by one, so the abort —
+    violation or out-of-memory — leaves exactly the scalar loop's state.
+    """
+
+    @pytest.mark.parametrize("name", ("conv_4k", "conv_2m", "conv_1g"))
+    def test_conventional_escalation_mid_batch(self, name):
+        # Demand page-ins before and after a read of an address in no
+        # allocation: the batch serves the first half and stops there.
+        def make():
+            return build(name, demand=True, heap=8 * MB, phys=64 * MB)
+
+        probe = make()
+        assert probe.process.vmm.allocation_at(FAR_VA) is None
+        base = probe.alloc.va
+        addrs = np.concatenate((pages(base, 0, 1024), [FAR_VA],
+                                pages(base, 1024, 1024)))
+        writes = (np.arange(addrs.size) % 3 == 0).astype(np.int8)
+        writes[1024 * 6] = 0                # the far access is a read
+        state, spy = both_abort(make, addrs, writes, lambda s: None)
+        assert state["exc"][0] == "AccessViolation"
+        assert state["exc"][1]["va"] == FAR_VA
+        total, stop = spy
+        assert 0 < stop < total - 1
+        assert state["stats"]["major_faults"] == stop
+
+    @pytest.mark.parametrize("name", ("dvm_pe", "dvm_pe_plus"))
+    def test_dav_store_to_read_only_mid_batch(self, name):
+        # A read-only page swap-faults on a read, then a store to it
+        # escalates, with swapped heap pages on either side.
+        def make():
+            return build(name, heap=2 * MB, extra=256 << 10)
+
+        probe = make()
+        ro = probe.extra.va + 3 * 4096
+        base = probe.alloc.va
+        addrs = np.concatenate((pages(base, 0, 200), [ro, ro + 8],
+                                pages(base, 200, 200)))
+        writes = np.zeros(addrs.size, np.int8)
+        writes[1201] = 1
+        state, spy = both_abort(make, addrs, writes,
+                                lambda s: reclaim(s, 1.0))
+        assert state["exc"][0] == "AccessViolation"
+        assert state["exc"][1]["va"] == ro + 8
+        total, stop = spy
+        assert 0 < stop < total - 1
+        assert state["stats"]["swap_faults"] == stop
+
+    def test_bitmap_escalation_mid_batch(self):
+        def make():
+            return build("dvm_bm", heap=2 * MB)
+
+        base = make().alloc.va
+        addrs = np.concatenate((pages(base, 0, 200), [FAR_VA],
+                                pages(base, 200, 200)))
+        writes = np.zeros(addrs.size, np.int8)
+        state, spy = both_abort(make, addrs, writes,
+                                lambda s: reclaim(s, 1.0))
+        assert state["exc"][1]["va"] == FAR_VA
+        total, stop = spy
+        assert 0 < stop < total - 1
+
+    @pytest.mark.parametrize("name", ("dvm_pe", "dvm_bm"))
+    def test_out_of_memory_mid_swap_in(self, name):
+        # Only 100 frames left for 512 swapped pages: the 101st swap-in
+        # raises inside the batch pass, after the first 100 are charged.
+        def make():
+            return build(name, heap=2 * MB, phys=32 * MB)
+
+        def prepare(sys_):
+            reclaim(sys_, 1.0)
+            hog(sys_, 100)
+
+        base = make().alloc.va
+        addrs = pages(base, 0, 512, reps=3)
+        writes = np.zeros(addrs.size, np.int8)
+        state, spy = both_abort(make, addrs, writes, prepare)
+        assert state["exc"][0] == "OutOfMemoryError"
+        assert state["stats"]["swap_faults"] == 100
+        assert state["fault"]["queue"]["enqueued"] == 101
+        assert state["fault"]["pending"] == 0
+        assert len(state["swap"]) == 512 - 100
+        assert spy == [512]     # the pass raised: no stop index
+
+    def test_out_of_memory_mid_demand_page_in(self):
+        def make():
+            return build("conv_4k", demand=True, heap=2 * MB, phys=32 * MB)
+
+        base = make().alloc.va
+        addrs = pages(base, 0, 512, reps=3)
+        writes = (np.arange(addrs.size) % 2).astype(np.int8)
+        state, spy = both_abort(make, addrs, writes, lambda s: hog(s, 64))
+        assert state["exc"][0] == "OutOfMemoryError"
+        assert 0 < state["stats"]["major_faults"] < 64
+        assert state["fault"]["queue"]["enqueued"] == (
+            state["stats"]["major_faults"] + 1)
+        assert spy == [512]
+
+
+@pytest.mark.usefixtures("native_kernel")
+@pytest.mark.parametrize("name, demand", (("conv_4k", True),
+                                          ("dvm_pe", False),
+                                          ("dvm_bm", False)))
+def test_predelivery_walks_each_faulting_page_at_most_three_times(
+        name, demand, monkeypatch):
+    # One walk builds the screen's table, one is the site's
+    # authoritative walk in the handler pass, one is the re-screen's
+    # post-service check — nothing else walks a faulting page.
+    sys_ = build(name, demand=demand, heap=2 * MB)
+    if not demand:
+        reclaim(sys_, 1.0)
+    addrs, writes = fuzz_trace(sys_.alloc, n=3000, seed=29)
+    walks: dict[int, int] = {}
+    faulting: set[int] = set()
+    walk = PageTable.walk
+
+    def counting(self, va):
+        result = walk(self, va)
+        walks[va >> 12] = walks.get(va >> 12, 0) + 1
+        if not result.ok:
+            faulting.add(va >> 12)
+        return result
+
+    monkeypatch.setattr(PageTable, "walk", counting)
+    stats = sys_.iommu.run_trace(addrs, writes, engine="fast")
+    assert stats.faults > 0
+    assert faulting
+    assert max(walks[page] for page in faulting) <= 3
