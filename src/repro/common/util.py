@@ -15,23 +15,28 @@ def round_up_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+# The alignment helpers inline the power-of-two test: they run on every
+# page-table call, so each check is one Python call.
+
 def align_down(value: int, alignment: int) -> int:
     """Largest multiple of ``alignment`` <= ``value``."""
-    if not is_power_of_two(alignment):
+    if alignment <= 0 or alignment & (alignment - 1):
         raise ValueError(f"alignment must be a power of two, got {alignment}")
     return value & ~(alignment - 1)
 
 
 def align_up(value: int, alignment: int) -> int:
     """Smallest multiple of ``alignment`` >= ``value``."""
-    if not is_power_of_two(alignment):
+    if alignment <= 0 or alignment & (alignment - 1):
         raise ValueError(f"alignment must be a power of two, got {alignment}")
     return (value + alignment - 1) & ~(alignment - 1)
 
 
 def is_aligned(value: int, alignment: int) -> bool:
     """Return whether ``value`` is a multiple of ``alignment``."""
-    return align_down(value, alignment) == value
+    if alignment <= 0 or alignment & (alignment - 1):
+        raise ValueError(f"alignment must be a power of two, got {alignment}")
+    return value & (alignment - 1) == 0
 
 
 def size_to_order(size: int, unit: int) -> int:

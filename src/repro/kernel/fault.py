@@ -61,9 +61,9 @@ class FaultHandler:
 
     def service(self, va: int, access: str) -> str | None:
         """Service one fault; returns its kind, or None for a violation."""
-        action, kind = self._classify(
+        action, kind, alloc = self._classify(
             va, access, self.process.page_table.walk(va))
-        self._apply(action, va)
+        self._apply(action, va, alloc)
         self._count(kind or "violation", 1)
         return kind
 
@@ -87,12 +87,12 @@ class FaultHandler:
         stop = len(vas)
         try:
             for i, (va, access) in enumerate(zip(vas, accesses)):
-                action, kind = classify(va, access, walk(va))
+                action, kind, alloc = classify(va, access, walk(va))
                 if kind is None:
                     stop = i
                     break
                 if action is not None:
-                    apply(action, va)
+                    apply(action, va, alloc)
                     served.append((i, kind))
         finally:
             swaps = sum(kind == "swap" for _, kind in served)
@@ -101,33 +101,38 @@ class FaultHandler:
         return stop
 
     def _classify(self, va: int, access: str, result):
-        """The one fault classifier: ``(action, kind)`` for a walked fault.
+        """The one fault classifier: ``(action, kind, alloc)`` for a walk.
 
         ``action`` is the service to run — ``"swap"`` (reclaimer
         swap-in), ``"major"`` (demand page-in) or ``None`` — and
         ``kind`` the fault kind the service yields, ``None`` for a
-        violation.  A service can run and still refuse: a swapped page
-        comes back at its old permission and a demand chunk at its VMA's
-        protection, which may deny the access.  Decided before the
+        violation; ``alloc`` is the allocation a major fault pages in
+        from (``None`` otherwise), handed on so it is looked up once.
+        A service can run and still refuse: a swapped page comes back at
+        its old permission and a demand chunk at its VMA's protection,
+        which may deny the access.  Decided before the
         service from the pre-swap permission and ``alloc.vma.perm`` (the
         chunk is mapped at exactly that protection), so no re-walk.
         """
         if result.ok:
-            return None, "spurious" if allows(result.perm, access) else None
+            return (None, "spurious" if allows(result.perm, access) else None,
+                    None)
         if result.swapped:
             if getattr(self.kernel, "reclaimer", None) is None:
-                return None, None
-            return "swap", "swap" if allows(result.perm, access) else None
+                return None, None, None
+            return ("swap", "swap" if allows(result.perm, access) else None,
+                    None)
         alloc = self.process.vmm.allocation_at(va)
         if alloc is None or alloc.identity:
-            return None, None
-        return "major", "major" if allows(alloc.vma.perm, access) else None
+            return None, None, None
+        return ("major", "major" if allows(alloc.vma.perm, access) else None,
+                alloc)
 
-    def _apply(self, action: str | None, va: int) -> None:
+    def _apply(self, action: str | None, va: int, alloc) -> None:
         if action == "swap":
             self.kernel.reclaimer.swap_in(self.process, va)
         elif action == "major":
-            self.process.vmm.populate_for_fault(va)
+            self.process.vmm.populate_for_fault(va, alloc)
 
     def _count(self, kind: str, count: int) -> None:
         if not count:

@@ -9,7 +9,9 @@ Three entry kinds exist at any level:
 
 * :class:`TablePointer` — points to the next-lower node (a PDE/PDPTE/PML4E).
 * :class:`LeafPTE` — terminates translation; maps a 4 KB page at L1, a 2 MB
-  huge page at L2, or a 1 GB huge page at L3.
+  huge page at L2, or a 1 GB huge page at L3.  It holds ``pa - va``, not a
+  PA, so one immutable entry is shared by every slot of a mapped run
+  (``delta == 0`` for identity leaves); any change replaces the slot.
 * :class:`PermissionEntry` — the paper's new leaf format: sixteen 2-bit
   permission fields for sixteen aligned sub-regions of the entry's VA span,
   with the implicit guarantee that mapped memory in the span is
@@ -52,13 +54,14 @@ LEAF_LEVEL_FOR_SIZE = {LEVEL_SPAN[1]: 1, LEVEL_SPAN[2]: 2, LEVEL_SPAN[3]: 3}
 _LEVEL_SHIFT = {level: PAGE_SHIFT + (level - 1) * LEVEL_BITS
                 for level in LEVELS}
 _INDEX_MASK = ENTRIES_PER_NODE - 1
+_PAGE_MASK = ~(PAGE_SIZE - 1)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LeafPTE:
-    """A terminal translation entry mapping one (possibly huge) page."""
+    """A terminal translation entry, shared by the slots of one run."""
 
-    pa: int          # physical base address of the mapped page
+    delta: int       # pa - va for every address the entry maps
     perm: Perm
     level: int       # 1, 2 or 3; determines the page size
 
@@ -381,7 +384,8 @@ class PageTable:
                     raise MappingError(
                         f"partial protect of a {entry.page_size:#x}-byte page"
                     )
-                entry.perm = perm
+                # Shared by its run: replace this slot, never mutate.
+                node.entries[index] = LeafPTE(entry.delta, perm, entry.level)
             else:
                 self._protect(entry.node, cursor, chunk_end, perm)
             cursor = chunk_end
@@ -432,16 +436,11 @@ class PageTable:
                         num_fields=nfields,
                     )
                 else:
-                    child.entries[child_index] = LeafPTE(
-                        pa=child_va, perm=perm, level=1
-                    )
+                    child.entries[child_index] = LeafPTE(0, perm, 1)
         elif isinstance(entry, LeafPTE):
-            for child_index in range(ENTRIES_PER_NODE):
-                child.entries[child_index] = LeafPTE(
-                    pa=entry.pa + child_index * child_span,
-                    perm=entry.perm,
-                    level=level - 1,
-                )
+            child.entries = dict.fromkeys(
+                range(ENTRIES_PER_NODE),
+                LeafPTE(entry.delta, entry.perm, level - 1))
         else:
             raise MappingError("only PEs and huge leaves can be split")
         return TablePointer(node=child)
@@ -455,8 +454,7 @@ class PageTable:
         self.demote_to_l1(va)
         node = self._descend_to(va, 1, create=True)
         node.entries[level_index(va, 1)] = LeafPTE(
-            pa=pa & ~(PAGE_SIZE - 1), perm=perm, level=1
-        )
+            (pa & _PAGE_MASK) - (va & _PAGE_MASK), perm, 1)
 
     # -- swapping (low-memory reclamation, Section 4.3.2) -----------------------
 
@@ -493,8 +491,9 @@ class PageTable:
             for index in range(first, first + (stop - page) // PAGE_SIZE):
                 entry = entries.get(index)
                 if type(entry) is LeafPTE:
-                    was_identity = entry.pa == page
-                    out.append((page, entry.pa, was_identity, entry.perm))
+                    was_identity = entry.delta == 0
+                    out.append((page, page + entry.delta, was_identity,
+                                entry.perm))
                     entries[index] = SwappedPTE(perm=entry.perm,
                                                 was_identity=was_identity)
                 page += PAGE_SIZE
@@ -507,13 +506,13 @@ class PageTable:
         only if ``pa == va`` — reclamation generally breaks identity until
         the OS reorganises memory (:mod:`repro.kernel.reclaim`).
         """
-        node = self._descend_to(va & ~(PAGE_SIZE - 1), 1, create=False)
+        node = self._descend_to(va & _PAGE_MASK, 1, create=False)
         index = level_index(va, 1)
         entry = node.entries.get(index)
         if not isinstance(entry, SwappedPTE):
             raise MappingError(f"va {va:#x} is not swapped out")
-        node.entries[index] = LeafPTE(pa=pa & ~(PAGE_SIZE - 1),
-                                      perm=entry.perm, level=1)
+        node.entries[index] = LeafPTE((pa & _PAGE_MASK) - (va & _PAGE_MASK),
+                                      entry.perm, 1)
         return entry.perm
 
     # -- unmapping ------------------------------------------------------------
@@ -597,10 +596,9 @@ class PageTable:
                 node = entry.node
                 continue
             if kind is LeafPTE:
-                pa = entry.pa + (va & (LEVEL_SPAN[entry.level] - 1))
-                return WalkResult(va=va, ok=True, perm=entry.perm, pa=pa,
-                                  level=level, is_pe=False,
-                                  identity=(pa == va), visited=visited)
+                return WalkResult(va=va, ok=True, perm=entry.perm,
+                                  pa=va + entry.delta, level=level, is_pe=False,
+                                  identity=entry.delta == 0, visited=visited)
             if kind is PermissionEntry:
                 perm = entry.perm_for(va)
                 ok = perm != Perm.NONE
@@ -711,15 +709,16 @@ def _leaf_level(va: int, pa: int, page_size: int) -> int:
 
 def _fill_leaves(entries: dict, first: int, va: int, pa: int, count: int,
                  perm: Perm, level: int) -> None:
-    """Install ``count`` consecutive leaves into one node's ``entries``.
+    """Install ``count`` consecutive slots of one node, sharing one leaf.
 
-    Entries go in ascending index order; a collision raises with the
-    earlier leaves already installed, as page-at-a-time mapping would.
+    Slots go in ascending index order; a collision raises with the
+    earlier slots already installed, as page-at-a-time mapping would.
     """
-    page_size = LEVEL_SPAN[level]
-    for index in range(first, first + count):
-        if index in entries:
-            raise MappingError(f"va {va:#x} is already mapped")
-        entries[index] = LeafPTE(pa, perm, level)
-        va += page_size
-        pa += page_size
+    leaf = LeafPTE(pa - va, perm, level)
+    indices = range(first, first + count)
+    if not entries.keys().isdisjoint(indices):
+        hit = next(index for index in indices if index in entries)
+        entries.update(dict.fromkeys(range(first, hit), leaf))
+        va += (hit - first) * LEVEL_SPAN[level]
+        raise MappingError(f"va {va:#x} is already mapped")
+    entries.update(dict.fromkeys(indices, leaf))

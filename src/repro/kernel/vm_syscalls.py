@@ -182,7 +182,8 @@ class VMM:
         vma = self.aspace.find(va)
         return None if vma is None else self._allocations.get(vma.start)
 
-    def populate_for_fault(self, va: int) -> bool:
+    def populate_for_fault(self, va: int,
+                           alloc: Allocation | None = None) -> bool:
         """Back the policy-size chunk containing ``va`` (major fault).
 
         Returns True when a chunk was allocated and mapped, False when
@@ -190,9 +191,12 @@ class VMM:
         fault handler escalates).  Chunk boundaries match the eager
         :meth:`_populate` walk: demand VMAs are reserved aligned to the
         policy page size, so every chunk is a whole, naturally aligned
-        (analog) huge page and a fault maps all of it at once.
+        (analog) huge page and a fault maps all of it at once.  ``alloc``
+        is :meth:`allocation_at`'s answer for ``va`` when the caller (the
+        fault handler's classifier) already has it.
         """
-        alloc = self.allocation_at(va)
+        if alloc is None:
+            alloc = self.allocation_at(va)
         if alloc is None or alloc.identity:
             return False
         page_size = self.policy.page_size

@@ -62,6 +62,17 @@ class TestAlign:
         with pytest.raises(ValueError):
             align_up(5, 3)
 
+    @pytest.mark.parametrize("helper", [align_down, align_up, is_aligned])
+    @pytest.mark.parametrize("alignment", [0, -1, -4096, 3, 12, 4095, 4097])
+    def test_every_helper_rejects_bad_alignments(self, helper, alignment):
+        with pytest.raises(ValueError, match="alignment must be a power of two"):
+            helper(8192, alignment)
+
+    @given(st.integers(min_value=-(1 << 50), max_value=1 << 50),
+           st.sampled_from([1 << k for k in range(0, 40)]))
+    def test_is_aligned_matches_modulo(self, value, alignment):
+        assert is_aligned(value, alignment) == (value % alignment == 0)
+
     @given(st.integers(min_value=0, max_value=1 << 50),
            st.sampled_from([1 << k for k in range(1, 30)]))
     def test_align_properties(self, value, alignment):

@@ -168,3 +168,46 @@ class TestPopulateChunks:
         # The faulted chunk is mapped; the rest of the heap still is not.
         assert proc.page_table.walk(alloc.va + page_size).ok
         assert not proc.page_table.walk(alloc.va + 8 * page_size).ok
+
+
+class TestOneAllocationLookup:
+    """The classifier's allocation reaches the page-in: one lookup a fault."""
+
+    @staticmethod
+    def count_lookups(monkeypatch, vmm) -> list[int]:
+        calls = [0]
+        original = vmm.allocation_at
+
+        def counted(va):
+            calls[0] += 1
+            return original(va)
+
+        monkeypatch.setattr(vmm, "allocation_at", counted)
+        return calls
+
+    def test_service_looks_up_once_per_major_fault(self, monkeypatch):
+        _kernel, proc, handler = boot(demand_policy())
+        alloc = proc.vmm.mmap(8 * MB, Perm.READ_WRITE)
+        calls = self.count_lookups(monkeypatch, proc.vmm)
+        for chunk in range(3):
+            assert handler.service(alloc.va + chunk * 2 * MB, "w") == "major"
+        assert calls[0] == 3
+        assert proc.vmm.stats.faulted_chunks == 3
+
+    def test_service_batch_looks_up_once_per_major_fault(self, monkeypatch):
+        _kernel, proc, handler = boot(demand_policy())
+        alloc = proc.vmm.mmap(8 * MB, Perm.READ_WRITE)
+        calls = self.count_lookups(monkeypatch, proc.vmm)
+        vas = [alloc.va + chunk * 2 * MB for chunk in range(4)]
+        served: list = []
+        assert handler.service_batch(vas, ["r"] * 4, served) == 4
+        assert served == [(i, "major") for i in range(4)]
+        assert calls[0] == 4
+        assert handler.stats.major == 4
+
+    def test_populate_for_fault_still_looks_up_alone(self):
+        _kernel, proc, _handler = boot(demand_policy())
+        alloc = proc.vmm.mmap(4 * MB, Perm.READ_WRITE)
+        assert proc.vmm.populate_for_fault(alloc.va + PAGE_SIZE)
+        assert proc.page_table.walk(alloc.va + PAGE_SIZE).ok
+        assert not proc.vmm.populate_for_fault(alloc.va + 64 * MB)

@@ -11,7 +11,7 @@ exceptions with the same partial state, same walks.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
@@ -59,7 +59,7 @@ class PerPageTable(PageTable):
         index = level_index(va, level)
         if node.entries.get(index) is not None:
             raise MappingError(f"va {va:#x} is already mapped")
-        node.entries[index] = LeafPTE(pa=pa, perm=perm, level=level)
+        node.entries[index] = LeafPTE(pa - va, perm, level)
 
     def map_range(self, va, pa, size, perm, page_size=PAGE_SIZE):
         if not is_aligned(size, page_size):
@@ -136,8 +136,7 @@ class PerPageTable(PageTable):
                         if pidx in child.entries:
                             raise MappingError(
                                 f"va {page:#x} is already mapped")
-                        child.entries[pidx] = LeafPTE(pa=page, perm=perm,
-                                                      level=1)
+                        child.entries[pidx] = LeafPTE(0, perm, 1)
                 else:
                     self._cover_identity(child, cursor, chunk_end, perm)
             cursor = chunk_end
@@ -153,10 +152,10 @@ class PerPageTable(PageTable):
             node = self._descend_to(page, 1, create=False)
             index = level_index(page, 1)
             entry = node.entries[index]
-            was_identity = entry.pa == page
+            was_identity = entry.delta == 0
             node.entries[index] = SwappedPTE(perm=entry.perm,
                                              was_identity=was_identity)
-            out.append((page, entry.pa, was_identity,
+            out.append((page, page + entry.delta, was_identity,
                         self.walk(page).perm))
         return out
 
@@ -223,7 +222,7 @@ class PerPageTable(PageTable):
                                   identity=False, visited=visited,
                                   swapped=True)
             if isinstance(entry, LeafPTE):
-                pa = entry.pa + (va - level_base(va, entry.level))
+                pa = va + entry.delta
                 return WalkResult(va=va, ok=True, perm=entry.perm, pa=pa,
                                   level=node.level, is_pe=False,
                                   identity=(pa == va), visited=visited)
@@ -233,15 +232,22 @@ class PerPageTable(PageTable):
 # -- state capture -----------------------------------------------------------
 
 
-def tree(node) -> tuple:
-    """Whole-subtree snapshot: frames, entries and their insertion order."""
+def tree(node, base: int = 0) -> tuple:
+    """Whole-subtree snapshot: frames, entries and their insertion order.
+
+    ``base`` is the VA the node's first slot maps; each leaf slot is
+    recorded with its own PA (slot VA + the leaf's delta), so a shared
+    leaf and per-page leaves snapshot alike slot by slot.
+    """
+    span = LEVEL_SPAN[node.level]
     entries = []
     for index, entry in node.entries.items():
         kind = type(entry)
         if kind is TablePointer:
-            entries.append((index, tree(entry.node)))
+            entries.append((index, tree(entry.node, base + index * span)))
         elif kind is LeafPTE:
-            entries.append((index, entry.pa, entry.perm, entry.level))
+            entries.append((index, base + index * span + entry.delta,
+                            entry.perm, entry.level))
         elif kind is PermissionEntry:
             entries.append((index, entry.level, tuple(entry.fields)))
         else:
@@ -518,3 +524,74 @@ class TestPerNodeStructure:
         for config in standard_configs().values():
             HeterogeneousSystem(config, SystemParams(phys_bytes=256 * MB))
         assert calls[0] == 0
+
+
+# -- shared leaf entries ---------------------------------------------------------
+
+#: A 4 MB run of 4 KB leaves and a 4 MB run of 2 MB leaves.
+SMALL_RUN = (0x4000_0000, 0x100_0000, PAGE_SIZE)
+HUGE_RUN = (0x8000_0000, 0x200_0000, SIZE_2M)
+FRAME = 0x500_0000
+
+
+def one_page_ops(page: int) -> dict:
+    """Operations that change one page of a run, as steps for same_step."""
+    return {
+        "protect": [("demote_to_l1", page),
+                    ("protect_range", page, PAGE_SIZE, Perm.READ_ONLY)],
+        "set_l1": [("set_l1", page, FRAME, Perm.READ_ONLY)],
+        "swap": [("swap_out_range", page, PAGE_SIZE),
+                 ("swap_in_page", page, FRAME)],
+        "demote": [("demote_to_l1", page)],
+        "unmap": [("demote_to_l1", page), ("unmap_range", page, PAGE_SIZE)],
+    }
+
+
+def leaf_objects(table: PageTable) -> set[int]:
+    return {id(entry) for node in table._iter_nodes(table.root)
+            for entry in node.entries.values() if type(entry) is LeafPTE}
+
+
+class TestSharedLeafEntries:
+    """A run's slots share one leaf, so changing a slot must replace it."""
+
+    @pytest.mark.parametrize("op", sorted(one_page_ops(0)))
+    @pytest.mark.parametrize("run", [SMALL_RUN, HUGE_RUN],
+                             ids=["4k_leaves", "2m_leaves"])
+    def test_one_page_change_leaves_the_run_alone(self, run, op):
+        va, pa, page_size = run
+        size = 4 * MB
+        bulk, ref = twin_tables("no_pes")
+        same_step(bulk, ref, "map_range",
+                  (va, pa, size, Perm.READ_WRITE, page_size), "map")
+        target = va + SIZE_2M + 5 * PAGE_SIZE
+        for step, (name, *args) in enumerate(one_page_ops(target)[op]):
+            assert same_step(bulk, ref, name, args, f"step {step}")[0] == "ok"
+        for page in range(va, va + size, PAGE_SIZE):
+            if page == target:
+                continue
+            walked = bulk.walk(page)
+            assert (walked.pa, walked.perm) == (pa + page - va,
+                                                Perm.READ_WRITE), hex(page)
+
+    def test_leaves_are_immutable(self):
+        table = PageTable(PhysicalMemory(size=96 * MB))
+        table.map_range(*SMALL_RUN[:2], SIZE_2M, Perm.READ_WRITE)
+        leaf = table._descend_to(SMALL_RUN[0], 1, create=False).entries[0]
+        with pytest.raises(FrozenInstanceError):
+            leaf.perm = Perm.READ_ONLY
+        with pytest.raises(FrozenInstanceError):
+            leaf.delta = 0
+
+    @pytest.mark.parametrize("identity", [False, True],
+                             ids=["map_range", "identity_no_pes"])
+    def test_one_leaf_object_per_l1_node(self, identity):
+        # 16 MB of 4 KB pages is 4,096 slots over eight L1 nodes.
+        table = PageTable(PhysicalMemory(size=96 * MB), use_pes=False)
+        va, pa, _ = SMALL_RUN
+        if identity:
+            table.map_identity_range(va, 16 * MB, Perm.READ_WRITE)
+        else:
+            table.map_range(va, pa, 16 * MB, Perm.READ_WRITE)
+        assert table.entry_counts()["leaf"] == 4096
+        assert len(leaf_objects(table)) <= 8
