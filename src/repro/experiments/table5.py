@@ -57,6 +57,7 @@ def table5() -> list[Table5Row]:
         # Figure 7's allocation algorithm + the flexible placement.
         "Memory-mapped Segments": (
             _loc(identity.IdentityMapper.try_map)
+            + _loc(identity.IdentityMapper.place)
             + _loc(AddressSpace.reserve_exact)
         ),
         # Eager 8 MB stacks moved to VA == PA.
@@ -68,7 +69,7 @@ def table5() -> list[Table5Row]:
             + _loc(page_table.PageTable._cover_identity)
         ),
         # Policy plumbing.
-        "Miscellaneous": _loc(VMM.mmap),
+        "Miscellaneous": _loc(VMM.mmap) + _loc(VMM._identity_alloc),
     }
     return [Table5Row(feature=k, paper_loc=PAPER_LOC[k], our_loc=ours[k])
             for k in PAPER_LOC]

@@ -17,7 +17,10 @@ Pressure preludes
     allocation.  A DVM identity mapping of ≥ 2 pages then fails
     contiguous allocation and degrades to a demand mapping — the
     identity→demand transition of paper Section 4.3.1 — while
-    single-page regions still identity-map into the holes.
+    single-page regions still identity-map into the holes.  The board
+    is mapped and half unmapped with the batch syscalls
+    (``VMM.mmap_pages``/``munmap_pages``), which leave exactly the state
+    one ``mmap``/``munmap`` per page would.
 ``reclaim``
     After the mosaic is mapped, swap out a fraction of the process's
     identity allocations through the real
@@ -151,22 +154,20 @@ _FRAG_SLACK_ORDER = 3
 def _fragment_phys(kernel: Kernel, vmm, holes: int) -> None:
     """Checkerboard the buddy allocator, leaving single-page holes.
 
-    Allocate ``2 * holes`` single pages, pin every contiguous run larger
-    than the slack order with hog allocations (the pool is not one run —
-    kernel reservations and page-table frames split it — so the hog
+    Map ``2 * holes`` single pages in one batch, pin every contiguous run
+    larger than the slack order with hog allocations (the pool is not one
+    run — kernel reservations and page-table frames split it — so the hog
     walks ``largest_free_order`` down instead of assuming ``free_bytes``
-    is allocatable in one piece), then free every other single-page
-    allocation.
+    is allocatable in one piece), then unmap every other board page in
+    one batch.  The batch calls equal one ``mmap``/``munmap`` per page.
     """
-    board = [vmm.mmap(PAGE_SIZE, Perm.READ_ONLY, name=f"board{i}")
-             for i in range(2 * holes)]
+    board = vmm.mmap_pages(2 * holes, Perm.READ_ONLY, name="board")
+    allocator = kernel.phys.allocator
     i = 0
-    while kernel.phys.allocator.largest_free_order() > _FRAG_SLACK_ORDER:
-        order = kernel.phys.allocator.largest_free_order()
+    while (order := allocator.largest_free_order()) > _FRAG_SLACK_ORDER:
         vmm.mmap(PAGE_SIZE << order, Perm.READ_ONLY, name=f"hog{i}")
         i += 1
-    for alloc in board[1::2]:
-        vmm.munmap(alloc)
+    vmm.munmap_pages(board[1::2])
 
 
 def realize(plan: LayoutPlan, config: MMUConfig) -> SimpleNamespace:

@@ -9,7 +9,7 @@ one twin and the vectorized fastpath on the other, and asserts:
     kind) or same clean completion, engine for engine, plus a
     cross-configuration check that every protection-checking config
     refuses the same access;
-(b) **bit-identical timing** — ``asdict(TimingStats)`` equality
+(b) **bit-identical timing** — ``TimingStats`` equality
     (energy events included), fault-machinery counters, and hardware
     structure state;
 (c) **fault-accounting invariants** — faults serviced by the handler
@@ -226,7 +226,7 @@ def _structure_counters(iommu) -> dict:
     if iommu.perm_bitmap is not None:
         s["bm"] = (iommu.perm_bitmap.cache.stats.hits,
                    iommu.perm_bitmap.cache.stats.misses)
-    s["dram"] = asdict(iommu.dram.stats)
+    s["dram"] = iommu.dram.stats
     return s
 
 
@@ -258,7 +258,10 @@ def _run_one(realized, addrs, writes, engine):
 
 
 def _observable(stats, exc, realized) -> dict:
-    obs = {"stats": None if stats is None else asdict(stats),
+    # Live dataclasses, not asdict() copies: dataclass equality compares
+    # the same fields (nested ``energy`` included), and both twins are
+    # compared before either runs again.
+    obs = {"stats": stats,
            "exc": exc,
            "fault": _fault_state(realized),
            "counters": _structure_counters(realized.iommu)}

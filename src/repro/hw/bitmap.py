@@ -17,7 +17,9 @@ the AVC's (Section 6.3.1).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.common.consts import PAGE_SHIFT, PAGE_SIZE
 from repro.common.perms import Perm
@@ -69,14 +71,20 @@ class PermissionBitmap:
     def set_range(self, va: int, size: int, perm: Perm) -> None:
         """Record ``perm`` for every page of an identity-mapped range."""
         self._check_range(va, size)
-        for page in range(va >> PAGE_SHIFT, (va + size) >> PAGE_SHIFT):
-            self._perms[page] = perm
+        # Pages already present keep their place in the dict, new ones
+        # join at the end in ascending order: the order a per-page loop
+        # of assignments leaves.
+        self._perms.update(dict.fromkeys(
+            range(va >> PAGE_SHIFT, (va + size) >> PAGE_SHIFT), perm))
 
     def clear_range(self, va: int, size: int) -> None:
         """Drop permissions for a range (unmap)."""
         self._check_range(va, size)
-        for page in range(va >> PAGE_SHIFT, (va + size) >> PAGE_SHIFT):
-            self._perms.pop(page, None)
+        # pop(page, None) for each page, driven from C; the remaining
+        # pages keep their order.
+        deque(map(self._perms.pop,
+                  range(va >> PAGE_SHIFT, (va + size) >> PAGE_SHIFT),
+                  repeat(None)), maxlen=0)
 
     # -- IOMMU-side lookup ----------------------------------------------------------
 

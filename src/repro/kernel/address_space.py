@@ -29,6 +29,9 @@ DEFAULT_CODE_BASE = 0x0000_0000_0040_0000        # 4 MB, like x86-64 Linux
 DEFAULT_STACK_TOP = USER_VA_LIMIT - PAGE_SIZE    # just below the canonical gap
 DEFAULT_MMAP_BASE = USER_VA_LIMIT - (1 << 34)    # 16 GB below the stack area
 
+#: Bits of ASLR entropy in the mmap base (Linux heap entropy, per the paper).
+ASLR_BITS = 28
+
 
 @dataclass
 class VMA:
@@ -62,14 +65,20 @@ class AddressSpace:
     aslr_bits:
         Bits of randomness applied to the mmap base (the paper cites 28 bits
         of Linux heap entropy; the default mirrors that).
+    aslr_pages:
+        The draw itself, ``rng.integers(0, 1 << aslr_bits)``, when the
+        caller already has it (``Kernel.aslr_pages``); ``rng`` is then
+        not used.
     """
 
     def __init__(self, rng: np.random.Generator | None = None,
-                 aslr_bits: int = 28):
+                 aslr_bits: int = ASLR_BITS, aslr_pages: int | None = None):
         self._starts: list[int] = []
         self._vmas: list[VMA] = []
-        self.rng = rng or np.random.default_rng(0)
-        offset = int(self.rng.integers(0, 1 << aslr_bits)) * PAGE_SIZE
+        if aslr_pages is None:
+            rng = rng or np.random.default_rng(0)
+            aslr_pages = int(rng.integers(0, 1 << aslr_bits))
+        offset = aslr_pages * PAGE_SIZE
         # Randomised top-down mmap base, clamped into the user range.
         self.mmap_base = align_down(
             max(DEFAULT_MMAP_BASE - offset, USER_VA_LIMIT // 4), PAGE_SIZE
@@ -102,6 +111,10 @@ class AddressSpace:
     def total_mapped(self) -> int:
         """Total bytes currently mapped."""
         return sum(v.size for v in self._vmas)
+
+    def top(self) -> int:
+        """End of the highest area (0 when there is none)."""
+        return self._vmas[-1].end if self._vmas else 0
 
     # -- placement ---------------------------------------------------------------
 
@@ -149,6 +162,21 @@ class AddressSpace:
         self._insert(vma)
         return vma
 
+    def append(self, vmas: list[VMA]) -> None:
+        """Add areas that ascend past every existing one, in order.
+
+        The bulk form of :meth:`reserve_exact` for areas above :meth:`top`
+        (identity mapping's batch path): the caller keeps each area at or
+        above the end of the one before it.
+        """
+        if vmas and (vmas[0].start < self.top()
+                     or vmas[-1].end > USER_VA_LIMIT):
+            raise AddressSpaceError(
+                f"va range [{vmas[0].start:#x}, {vmas[-1].end:#x}) does not "
+                f"ascend past the mapped areas")
+        self._vmas.extend(vmas)
+        self._starts.extend(vma.start for vma in vmas)
+
     def remove(self, vma: VMA) -> None:
         """Remove an area previously returned by a reserve call."""
         idx = bisect.bisect_left(self._starts, vma.start)
@@ -156,6 +184,15 @@ class AddressSpace:
             raise AddressSpaceError(f"VMA at {vma.start:#x} is not mapped")
         del self._vmas[idx]
         del self._starts[idx]
+
+    def remove_all(self, vmas: list[VMA]) -> None:
+        """Remove mapped areas in one rebuild of the area lists."""
+        gone = {vma.start: vma for vma in vmas}
+        kept = [vma for vma in self._vmas if gone.get(vma.start) is not vma]
+        if len(kept) != len(self._vmas) - len(gone):
+            raise AddressSpaceError("an area to remove is not mapped")
+        self._vmas[:] = kept
+        self._starts[:] = [vma.start for vma in kept]
 
     # -- internals ------------------------------------------------------------------
 

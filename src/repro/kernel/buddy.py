@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.common import faults
 from repro.common.consts import PAGE_SHIFT, PAGE_SIZE
 from repro.common.errors import InjectedOutOfMemoryError, OutOfMemoryError
-from repro.common.util import align_up, is_aligned, size_to_order
+from repro.common.util import is_aligned, size_to_order
 from repro.obs import core as obs_core
 
 
@@ -92,10 +92,11 @@ class BuddyAllocator:
         if order < 0 or order > self.max_order:
             self.stats.failed_allocations += 1
             raise OutOfMemoryError(f"order {order} exceeds max {self.max_order}")
+        free_sets = self._free_sets
         for source in range(order, self.max_order + 1):
-            addr = self._pop_lowest(source)
-            if addr is None:
+            if not free_sets[source]:
                 continue
+            addr = self._pop_lowest(source)
             # Split down to the requested order, returning upper halves.
             while source > order:
                 source -= 1
@@ -153,8 +154,11 @@ class BuddyAllocator:
             self.stats.failed_allocations += 1
             raise InjectedOutOfMemoryError(
                 f"injected alloc_oom fault ({size} bytes)")
-        usable = align_up(size, PAGE_SIZE)
-        order = size_to_order(size, PAGE_SIZE)
+        if size <= 0:
+            raise ValueError(f"expected a positive size, got {size}")
+        pages = (size + PAGE_SIZE - 1) >> PAGE_SHIFT
+        usable = pages << PAGE_SHIFT
+        order = (pages - 1).bit_length()
         if obs_core.ENABLED:
             obs_core.REGISTRY.histogram("kernel.buddy.alloc_order").observe(order)
         if (PAGE_SIZE << order) == usable:

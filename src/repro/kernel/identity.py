@@ -24,13 +24,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.consts import PAGE_SIZE
+from repro.common.consts import (
+    ENTRIES_PER_NODE,
+    LEVEL_SPAN,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+)
 from repro.common.errors import AddressSpaceError, OutOfMemoryError
 from repro.common.perms import Perm
 from repro.common.util import align_up
-from repro.kernel.address_space import AddressSpace, VMA
+from repro.kernel.address_space import USER_VA_LIMIT, AddressSpace, VMA
 from repro.kernel.page_table import PageTable
 from repro.kernel.phys import PhysicalMemory
+
+#: A VA's L1 node (2 MB of VA) and its slot there.
+_L1_BASE_MASK = ~(LEVEL_SPAN[2] - 1)
+_L1_INDEX_MASK = ENTRIES_PER_NODE - 1
 
 
 @dataclass
@@ -65,26 +74,91 @@ class IdentityMapper:
         Returns the VMA (whose start VA equals the backing PA) on success,
         or None when the caller must fall back to demand paging.
         """
-        self.stats.attempts += 1
         usable = align_up(size, PAGE_SIZE)
         try:
             pa = self.phys.alloc_contiguous(usable)
         except OutOfMemoryError:
+            pa = None
+        return self.place(pa, usable, perm, kind=kind, name=name)
+
+    def place(self, pa: int | None, size: int, perm: Perm, *,
+              kind: str = "mmap", name: str = "") -> VMA | None:
+        """The rest of :meth:`try_map` once the contiguous allocation of
+        ``size`` (page-aligned) bytes returned ``pa`` (None: it failed):
+        move the region to VA == ``pa`` and map it, or give the frames
+        back on a VA conflict.
+        """
+        self.stats.attempts += 1
+        if pa is None:
             self.stats.contiguity_failures += 1
             return None
         try:
             vma = self.aspace.reserve_exact(
-                pa, usable, perm, kind=kind, identity=True, name=name
+                pa, size, perm, kind=kind, identity=True, name=name
             )
         except AddressSpaceError:
             # The move to VA2 == PA failed: the VA range is taken.
-            self.phys.free_contiguous(pa, usable)
+            self.phys.free_contiguous(pa, size)
             self.stats.va_conflicts += 1
             return None
-        self.page_table.map_identity_range(pa, usable, perm)
+        self.page_table.map_identity_range(pa, size, perm)
         self.stats.successes += 1
-        self.stats.identity_bytes += usable
+        self.stats.identity_bytes += size
         return vma
+
+    def map_pages(self, count: int, perm: Perm, *, name: str = ""
+                  ) -> tuple[list[VMA], int | None]:
+        """Identity-map up to ``count`` one-page areas in one pass.
+
+        Equal in every piece of state to ``try_map(PAGE_SIZE, perm,
+        name=f"{name}{i}")`` for each ``i`` in order, for as long as each
+        page's frame is allocated, its VA ascends past every area and
+        table pointers (or missing nodes) lead to its vacant L1 slot.
+        Nodes are created when the first page reaches them, so their
+        frames interleave with the data frames as one call per page
+        allocates them; the areas are appended and the slots filled once.
+
+        Returns the areas mapped and, when it stopped short of ``count``,
+        the frame it allocated for the next page (None when that
+        allocation failed): :meth:`place` finishes that page.
+        """
+        phys, table = self.phys, self.page_table
+        floor = self.aspace.top()
+        vmas: list[VMA] = []
+        slots: list = []
+        node = None
+        node_base = -1
+        frame = None
+        for i in range(count):
+            try:
+                pa = phys.alloc_contiguous(PAGE_SIZE)
+            except OutOfMemoryError:
+                break
+            if pa < floor or pa + PAGE_SIZE > USER_VA_LIMIT:
+                frame = pa
+                break
+            if pa & _L1_BASE_MASK != node_base:
+                node = table.identity_l1_node(pa)
+                if node is None:
+                    frame = pa
+                    break
+                node_base = pa & _L1_BASE_MASK
+                indices: list[int] = []
+                slots.append((node, indices))
+            index = (pa >> PAGE_SHIFT) & _L1_INDEX_MASK
+            if index in node.entries:
+                frame = pa
+                break
+            indices.append(index)
+            floor = pa + PAGE_SIZE
+            vmas.append(VMA(pa, floor, perm, "mmap", True, f"{name}{i}"))
+        table.fill_identity_slots(slots, perm)
+        self.aspace.append(vmas)
+        mapped = len(vmas)
+        self.stats.attempts += mapped
+        self.stats.successes += mapped
+        self.stats.identity_bytes += mapped * PAGE_SIZE
+        return vmas, frame
 
     def unmap(self, vma: VMA) -> None:
         """Release an identity mapping created by :func:`try_map`."""
@@ -94,3 +168,24 @@ class IdentityMapper:
         self.aspace.remove(vma)
         self.phys.free_contiguous(vma.start, vma.size)
         self.stats.identity_bytes -= vma.size
+
+    def unmap_pages(self, vmas: list[VMA]) -> int:
+        """Release one-page identity areas in one pass; returns how many.
+
+        Equal to :meth:`unmap` on each area in order, for as long as each
+        is a one-page identity area over an L1 leaf: its slot is popped
+        (freeing the nodes that empty), its frame freed, and the released
+        areas leave the address space in one rebuild.  Stops at the
+        first area that cannot take this path.
+        """
+        table, phys = self.page_table, self.phys
+        done = 0
+        for vma in vmas:
+            if not (vma.identity and vma.size == PAGE_SIZE
+                    and table.unmap_l1_page(vma.start)):
+                break
+            phys.free_frame(vma.start)
+            done += 1
+        self.aspace.remove_all(vmas[:done])
+        self.stats.identity_bytes -= done * PAGE_SIZE
+        return done

@@ -9,6 +9,7 @@ shared with the IOMMU.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import zlib
 
@@ -21,6 +22,16 @@ from repro.kernel.vm_syscalls import MemPolicy
 
 #: Default machine size: the paper's accelerator system has 32 GB (Table 2).
 DEFAULT_PHYS_BYTES = 32 << 30
+
+
+def _purpose_rng(seed: int, purpose: str) -> np.random.Generator:
+    return np.random.default_rng(
+        np.random.SeedSequence([seed, zlib.crc32(purpose.encode())]))
+
+
+@functools.lru_cache(maxsize=4096)
+def _aslr_pages(seed: int, pid: int, bits: int) -> int:
+    return int(_purpose_rng(seed, f"aslr-{pid}").integers(0, 1 << bits))
 
 
 class Kernel:
@@ -69,9 +80,16 @@ class Kernel:
 
     def new_rng(self, purpose: str) -> np.random.Generator:
         """Deterministic RNG derived from the master seed and a purpose tag."""
-        return np.random.default_rng(
-            np.random.SeedSequence([self.seed, zlib.crc32(purpose.encode())])
-        )
+        return _purpose_rng(self.seed, purpose)
+
+    def aslr_pages(self, pid: int, bits: int) -> int:
+        """Process ``pid``'s ASLR draw: the first
+        ``integers(0, 1 << bits)`` of ``new_rng(f"aslr-{pid}")``.
+
+        Memoized per ``(seed, pid, bits)``, so spawning a process does not
+        build a generator for its one draw.
+        """
+        return _aslr_pages(self.seed, pid, bits)
 
     def bitmap_for(self, process: Process):
         """Permission bitmap for a process, if the DVM-BM factory is set."""

@@ -339,6 +339,32 @@ class PageTable:
                 raise MappingError("cannot cover identity range at L1 directly")
             cursor = chunk_end
 
+    def identity_l1_node(self, va: int) -> PageTableNode | None:
+        """The L1 node a one-page identity mapping at ``va`` fills.
+
+        Missing nodes are created on the way down, in the order
+        :meth:`map_identity_range` creates them for one page (no PE fits a
+        single page at any level).  Returns None, having created only the
+        nodes above it, where a PE or huge leaf sits on the path: that
+        call would split or refuse it.
+        """
+        try:
+            return self._descend_to(va, 1, create=True)
+        except MappingError:
+            return None
+
+    @staticmethod
+    def fill_identity_slots(slots: list[tuple[PageTableNode, list[int]]],
+                            perm: Perm) -> None:
+        """Install identity 4 KB leaves in vacant L1 slots.
+
+        ``slots`` pairs each node from :meth:`identity_l1_node` with its
+        slot indices in mapping order; every slot shares one entry.
+        """
+        leaf = LeafPTE(0, perm, 1)
+        for node, indices in slots:
+            node.entries.update(dict.fromkeys(indices, leaf))
+
     # -- protection changes and demotion (fork/COW support) --------------------
 
     def protect_range(self, va: int, size: int, perm: Perm) -> None:
@@ -576,6 +602,33 @@ class PageTable:
                     del node.entries[index]
             cursor = chunk_end
 
+    def unmap_l1_page(self, va: int) -> bool:
+        """Remove the 4 KB leaf at ``va`` as ``unmap_range(va, PAGE_SIZE)``
+        would, freeing the nodes that empty, lowest level first.
+
+        Returns False, changing nothing, unless table pointers lead down
+        to an L1 leaf at ``va``.
+        """
+        path = []
+        node = self.root
+        while node.level > 1:
+            index = (va >> _LEVEL_SHIFT[node.level]) & _INDEX_MASK
+            entry = node.entries.get(index)
+            if type(entry) is not TablePointer:
+                return False
+            path.append((node, index))
+            node = entry.node
+        index = (va >> PAGE_SHIFT) & _INDEX_MASK
+        if type(node.entries.get(index)) is not LeafPTE:
+            return False
+        del node.entries[index]
+        while not node.entries and path:
+            parent, index = path.pop()
+            self.phys.free_frame(node.phys_addr, purpose="page_table")
+            del parent.entries[index]
+            node = parent
+        return True
+
     # -- walking --------------------------------------------------------------
 
     def walk(self, va: int) -> WalkResult:
@@ -716,7 +769,7 @@ def _fill_leaves(entries: dict, first: int, va: int, pa: int, count: int,
     """
     leaf = LeafPTE(pa - va, perm, level)
     indices = range(first, first + count)
-    if not entries.keys().isdisjoint(indices):
+    if entries and not entries.keys().isdisjoint(indices):
         hit = next(index for index in indices if index in entries)
         entries.update(dict.fromkeys(range(first, hit), leaf))
         va += (hit - first) * LEVEL_SPAN[level]

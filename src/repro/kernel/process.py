@@ -25,6 +25,7 @@ from repro.common.errors import PageFault, ProtectionFault
 from repro.common.perms import Perm, allows
 from repro.common.util import align_down, align_up
 from repro.kernel.address_space import (
+    ASLR_BITS,
     DEFAULT_CODE_BASE,
     DEFAULT_STACK_TOP,
     AddressSpace,
@@ -59,8 +60,7 @@ class Process:
         self.name = name or f"proc-{pid}"
         self.alive = True
         self.aspace = aspace if aspace is not None else AddressSpace(
-            rng=kernel.new_rng(f"aslr-{pid}")
-        )
+            aslr_pages=kernel.aslr_pages(pid, ASLR_BITS))
         self.page_table = PageTable(kernel.phys, use_pes=policy.use_pes,
                                     pe_format=policy.pe_format)
         self.vmm = VMM(kernel.phys, self.aspace, self.page_table, policy,

@@ -25,6 +25,13 @@ mmap only reserves the VMA, and frames are allocated one policy-size chunk
 at a time by :meth:`VMM.populate_for_fault` when the kernel fault handler
 (:mod:`repro.kernel.fault`) services a major fault.  This makes the cost
 DVM's eager identity mapping avoids (paper Section 4.3) measurable.
+
+:meth:`VMM.mmap_pages` and :meth:`VMM.munmap_pages` are batch twins of
+one-page ``mmap``/``munmap`` (the fragment prelude of :mod:`repro.gen`
+maps and unmaps hundreds of single pages): each equals the sequence of
+per-page calls in every piece of kernel state, takes the one-pass path
+(:meth:`IdentityMapper.map_pages`/``unmap_pages``) while it applies, and
+hands the rest to the per-page calls from the first page it cannot take.
 """
 
 from __future__ import annotations
@@ -144,15 +151,36 @@ class VMM:
         if self.policy.wants_identity:
             vma = self.identity_mapper.try_map(size, perm, kind=kind, name=name)
             if vma is not None:
-                if self.perm_bitmap is not None:
-                    self.perm_bitmap.set_range(vma.start, vma.size, perm)
-                alloc = Allocation(vma=vma, phys_chunks=[], identity=True)
-                self._register(alloc)
-                return alloc
-        alloc = self._demand_map(size, perm, kind=kind, name=name,
-                                 alignment=alignment)
-        self._register(alloc)
-        return alloc
+                return self._identity_alloc(vma, perm)
+        return self._demand_alloc(size, perm, kind=kind, name=name,
+                                  alignment=alignment)
+
+    def mmap_pages(self, count: int, perm: Perm = Perm.READ_WRITE, *,
+                   name: str = "") -> list[Allocation]:
+        """Map ``count`` one-page allocations named ``f"{name}{i}"``.
+
+        The batch twin of :meth:`mmap`: equal in every piece of state to
+        ``count`` sequential ``mmap(PAGE_SIZE, perm, name=f"{name}{i}")``
+        calls.  Identity policies place the pages in one pass
+        (:meth:`IdentityMapper.map_pages`); the page that pass stops at is
+        finished as :meth:`mmap` would, and every later page goes through
+        :meth:`mmap` one at a time.
+        """
+        allocs: list[Allocation] = []
+        if self.policy.wants_identity:
+            mapper = self.identity_mapper
+            vmas, frame = mapper.map_pages(count, perm, name=name)
+            allocs = self._identity_pages(vmas, perm)
+            if len(allocs) < count:
+                page_name = f"{name}{len(allocs)}"
+                vma = mapper.place(frame, PAGE_SIZE, perm, name=page_name)
+                allocs.append(
+                    self._demand_alloc(PAGE_SIZE, perm, kind="mmap",
+                                       name=page_name)
+                    if vma is None else self._identity_alloc(vma, perm))
+        allocs.extend(self.mmap(PAGE_SIZE, perm, name=f"{name}{i}")
+                      for i in range(len(allocs), count))
+        return allocs
 
     def munmap(self, alloc: Allocation) -> None:
         """Unmap and free an allocation returned by :func:`mmap`."""
@@ -172,6 +200,33 @@ class VMM:
             self.phys.free_contiguous(pa, chunk_size)
         self.stats.demand_bytes -= alloc.size
         self.stats.demand_allocs -= 1
+
+    def munmap_pages(self, allocs: list[Allocation]) -> None:
+        """Unmap allocations in order, as sequential :meth:`munmap` calls.
+
+        The batch twin of :meth:`munmap`: a leading run of live one-page
+        identity allocations is released in one pass
+        (:meth:`IdentityMapper.unmap_pages`, which stops at the first
+        area that is not one); from the first allocation that pass stops
+        at, the rest go through :meth:`munmap` one at a time.
+        """
+        live = self._allocations
+        run = 0
+        for alloc in allocs:
+            if live.get(alloc.va) is not alloc:
+                break
+            run += 1
+        done = self.identity_mapper.unmap_pages(
+            [alloc.vma for alloc in allocs[:run]])
+        bitmap = self.perm_bitmap
+        for alloc in allocs[:done]:
+            del live[alloc.va]
+            if bitmap is not None:
+                bitmap.clear_range(alloc.va, PAGE_SIZE)
+        self.stats.identity_bytes -= done * PAGE_SIZE
+        self.stats.identity_allocs -= done
+        for alloc in allocs[done:]:
+            self.munmap(alloc)
 
     def allocations(self) -> list[Allocation]:
         """Live allocations, ordered by VA."""
@@ -227,6 +282,32 @@ class VMM:
         else:
             self.stats.demand_allocs += 1
             self.stats.demand_bytes += alloc.size
+
+    def _identity_alloc(self, vma: VMA, perm: Perm) -> Allocation:
+        """Record a mapped identity area: bitmap permissions, registration."""
+        if self.perm_bitmap is not None:
+            self.perm_bitmap.set_range(vma.start, vma.size, perm)
+        alloc = Allocation(vma=vma, phys_chunks=[], identity=True)
+        self._register(alloc)
+        return alloc
+
+    def _identity_pages(self, vmas: list[VMA], perm: Perm) -> list[Allocation]:
+        """:meth:`_identity_alloc` for one-page areas, registered at once."""
+        allocs = [Allocation(vma, [], True) for vma in vmas]
+        if self.perm_bitmap is not None:
+            for vma in vmas:
+                self.perm_bitmap.set_range(vma.start, PAGE_SIZE, perm)
+        self._allocations.update(zip([vma.start for vma in vmas], allocs))
+        self.stats.identity_allocs += len(allocs)
+        self.stats.identity_bytes += len(allocs) * PAGE_SIZE
+        return allocs
+
+    def _demand_alloc(self, size: int, perm: Perm, *, kind: str, name: str,
+                      alignment: int | None = None) -> Allocation:
+        alloc = self._demand_map(size, perm, kind=kind, name=name,
+                                 alignment=alignment)
+        self._register(alloc)
+        return alloc
 
     def _demand_map(self, size: int, perm: Perm, *, kind: str,
                     name: str, alignment: int | None = None) -> Allocation:

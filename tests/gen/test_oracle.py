@@ -51,6 +51,20 @@ class TestSelfTest:
         assert len(small.plan.regions) == 1
         assert small.plan.pressure == "none"
 
+    def test_nested_energy_event_bump_is_a_stats_divergence(self):
+        # The twins' TimingStats are compared as dataclasses: a count
+        # inside the nested energy account must still tell them apart.
+        class EnergyBump(SelfTestCorruption):
+            def apply(self, name, stats, n_accesses):
+                if name == self.config and stats is not None:
+                    events = stats.energy.events
+                    events[next(iter(events))] += 1
+
+        result = check_scenario(scenario_from_seed(0), configs=("conv_4k",),
+                                corrupt=EnergyBump())
+        assert result.mismatches == [
+            "conv_4k: scalar/fast divergence in stats"]
+
     def test_repro_command_round_trips_through_the_cli(self, tmp_path,
                                                        capsys):
         cmd = repro_command(0, self_test=True)

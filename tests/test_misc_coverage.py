@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.perms import Perm
+from repro.kernel.address_space import AddressSpace
 from repro.kernel.kernel import Kernel
 from repro.kernel.page_table import PageTable, PageTableNode
 from repro.kernel.phys import PhysicalMemory
@@ -24,6 +25,23 @@ class TestKernelHelpers:
         a = kernel.new_rng("x").integers(0, 1 << 30)
         b = kernel.new_rng("y").integers(0, 1 << 30)
         assert a != b
+
+    @pytest.mark.parametrize("seed", [0, 9, 12345])
+    def test_aslr_draw_is_a_fresh_generators_first_draw(self, seed):
+        kernel = Kernel(phys_bytes=64 * MB, seed=seed)
+        for pid in (1, 2, 7, 400):
+            for bits in (28, 12):
+                fresh = int(kernel.new_rng(f"aslr-{pid}")
+                            .integers(0, 1 << bits))
+                assert kernel.aslr_pages(pid, bits) == fresh
+                assert kernel.aslr_pages(pid, bits) == fresh   # memoized
+
+    def test_spawned_mmap_base_matches_a_generator_built_aspace(self):
+        kernel = Kernel(phys_bytes=64 * MB, seed=3)
+        for _ in range(3):
+            proc = kernel.spawn()
+            want = AddressSpace(rng=kernel.new_rng(f"aslr-{proc.pid}"))
+            assert proc.aspace.mmap_base == want.mmap_base
 
     def test_share_release_refcounts(self):
         kernel = Kernel(phys_bytes=64 * MB)
