@@ -2,16 +2,19 @@
  *
  * The page-run pre-pass, then three replays that read a trace's page runs
  * through the one shared run -> page index (the skeleton's `uidx`) plus a
- * page-scale table, so no caller gathers a per-run column first:
+ * page-scale table, so no caller gathers a per-run column first.  A run
+ * is kept as its head index alone (12 bytes per run with its page
+ * index): its length is the distance to the next head, and its stores
+ * are read from the trace's own store column when they are needed.
  *
- *   repro_page_runs       one scan of the access columns: the run
- *                         decomposition (head, length, stores, head
- *                         store) and each run's page key, in exact-size
- *                         columns (a counting pass, then a filling pass);
+ *   repro_page_runs       one scan of the access columns: each run's head
+ *                         and page key, in exact-size columns (a counting
+ *                         pass, then a filling pass);
  *   repro_compact         sorted-unique factorization of a narrow-span
  *                         key column (the page alphabet and its index);
  *   repro_page_aggregates per-page run, access and store counts through
- *                         the run -> page index;
+ *                         the run -> page index, from the heads and the
+ *                         trace's store column;
  *   repro_lru_sim         exact set-associative LRU replay of a key stream
  *                         (TLB regions, bitmap-cache words): key of run i is
  *                         key_of[idx[i]], after a warm-resident prime prefix;
@@ -68,34 +71,26 @@ INLINE int64_t count_runs(const int8_t *streams, const int64_t *cols,
     return m;
 }
 
-/* The filling pass.  Every access rewrites the open run's stores and
- * key and provisionally writes the *next* run's head (overwritten until
- * a boundary makes it real), so the only branch is the predictable
- * bound check on that provisional slot. */
+/* The filling pass.  Every access rewrites the open run's key and
+ * provisionally writes the *next* run's head (overwritten until a
+ * boundary makes it real), so the only branch is the predictable bound
+ * check on that provisional slot. */
 INLINE int64_t fill_runs(const int8_t *streams, const int64_t *cols,
-                         const void *writes, int wide, int64_t n,
-                         int64_t span, int64_t m, int64_t *starts,
-                         int64_t *lengths, int64_t *run_writes,
-                         int64_t *head_writes, int64_t *keys,
-                         int64_t *key_range)
+                         int64_t n, int64_t span, int64_t m,
+                         int64_t *starts, int64_t *keys, int64_t *key_range)
 {
-    int64_t page = 0, cur = 0, stores = 0;
+    int64_t page = 0, cur = 0;
     int64_t klo = INT64_MAX, khi = INT64_MIN;
     int8_t stream = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t p = cols[i] >> PAGE_SHIFT;
         int8_t s = streams ? streams[i] : 0;
-        int64_t w = store_at(writes, wide, i);
         int64_t c = (i == 0) | (p != page) | (s != stream);
-        if (cur < m) {
+        if (cur < m)
             starts[cur] = i;
-            head_writes[cur] = w;
-        }
         cur += c;
         if (cur > m)
             return cur;
-        stores = (c ? 0 : stores) + w;
-        run_writes[cur - 1] = stores;
         int64_t key = streams ? (int64_t)s * span + p : p;
         keys[cur - 1] = key;
         klo = key < klo ? key : klo;
@@ -103,10 +98,6 @@ INLINE int64_t fill_runs(const int8_t *streams, const int64_t *cols,
         page = p;
         stream = s;
     }
-    for (int64_t r = 0; r + 1 < cur; r++)
-        lengths[r] = starts[r + 1] - starts[r];
-    if (cur > 0)
-        lengths[cur - 1] = n - starts[cur - 1];
     key_range[0] = klo;
     key_range[1] = khi;
     return cur;
@@ -120,19 +111,16 @@ INLINE int64_t fill_runs(const int8_t *streams, const int64_t *cols,
  * Counting call (starts NULL): returns the number of runs m and stores
  * the least and greatest page in range[0..1] (0, -1 when n == 0).
  * Filling call (n > 0): with the m-entry outputs of that count, stores
- * each run's head index in starts, its access count in lengths, the sum
- * of its store values in run_writes, its head's store value in
- * head_writes, and its key in keys: streams[head] * span + page, or the
- * page when streams is NULL; and the least and greatest key in
- * range[0..1].  Returns m, or another count when the columns changed
- * between the calls (no output is written past entry m - 1).
+ * each run's head index in starts and its key in keys: streams[head] *
+ * span + page, or the page when streams is NULL; and the least and
+ * greatest key in range[0..1].  A run's length and stores are not kept:
+ * they follow from starts and the trace's store column (see
+ * repro_page_aggregates).  Returns m, or another count when the columns
+ * changed between the calls (no output is written past entry m - 1).
  */
 int64_t repro_page_runs(const int8_t *streams, const int64_t *cols,
-                        const void *writes, int32_t wide, int64_t n,
-                        int64_t span, int64_t m, int64_t *range,
-                        int64_t *starts, int64_t *lengths,
-                        int64_t *run_writes, int64_t *head_writes,
-                        int64_t *keys)
+                        int64_t n, int64_t span, int64_t m, int64_t *range,
+                        int64_t *starts, int64_t *keys)
 {
     if (!starts) {
         if (n > 0)
@@ -142,12 +130,8 @@ int64_t repro_page_runs(const int8_t *streams, const int64_t *cols,
         range[1] = -1;
         return 0;
     }
-#define FILL(S, W) fill_runs(S, cols, writes, W, n, span, m, starts, \
-                             lengths, run_writes, head_writes, keys, range)
-    if (streams)
-        return wide ? FILL(streams, 1) : FILL(streams, 0);
-    return wide ? FILL(NULL, 1) : FILL(NULL, 0);
-#undef FILL
+    return streams ? fill_runs(streams, cols, n, span, m, starts, keys, range)
+                   : fill_runs(NULL, cols, n, span, m, starts, keys, range);
 }
 
 /* Sorted-unique factorization of n values in lo .. lo + span - 1
@@ -174,27 +158,49 @@ int64_t repro_compact(const int64_t *values, int64_t n, int64_t lo,
     return u;
 }
 
-/* Per-page aggregates of m runs over u pages: run r is on page uidx[r].
- * Adds each run to its page's run_count, access_count (its length) and
- * write_count (its stores), and sets written where a run stores.  The
- * caller zeroes the u-entry outputs.  Returns 0, or 1 (after partial
- * counts) when an index falls outside 0..u-1.
- */
-int repro_page_aggregates(const int32_t *uidx, int64_t m, int32_t u,
-                          const int64_t *lengths, const int64_t *run_writes,
-                          int64_t *run_count, int64_t *access_count,
-                          int64_t *write_count, uint8_t *written)
+/* One aggregation pass; wide is a compile-time constant at each call. */
+INLINE int aggregate_runs(const int32_t *uidx, int64_t m, int32_t u,
+                          const int64_t *starts, int64_t n,
+                          const void *writes, int wide, int64_t *run_count,
+                          int64_t *access_count, int64_t *write_count,
+                          uint8_t *written)
 {
     for (int64_t r = 0; r < m; r++) {
         int32_t p = uidx[r];
-        if (p < 0 || p >= u)
+        int64_t s = starts[r], e = r + 1 < m ? starts[r + 1] : n;
+        if (p < 0 || p >= u || s < 0 || e < s || e > n)
             return 1;
+        int64_t stores = 0;
+        for (int64_t i = s; i < e; i++)
+            stores += store_at(writes, wide, i);
         run_count[p]++;
-        access_count[p] += lengths[r];
-        write_count[p] += run_writes[r];
-        written[p] |= run_writes[r] > 0;
+        access_count[p] += e - s;
+        write_count[p] += stores;
+        written[p] |= stores > 0;
     }
     return 0;
+}
+
+/* Per-page aggregates of m runs over u pages: run r is on page uidx[r]
+ * and covers accesses starts[r] .. starts[r + 1] - 1 (.. n - 1 for the
+ * last run) of an n-access trace whose store values are writes (int8
+ * when wide == 0, else int64).  Adds each run to its page's run_count,
+ * access_count (its length) and write_count (the sum of its store
+ * values), and sets written where that sum is positive.  The caller
+ * zeroes the u-entry outputs.  Returns 0, or 1 (after partial counts)
+ * when an index falls outside 0..u-1 or the heads do not ascend within
+ * 0..n.
+ */
+int repro_page_aggregates(const int32_t *uidx, int64_t m, int32_t u,
+                          const int64_t *starts, int64_t n,
+                          const void *writes, int32_t wide,
+                          int64_t *run_count, int64_t *access_count,
+                          int64_t *write_count, uint8_t *written)
+{
+    return wide ? aggregate_runs(uidx, m, u, starts, n, writes, 1, run_count,
+                                 access_count, write_count, written)
+                : aggregate_runs(uidx, m, u, starts, n, writes, 0, run_count,
+                                 access_count, write_count, written);
 }
 
 /* Recency lists of nsets LRU sets over k keys. */
@@ -324,7 +330,7 @@ int repro_lru_sim(const int32_t *idx, int64_t m, const int32_t *key_of,
  * returns 0 on success, 1 on allocation failure
  */
 int repro_lru_sim_walk(const int32_t *idx, int64_t m, const uint8_t *sel,
-                       const int64_t *wflag, int64_t prime, int32_t npages,
+                       const uint8_t *wflag, int64_t prime, int32_t npages,
                        const int32_t *block_off, const int32_t *flat_ids,
                        const int32_t *fixed, int32_t k, int32_t nsets,
                        int32_t ways, const int32_t *set_of,

@@ -4,12 +4,12 @@
 replays, each exposed here:
 
 * :func:`page_runs` — one scan of a trace's access columns into its
-  page runs (heads, lengths, stores, head stores) and each run's page
-  key, in exact-size columns;
+  page runs' heads and each run's page key, in exact-size columns;
 * :func:`compact` — the sorted-unique factorization of a narrow-span
   key column (the page alphabet and its run -> page index);
 * :func:`page_aggregates` — per-page run, access and store counts
-  through a run -> page index;
+  through a run -> page index, from the run heads and the trace's store
+  column;
 * :func:`lru_sim` — exact set-associative LRU replay of a key stream
   read through a run -> page index and a per-page key table (TLB
   regions, bitmap-cache words), after a warm-resident prime prefix;
@@ -125,12 +125,12 @@ def _load() -> ctypes.CDLL | None:
         lib.repro_row_hits.argtypes = [ptr, ptr, i64, ptr]
         lib.repro_page_runs.restype = ctypes.c_int64
         lib.repro_page_runs.argtypes = [
-            ptr, ptr, ptr, i32, i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+            ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
         lib.repro_compact.restype = ctypes.c_int64
         lib.repro_compact.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr]
         lib.repro_page_aggregates.restype = ctypes.c_int
         lib.repro_page_aggregates.argtypes = [
-            ptr, i64, i32, ptr, ptr, ptr, ptr, ptr, ptr]
+            ptr, i64, i32, ptr, i64, ptr, i32, ptr, ptr, ptr, ptr]
     _lib = lib
     return _lib
 
@@ -169,48 +169,53 @@ def _store_column(writes) -> tuple[np.ndarray, int]:
     return np.ascontiguousarray(writes, dtype=np.int64), 1
 
 
-def page_runs(streams, cols, writes):
+def _flags(values) -> np.ndarray | None:
+    """A per-run flag column as the kernel's uint8 (nonzero = set): a
+    view of int8, uint8 and bool columns, ``values != 0`` otherwise."""
+    if values is None:
+        return None
+    values = np.ascontiguousarray(values)
+    if values.dtype in (np.int8, np.uint8, np.bool_):
+        return values.view(np.uint8)
+    return (values != 0).view(np.uint8)
+
+
+def page_runs(streams, cols):
     """Scan an access trace into its page runs through the kernel.
 
     Access ``i`` is on page ``cols[i] >> PAGE_SHIFT`` of stream
     ``streams[i]`` (int8); with ``streams`` ``None`` the trace is one
     stream and ``cols`` holds virtual addresses.  A run is a maximal
     stretch of consecutive accesses to one (stream, page) pair.  Returns
-    ``(runs, keys, key_bounds, lo, span)``: the int64 run columns
-    ``(starts, lengths, run_writes, head_writes)`` (``run_writes`` sums
-    each run's store values, ``head_writes`` is its head's); each run's
-    int64 key, ``stream * span + page`` with ``span = max(hi, 0) + 1``,
-    or the page itself (``span`` 0) without streams; the least and
-    greatest key; and ``lo``/``hi``, the least and greatest page (0 and
-    -1 for an empty trace).  Two passes over the accesses — count, then
-    fill exact-size columns — both with the GIL released.  Callers check
-    :func:`available` first.
+    ``(starts, keys, key_bounds, lo, span)``: each run's int64 head
+    index; each run's int64 key, ``stream * span + page`` with ``span =
+    max(hi, 0) + 1``, or the page itself (``span`` 0) without streams;
+    the least and greatest key; and ``lo``/``hi``, the least and
+    greatest page (0 and -1 for an empty trace).  Two passes over the
+    accesses — count, then fill exact-size columns — both with the GIL
+    released.  Callers check :func:`available` first.
     """
     lib = _load()
     cols64 = np.ascontiguousarray(cols, dtype=np.int64)
     streams8 = (None if streams is None
                 else np.ascontiguousarray(streams, dtype=np.int8))
-    stores, wide = _store_column(writes)
     n = int(cols64.shape[0])
-    if stores.shape != (n,) or (streams8 is not None
-                                and streams8.shape != (n,)):
+    if streams8 is not None and streams8.shape != (n,):
         raise ValueError("page_runs: columns must have equal length")
     bounds = np.empty(2, np.int64)
-    args = (_ptr(streams8), cols64.ctypes.data, stores.ctypes.data, wide, n)
-    m = lib.repro_page_runs(*args, 0, 0, bounds.ctypes.data,
-                            None, None, None, None, None)
+    args = (_ptr(streams8), cols64.ctypes.data, n)
+    m = lib.repro_page_runs(*args, 0, 0, bounds.ctypes.data, None, None)
     lo, hi = int(bounds[0]), int(bounds[1])
     span = 0 if streams8 is None else max(hi, 0) + 1
-    runs = [np.empty(m, np.int64) for _ in range(4)]
+    starts = np.empty(m, np.int64)
     keys = np.empty(m, np.int64)
     if m:
-        filled = lib.repro_page_runs(
-            *args, span, m, bounds.ctypes.data,
-            *(column.ctypes.data for column in runs), keys.ctypes.data)
+        filled = lib.repro_page_runs(*args, span, m, bounds.ctypes.data,
+                                     starts.ctypes.data, keys.ctypes.data)
         if filled != m:
             raise RuntimeError("page_runs: the filling pass disagrees "
                                "with the counting pass")
-    return tuple(runs), keys, (int(bounds[0]), int(bounds[1])), lo, span
+    return starts, keys, (int(bounds[0]), int(bounds[1])), lo, span
 
 
 def compact(values, lo: int, span: int):
@@ -231,27 +236,33 @@ def compact(values, lo: int, span: int):
     return (uniq if u == uniq.shape[0] else uniq[:u].copy()), inverse
 
 
-def page_aggregates(uidx: np.ndarray, u: int, lengths: np.ndarray,
-                    run_writes: np.ndarray):
+def page_aggregates(uidx: np.ndarray, u: int, starts: np.ndarray, n: int,
+                    writes):
     """``(run_count, access_count, write_count, written)`` over the ``u``
-    pages of a run -> page index, from the run columns of
-    :func:`page_runs`.  ``written`` is bool: whether some run of the page
-    stores.  Callers check :func:`available` first.
+    pages of a run -> page index.  Run ``r`` is on page ``uidx[r]`` and
+    covers accesses ``starts[r]`` up to the next head (``n`` after the
+    last); its stores are summed from ``writes``, the ``n``-access store
+    column.  ``written`` is bool: whether some run of the page has a
+    positive store sum.  Callers check :func:`available` first.
     """
     lib = _load()
     idx32 = _i32(uidx)
     m = int(idx32.shape[0])
-    lengths64 = np.ascontiguousarray(lengths, dtype=np.int64)
-    writes64 = np.ascontiguousarray(run_writes, dtype=np.int64)
-    if lengths64.shape != (m,) or writes64.shape != (m,):
+    starts64 = np.ascontiguousarray(starts, dtype=np.int64)
+    stores, wide = _store_column(writes)
+    if starts64.shape != (m,):
         raise ValueError("page_aggregates: run columns differ in length")
+    if stores.shape != (n,):
+        raise ValueError("page_aggregates: the store column must have "
+                         "one entry per access")
     counts = [np.zeros(u, np.int64) for _ in range(3)]
     written = np.zeros(u, bool)
     if lib.repro_page_aggregates(
-            idx32.ctypes.data, m, u, lengths64.ctypes.data,
-            writes64.ctypes.data, *(column.ctypes.data for column in counts),
-            written.ctypes.data):
-        raise ValueError("page_aggregates: page index out of range")
+            idx32.ctypes.data, m, u, starts64.ctypes.data, n,
+            stores.ctypes.data, wide,
+            *(column.ctypes.data for column in counts), written.ctypes.data):
+        raise ValueError("page_aggregates: page index or run head out of "
+                         "range")
     return (*counts, written)
 
 
@@ -301,17 +312,14 @@ def lru_walk(idx: np.ndarray, sel, wflag, prime: int,
     lib = _load()
     idx32 = _i32(idx)
     off32, ids32, fixed32 = _i32(block_off), _i32(flat_ids), _i32(fixed)
-    sel8 = (None if sel is None
-            else np.ascontiguousarray(sel, dtype=bool).view(np.uint8))
-    wflag64 = (None if wflag is None
-               else np.ascontiguousarray(wflag, dtype=np.int64))
+    sel8, wflag8 = _flags(sel), _flags(wflag)
     npages, m = int(fixed32.shape[0]), int(idx32.shape[0])
     # The kernel writes hist[fixed + misses] and walks_of[page]: check
     # every size it indexes by before handing it pointers.
     walk_mem = fixed32 + np.diff(off32[:npages + 1])
     if (off32.shape[0] != npages + prime + 1
             or any(a is not None and a.shape[0] != m
-                   for a in (sel8, wflag64))
+                   for a in (sel8, wflag8))
             or walks_of.shape != (npages,) or walks_of.dtype != np.int64
             or hist.dtype != np.int64 or not hist.flags.c_contiguous
             or hist.shape[1:] != (2,)
@@ -320,7 +328,7 @@ def lru_walk(idx: np.ndarray, sel, wflag, prime: int,
     set_of = _set_table(nsets, sid_u)
     counts, last_occ, last_fill = _lru_outputs(k)
     rc = lib.repro_lru_sim_walk(
-        idx32.ctypes.data, m, _ptr(sel8), _ptr(wflag64),
+        idx32.ctypes.data, m, _ptr(sel8), _ptr(wflag8),
         prime, npages, off32.ctypes.data, ids32.ctypes.data,
         fixed32.ctypes.data, k, nsets, ways, _ptr(set_of),
         walks_of.ctypes.data, hist.ctypes.data, counts.ctypes.data,

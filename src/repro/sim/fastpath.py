@@ -138,36 +138,42 @@ def _scan(streams, cols, writes):
 
     ``streams``/``cols`` are as :func:`repro.sim._native.page_runs`
     reads them: a symbolic trace's stream and offset columns, or
-    ``None`` and a concrete address column.  Returns ``(runs, (ukeys,
-    uidx), aggregates, written, lo, span)``: the int64 run columns
-    ``(starts, lengths, run_writes, head_writes)``, the sorted unique
-    run keys with each run's int32 index into them, the per-key
-    ``(run_count, access_count, write_count)``, the bool per-key
-    "some run stores" flag, the least page and the key span.
+    ``None`` and a concrete address column; ``writes`` is the trace's
+    store column.  Returns ``(starts, (ukeys, uidx), aggregates,
+    written, lo, span)``: the int64 head index of each run, the sorted
+    unique run keys with each run's int32 index into them, the per-key
+    ``(run_count, access_count, write_count)``, the bool per-key "some
+    run stores" flag, the least page and the key span.  ``starts`` and
+    ``uidx`` are the only run-scale results (12 bytes per run); the run
+    keys are a transient, and each run's length and stores are read
+    from ``starts`` and ``writes`` (:class:`PageRunBatch`).
     """
-    runs, keys, key_bounds, lo, span = _native.page_runs(streams, cols,
-                                                         writes)
+    starts, keys, key_bounds, lo, span = _native.page_runs(streams, cols)
     ukeys, uidx = _compact(keys, key_bounds)
     del keys                    # run-scale: free it before the aggregates
     *aggregates, written = _native.page_aggregates(
-        uidx, ukeys.shape[0], runs[1], runs[2])
-    return runs, (ukeys, uidx), tuple(aggregates), written, lo, span
+        uidx, ukeys.shape[0], starts, int(cols.shape[0]), writes)
+    return starts, (ukeys, uidx), tuple(aggregates), written, lo, span
 
 
 class PageRunBatch:
     """A VA trace compressed into page runs.
 
     A *run* is a maximal stretch of consecutive accesses to one 4 KB page.
-    ``writes`` is the per-access store flag; every other column is one
-    entry per run (or per unique page), filled together by one compiled
-    scan (:func:`_scan`) on first use.
+    ``writes`` is the per-access store flag.  The batch keeps two
+    run-scale columns, both from one compiled scan (:func:`_scan`) on
+    first use: each run's head index (:attr:`starts`) and its index into
+    the unique pages; the rest is page-scale.  A run's length, stores
+    and head store (:attr:`lengths`, :attr:`run_writes`,
+    :attr:`head_writes`) are derived from ``starts`` and ``writes`` on
+    each request and never kept.
     Batches are immutable and safe to share across configurations
     simulating the same concretized trace.
 
     Batches come in two flavors: :meth:`from_trace` wraps an already
     concretized address column, while :meth:`from_skeleton` relocates a
     layout-independent :class:`TraceRunSkeleton` to one layout.  A
-    skeleton batch holds no run-scale array of its own: its run columns
+    skeleton batch holds no run-scale array of its own: its run heads
     and its run -> unique-page index are the skeleton's, shared by
     identity with every other layout and configuration, and binding
     only relocates the page alphabet.  Its unique pages are therefore in
@@ -178,14 +184,14 @@ class PageRunBatch:
     the per-access address column :attr:`addrs`.
     """
 
-    __slots__ = ("_addrs", "writes", "_runs", "_upages", "_lazy",
+    __slots__ = ("_addrs", "writes", "_starts", "_upages", "_lazy",
                  "_written", "_paggs")
 
     def __init__(self, addrs: np.ndarray | None, writes: np.ndarray,
                  lazy=None):
         self._addrs = addrs      # int64[n] virtual address per access
         self.writes = writes     # int[n] 0/1 store flag per access
-        self._runs = None
+        self._starts = None
         self._upages = None
         # (skeleton, bases_arr) for skeleton batches.
         self._lazy = lazy
@@ -224,27 +230,33 @@ class PageRunBatch:
         """Stores in the trace (the skeleton's total when bound)."""
         if self._lazy is not None:
             return self._lazy[0].num_writes
-        return int(self.run_writes.sum())
+        return int(self.page_aggregates()[2].sum())
 
     @property
     def starts(self) -> np.ndarray:
         """int64[m] index of each run's head access."""
-        return self._compress()[0]
+        return self._compress()
 
     @property
     def lengths(self) -> np.ndarray:
-        """int64[m] accesses in the run."""
-        return self._compress()[1]
+        """int64[m] accesses in each run, derived from :attr:`starts`
+        on each request."""
+        return np.diff(self.starts, append=self.num_accesses)
 
     @property
     def run_writes(self) -> np.ndarray:
-        """int64[m] stores in the run."""
-        return self._compress()[2]
+        """int64[m] sum of each run's store values, derived from
+        :attr:`starts` and ``writes`` on each request."""
+        starts = self.starts
+        if not starts.shape[0]:
+            return np.zeros(0, np.int64)
+        return np.add.reduceat(self.writes, starts, dtype=np.int64)
 
     @property
     def head_writes(self) -> np.ndarray:
-        """int64[m] store flag of the head access."""
-        return self._compress()[3]
+        """Store flag of each run's head access, ``writes[starts]`` in
+        the store column's dtype, gathered on each request."""
+        return self.writes[self.starts]
 
     @classmethod
     def from_trace(cls, addrs, writes) -> "PageRunBatch":
@@ -269,8 +281,7 @@ class PageRunBatch:
         upages = (bases_arr >> PAGE_SHIFT)[skel.u_streams]
         upages += skel.u_opages
         batch = cls(None, skel.writes, lazy=(skel, bases_arr))
-        batch._runs = (skel.starts, skel.lengths, skel.run_writes,
-                       skel.head_writes)
+        batch._starts = skel.starts
         batch._upages = (upages, skel.uidx)
         batch._paggs, batch._written = skel.paggs, skel.written
         return batch
@@ -302,10 +313,10 @@ class PageRunBatch:
         return self._paggs
 
     def _compress(self):
-        if self._runs is None:
-            (self._runs, self._upages, self._paggs, self._written,
+        if self._starts is None:
+            (self._starts, self._upages, self._paggs, self._written,
              _, _) = _scan(None, self.addrs, self.writes)
-        return self._runs
+        return self._starts
 
 
 class TraceRunSkeleton:
@@ -319,16 +330,22 @@ class TraceRunSkeleton:
     accesses, the run decomposition and the *page alphabet*: the sorted
     unique ``(stream, in-stream page)`` pairs (``u_streams``/``u_opages``)
     with each run's index into it (``uidx``).  In an eligible layout
-    distinct pairs are distinct pages, so the run columns, ``uidx`` and
+    distinct pairs are distinct pages, so the run heads, ``uidx`` and
     the per-page aggregates computed here are every layout's, in
     alphabet order: they are the trace's one run stream, which every
     bound batch shares.
+
+    The run stream is 12 bytes per run: ``starts`` (int64 head index)
+    and ``uidx`` (int32).  Everything else a run has is derived from
+    ``starts`` and the trace's own ``writes`` column, which the skeleton
+    references without copying: its length is the distance to the next
+    head, its stores are summed by the page aggregates, and DVM-PE+
+    reads its head store as ``writes[starts]``.
     """
 
-    __slots__ = ("streams", "offsets", "writes", "starts", "lengths",
-                 "run_writes", "head_writes", "num_writes", "max_opage",
-                 "min_opage", "u_streams", "u_opages", "uidx", "written",
-                 "paggs")
+    __slots__ = ("streams", "offsets", "writes", "starts", "num_writes",
+                 "max_opage", "min_opage", "u_streams", "u_opages", "uidx",
+                 "written", "paggs")
 
     def __init__(self, trace):
         self.streams = np.asarray(trace.streams)
@@ -337,10 +354,9 @@ class TraceRunSkeleton:
         # Runs never span streams or pages, so a run's key — its head's
         # (stream, in-stream page) pair, ``stream * span + page`` —
         # carries every access's pair.
-        (runs, (ukeys, self.uidx), self.paggs, self.written,
+        (self.starts, (ukeys, self.uidx), self.paggs, self.written,
          self.min_opage, span) = _scan(self.streams, self.offsets,
                                        self.writes)
-        self.starts, self.lengths, self.run_writes, self.head_writes = runs
         self.num_writes = int(self.paggs[2].sum())
         self.u_streams, self.u_opages = np.divmod(ukeys, span)
         # Sorted by (stream, page): each stream's last entry is its extent.
@@ -1001,10 +1017,11 @@ def _screen_dav(iommu, batch: PageRunBatch, parent=None):
         # wbad pages are written by definition, so first_w is valid here.
         wruns = first_w[wbad]
         writes_arr = np.asarray(batch.writes)
+        starts, m = batch.starts, batch.num_runs
         wsites = []
         for r in wruns.tolist():
-            s = int(batch.starts[r])
-            end = s + int(batch.lengths[r])
+            s = int(starts[r])
+            end = int(starts[r + 1]) if r + 1 < m else batch.num_accesses
             # DAV checks permissions on every access, so the page's
             # first written access — first store of its first written
             # run — is exactly where the scalar loop faults.

@@ -47,16 +47,37 @@ def baseline():
     return {key: m.to_dict() for key, m in out.items()}
 
 
+@pytest.fixture(scope="module")
+def chaos_sweep(baseline, tmp_path_factory):
+    """``chaos_sweep(seed)``: the 4-worker chaos sweep at ``seed``, run
+    once per module and shared by every test that reads it.  Returns its
+    merged output, the cache directory it left behind and the
+    injector's fire counts."""
+    done = {}
+
+    def sweep(seed):
+        if seed not in done:
+            cache_dir = tmp_path_factory.mktemp(f"chaos-s{seed}")
+            faults.configure(CHAOS_SPEC, seed=seed)
+            try:
+                out = bench_runner(cache_dir=str(cache_dir)).run_pairs(
+                    workers=4)
+                fired = faults.injector().fire_counts()
+            finally:
+                faults.configure(None)
+            done[seed] = (out, cache_dir, fired)
+        return done[seed]
+
+    return sweep
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_full_sweep_bit_identical_under_chaos(seed, baseline, tmp_path):
-    faults.configure(CHAOS_SPEC, seed=seed)
-    runner = bench_runner(cache_dir=str(tmp_path / f"s{seed}"))
-    out = runner.run_pairs(workers=4)
+def test_full_sweep_bit_identical_under_chaos(seed, baseline, chaos_sweep):
+    out, _, fired = chaos_sweep(seed)
     assert list(out) == list(baseline)
     for key in baseline:
         assert out[key].to_dict() == baseline[key], key
-    stats = faults.injector().fire_counts()
-    assert sum(stats.values()) > 0, "chaos run injected nothing"
+    assert sum(fired.values()) > 0, "chaos run injected nothing"
 
 
 @pytest.mark.parametrize("seed", SEEDS[:1])
@@ -70,12 +91,11 @@ def test_figure8_rendering_matches_under_chaos(seed, baseline):
     assert chaotic == clean
 
 
-def test_chaos_cache_survives_a_second_reader(baseline, tmp_path):
+def test_chaos_cache_survives_a_second_reader(baseline, chaos_sweep):
     # Whatever a chaos run left on disk (including corrupted artifacts)
     # must heal transparently for the next, fault-free reader.
-    faults.configure(CHAOS_SPEC, seed=SEEDS[0])
-    bench_runner(cache_dir=str(tmp_path)).run_pairs(workers=4)
+    _, cache_dir, _ = chaos_sweep(SEEDS[0])
     faults.configure(None)
-    out = bench_runner(cache_dir=str(tmp_path)).run_pairs()
+    out = bench_runner(cache_dir=str(cache_dir)).run_pairs()
     for key in baseline:
         assert out[key].to_dict() == baseline[key], key

@@ -82,7 +82,11 @@ def assert_batches_match(skel_batch: PageRunBatch, trace, layout):
     for name in ("starts", "lengths", "run_writes", "head_writes"):
         got, want = getattr(skel_batch, name), getattr(ref, name)
         np.testing.assert_array_equal(got, want, err_msg=name)
-        assert got.dtype == np.int64, name
+        assert got.dtype == want.dtype, name
+    for name in ("starts", "lengths", "run_writes"):
+        assert getattr(skel_batch, name).dtype == np.int64, name
+    # The head store is a gather from the store column, in its dtype.
+    assert skel_batch.head_writes.dtype == skel_batch.writes.dtype
     np.testing.assert_array_equal(skel_batch.va_at(skel_batch.starts),
                                   addrs[ref.starts])
     # A skeleton batch keeps its unique pages in alphabet order: the same
@@ -260,7 +264,10 @@ class TestBatchCache:
 def reference_scan(streams, cols, writes):
     """The page-run pre-pass in numpy, as the engine computed it before
     the compiled scan: ``(runs, (ukeys, uidx), aggregates, written, lo,
-    span)`` exactly as :func:`repro.sim.fastpath._scan` returns them."""
+    span)``.  :func:`repro.sim.fastpath._scan` returns the same, except
+    that its run-scale result is the heads alone; ``runs`` here is
+    ``(starts, lengths, run_writes, head_writes)``, which a batch's
+    accessors derive from the heads and the store column."""
     cols = np.asarray(cols, np.int64)
     pages = cols >> PAGE_SHIFT
     n = pages.shape[0]
@@ -273,7 +280,7 @@ def reference_scan(streams, cols, writes):
     lengths = np.diff(np.append(starts, n))
     run_writes = (np.add.reduceat(writes, starts, dtype=np.int64) if n
                   else np.zeros(0, np.int64))
-    head_writes = writes[starts].astype(np.int64)
+    head_writes = writes[starts]
     heads = pages[starts]
     lo = int(heads.min()) if n else 0
     span = 0
@@ -294,19 +301,39 @@ def reference_scan(streams, cols, writes):
             written, lo, span)
 
 
+def derived_runs(streams, cols, writes):
+    """``(starts, lengths, run_writes, head_writes)`` as a batch's
+    accessors derive them from the compiled scan of these columns: a
+    concretized batch without streams, else a skeleton batch (bound to
+    zero bases, which only the page alphabet reads)."""
+    if streams is None:
+        batch = PageRunBatch.from_trace(cols, writes)
+    else:
+        skel = TraceRunSkeleton(SimpleNamespace(streams=streams,
+                                                offsets=cols, writes=writes))
+        batch = PageRunBatch.from_skeleton(skel, np.zeros(128, np.int64))
+    return (batch.starts, batch.lengths, batch.run_writes,
+            batch.head_writes)
+
+
 def assert_scan_matches(streams, cols, writes):
-    got = fastpath._scan(streams, cols, writes)
+    """Check the compiled scan and the accessors derived from it against
+    :func:`reference_scan`; returns the scan's result with its heads
+    replaced by the four derived run columns."""
+    starts, *rest = fastpath._scan(streams, cols, writes)
+    runs = derived_runs(streams, cols, writes)
     want = reference_scan(streams, cols, writes)
-    (runs, alphabet, aggregates, written, lo, span) = got
+    (alphabet, aggregates, written, lo, span) = rest
     (ref_runs, ref_alphabet, ref_aggregates, ref_written, ref_lo,
      ref_span) = want
-    for column, ref in zip(runs + alphabet + aggregates + (written,),
-                           ref_runs + ref_alphabet + ref_aggregates
-                           + (ref_written,)):
+    for column, ref in zip((starts,) + runs + alphabet + aggregates
+                           + (written,),
+                           ref_runs[:1] + ref_runs + ref_alphabet
+                           + ref_aggregates + (ref_written,)):
         assert column.dtype == ref.dtype
         np.testing.assert_array_equal(column, ref)
     assert (lo, span) == (ref_lo, ref_span)
-    return got
+    return (runs, *rest)
 
 
 class TestPageRuns:
@@ -319,15 +346,17 @@ class TestPageRuns:
         lengths = np.diff(np.append(starts, change.shape[0]))
         return (starts, lengths,
                 np.add.reduceat(writes, starts, dtype=np.int64),
-                writes[starts].astype(np.int64))
+                writes[starts])
 
     def check(self, change, writes):
         # One stream whose page changes exactly where ``change`` is set.
         addrs = np.cumsum(change, dtype=np.int64) * PAGE + 8
         runs = assert_scan_matches(None, addrs, writes)[0]
         for column, want in zip(runs, self.reference(change, writes)):
-            assert column.dtype == np.int64
+            assert column.dtype == want.dtype
             np.testing.assert_array_equal(column, want)
+        assert [column.dtype for column in runs] == [np.int64] * 3 + [
+            writes.dtype]
 
     @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
     @pytest.mark.parametrize("density", [0.05, 0.3, 1.0])
@@ -346,9 +375,32 @@ class TestPageRuns:
     def test_empty_trace(self):
         runs, (ukeys, uidx), aggregates, written, _, _ = assert_scan_matches(
             None, np.zeros(0, np.int64), np.zeros(0, np.int8))
-        for column in runs + (ukeys,) + aggregates:
+        for column in runs[:3] + (ukeys,) + aggregates:
             assert column.shape == (0,) and column.dtype == np.int64
+        assert runs[3].shape == (0,) and runs[3].dtype == np.int8
         assert uidx.shape == written.shape == (0,)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
+    def test_store_column_of_wrong_length(self, dtype):
+        addrs = np.array([0, 8, PAGE, 2 * PAGE], np.int64)
+        starts, keys, bounds, _, _ = _native.page_runs(None, addrs)
+        ukeys, uidx = fastpath._compact(keys, bounds)
+        for length in (3, 5, 0):
+            with pytest.raises(ValueError, match="store column"):
+                _native.page_aggregates(uidx, ukeys.shape[0], starts, 4,
+                                        np.zeros(length, dtype))
+        run_count, access_count, _, _ = _native.page_aggregates(
+            uidx, ukeys.shape[0], starts, 4, np.zeros(4, dtype))
+        assert run_count.tolist() == [1, 1, 1]
+        assert access_count.tolist() == [2, 1, 1]
+
+    def test_heads_out_of_range(self):
+        uidx = np.zeros(2, np.int32)
+        writes = np.zeros(4, np.int8)
+        for starts in ([0, 5], [2, 1], [-1, 2]):
+            with pytest.raises(ValueError, match="out of range"):
+                _native.page_aggregates(uidx, 1, np.array(starts, np.int64),
+                                        4, writes)
 
     def test_wide_page_span_takes_the_sort_path(self):
         # Two pages 2**40 pages apart: far past the presence table's
@@ -415,6 +467,25 @@ class TestScanProperties:
         np.testing.assert_array_equal(runs[0], [0, 2, 4])
         np.testing.assert_array_equal(uidx, [0, 1, 0])
         assert span == 1 and ukeys.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.bool_, np.int64])
+    def test_store_dtypes_on_small_traces(self, dtype):
+        # Empty, one access, and a stream switch on the same page, each
+        # with the store column in every dtype the kernel reads.
+        for streams, offsets, writes in (([], [], []), ([3], [PAGE + 8], [1]),
+                                         ([0, 0, 1, 1, 0], [8, 16, 8, 16, 24],
+                                          [0, 1, 0, 0, 1])):
+            streams = np.array(streams, np.int8)
+            offsets = np.array(offsets, np.int64)
+            writes = np.array(writes, dtype)
+            assert_scan_matches(None, offsets, writes)
+            runs, *_ = assert_scan_matches(streams, offsets, writes)
+            assert runs[3].dtype == dtype
+        starts, lengths, run_writes, head_writes = runs
+        assert starts.tolist() == [0, 2, 4]
+        assert lengths.tolist() == [2, 2, 1]
+        assert run_writes.tolist() == [1, 0, 1]
+        np.testing.assert_array_equal(head_writes, np.array([0, 0, 1], dtype))
 
     def test_stream_127(self):
         trace = make_trace([127, 127, 0, 127], [0, PAGE, 0, 3 * PAGE],

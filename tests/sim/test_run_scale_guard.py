@@ -1,16 +1,20 @@
 """Run-scale guard: skeleton-bound batches share one run stream.
 
-A batch bound from a :class:`~repro.sim.fastpath.TraceRunSkeleton` holds
-no run-scale array of its own: its run columns and run -> page index are
-the skeleton's, shared by identity across layouts and configurations,
-and screens, batched kernels and fault pre-delivery read runs through
-that index plus page-scale tables and addresses through ``va_at``.  Only
-the scalar fallback may build the per-access VA column.  These tests run
-a graph workload through every standard configuration (fault-free) and
-through the demand / swap fault modes whose faults are pre-delivered,
-and check that the cached batches still hold no address column and no
-per-layout run column, that the results equal the scalar engine's, and
-that the chaos hook still fires when an injector is configured.
+A :class:`~repro.sim.fastpath.TraceRunSkeleton` keeps 12 bytes per page
+run: the int64 run heads and the int32 run -> page index.  Every other
+run quantity is derived from the heads and the trace's own store column.
+A batch bound from the skeleton holds no run-scale array of its own:
+its run heads and run -> page index are the skeleton's, shared by
+identity across layouts and configurations, and screens, batched
+kernels and fault pre-delivery read runs through that index plus
+page-scale tables and addresses through ``va_at``.  Only the scalar
+fallback may build the per-access VA column.  These tests run a graph
+workload through every standard configuration (fault-free) and through
+the demand / swap fault modes whose faults are pre-delivered, and check
+that the cached batches still hold no address column and no per-layout
+run column, that the skeleton stays within 12 bytes per run, that the
+results equal the scalar engine's, and that the chaos hook still fires
+when an injector is configured.
 """
 
 from __future__ import annotations
@@ -82,16 +86,32 @@ def test_fast_run_keeps_batches_run_scale(name, mode, workload):
         assert fast.faults > 0
 
 
-def _held_arrays(batch: PageRunBatch):
-    """Every array a batch holds itself (its skeleton binding aside)."""
-    stack = [getattr(batch, slot) for slot in PageRunBatch.__slots__
-             if slot != "_lazy"]
+def _held_arrays(obj, skip=("_lazy",)):
+    """Every array ``obj`` holds in its slots (``skip`` aside), also
+    inside tuples."""
+    stack = [getattr(obj, slot) for slot in type(obj).__slots__
+             if slot not in skip]
     while stack:
         value = stack.pop()
         if isinstance(value, np.ndarray):
             yield value
         elif isinstance(value, tuple):
             stack.extend(value)
+
+
+@needs_kernel
+def test_skeleton_keeps_twelve_bytes_per_run(workload):
+    _, trace = workload
+    skel = TraceRunSkeleton(trace)
+    m = skel.starts.shape[0]
+    # A page-scale array must not pass for a run-scale one.
+    assert skel.uidx.max() + 1 < m
+    trace_columns = (trace.streams, trace.offsets, trace.writes)
+    run_scale = [array for array in _held_arrays(skel, skip=())
+                 if array.ndim and array.shape[0] == m
+                 and not any(np.shares_memory(array, column)
+                             for column in trace_columns)]
+    assert sum(array.nbytes for array in run_scale) <= 12 * m
 
 
 @needs_kernel
@@ -105,14 +125,16 @@ def test_configs_share_one_run_stream(workload):
     batches = [v for v in cache.values() if isinstance(v, PageRunBatch)]
     assert len(skels) == 1 and len(batches) > 1   # several layouts
     skel = skels[0]
-    shared = (skel.starts, skel.lengths, skel.run_writes, skel.head_writes,
-              skel.uidx)
+    shared = (skel.starts, skel.uidx)
     for batch in batches:
         assert batch._lazy[0] is skel
-        own = (batch.starts, batch.lengths, batch.run_writes,
-               batch.head_writes, batch.unique_pages()[1])
+        own = (batch.starts, batch.unique_pages()[1])
         for got, want in zip(own, shared):
             assert np.shares_memory(got, want)
+        # Derived run columns are computed per request, never held.
+        for derived in (batch.lengths, batch.run_writes, batch.head_writes):
+            assert not any(np.shares_memory(derived, array)
+                           for array in _held_arrays(batch))
         # No per-layout run column: no pages, index or head-VA array.
         for array in _held_arrays(batch):
             if array.ndim and array.shape[0] == batch.num_runs:
