@@ -1,7 +1,7 @@
 """FAULT: guest faults travel the delivery protocol, never bare raises.
 
 PR 3 converted every IOMMU raise site to resumable fault delivery
-(`hw/fault_queue.FaultPath`): a fault is queued, serviced by the kernel
+(`hw/fault_queue.FaultPath`): a fault is delivered, serviced by the kernel
 handler, and the access resumes — a bare ``raise PageFault`` is only
 legal as the legacy path when no fault path is attached.  Similarly,
 broad ``except`` clauses would swallow the structured error taxonomy

@@ -61,8 +61,8 @@ class AccessViolation(ProtectionFault):
     ``repro.kernel.fault``) raises this instead of a naked
     :class:`PageFault`/:class:`ProtectionFault`: it carries the full
     structured :class:`~repro.hw.fault_queue.FaultRecord` (va, access,
-    fault kind, configuration, trace index, coalesce count) so sweep-level
-    containment can quarantine the faulting pair with a useful report.
+    fault kind, configuration, trace index) so sweep-level containment
+    can quarantine the faulting pair with a useful report.
     Subclasses :class:`ProtectionFault` so pre-fault-path handlers keep
     working.
     """

@@ -20,7 +20,7 @@ argument end-to-end:
   chunk costs one full fault service.
 
 Fault-bearing runs stay on the fast timing path: the engine delivers the
-predicted faults through the real fault queue and kernel handler, then
+predicted faults through the real fault path and kernel handler, then
 replays the trace batched, bit-identical to the scalar loops, so every
 row here matches a scalar rerun and the fault-free rows stay
 bit-identical to every other experiment.

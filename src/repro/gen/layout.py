@@ -46,7 +46,7 @@ from repro.core.config import MMUConfig
 from repro.gen.perms import gen_region_perms, readable
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
-from repro.hw.fault_queue import FaultPath, FaultQueue
+from repro.hw.fault_queue import FaultPath
 from repro.hw.iommu import IOMMU
 from repro.kernel.fault import FaultHandler
 from repro.kernel.kernel import Kernel
@@ -173,7 +173,7 @@ def _fragment_phys(kernel: Kernel, vmm, holes: int) -> None:
 def realize(plan: LayoutPlan, config: MMUConfig) -> SimpleNamespace:
     """Build one live system for ``plan`` under ``config``.
 
-    Returns a namespace with the kernel/process/iommu/queue/handler
+    Returns a namespace with the kernel/process/iommu/handler
     wiring plus per-region addressing: ``region_vas``/``region_sizes``
     (index-aligned with ``plan.regions``; the unmapped region keeps the
     VA and size it had before munmap) and ``allocs`` (None for the
@@ -198,9 +198,8 @@ def realize(plan: LayoutPlan, config: MMUConfig) -> SimpleNamespace:
         proc.vmm.munmap(allocs[plan.unmap_region])
         allocs[plan.unmap_region] = None
     iommu = IOMMU(config, proc.page_table, DRAMModel(), perm_bitmap=bitmap)
-    queue = FaultQueue()
     handler = FaultHandler(kernel, proc)
-    iommu.attach_fault_path(FaultPath(queue, handler, config=config.name))
+    iommu.attach_fault_path(FaultPath(handler, config=config.name))
     if plan.pressure == "reclaim":
         if kernel.reclaimer is None:
             kernel.reclaimer = Reclaimer(kernel)
@@ -208,6 +207,6 @@ def realize(plan: LayoutPlan, config: MMUConfig) -> SimpleNamespace:
         kernel.reclaimer.reclaim(proc, target)
         invalidate_translation_structures(iommu)
     return SimpleNamespace(config=config, kernel=kernel, process=proc,
-                           iommu=iommu, queue=queue, handler=handler,
+                           iommu=iommu, handler=handler,
                            allocs=allocs, region_vas=region_vas,
                            region_sizes=region_sizes)

@@ -14,8 +14,8 @@ one twin and the vectorized fastpath on the other, and asserts:
     structure state;
 (c) **fault-accounting invariants** — faults serviced by the handler
     equal the faults the layout injected (an independent pure model of
-    the kernel's paging semantics predicts major/swap counts), the
-    fault queue drains, and no spurious services appear.
+    the kernel's paging semantics predicts major/swap counts), every
+    fault stalls one PRI round trip, and no spurious services appear.
 
 A failing scenario shrinks (:func:`shrink`) by delta-debugging the
 access stream and simplifying the layout, and is reported with a
@@ -36,6 +36,7 @@ from repro.gen import seeds
 from repro.gen.layout import LayoutPlan, RegionSpec, gen_layout, realize
 from repro.gen.perms import ViolationPlan, gen_violation
 from repro.gen.streams import StreamPlan, concretize_stream, gen_stream
+from repro.hw.fault_queue import ROUND_TRIP_CYCLES
 from repro.obs import core as obs_core
 
 #: Base configuration names every scenario is checked under.
@@ -243,8 +244,7 @@ def _structure_contents(iommu) -> dict:
 
 
 def _fault_state(realized) -> dict:
-    return {"queue": vars(realized.queue.stats).copy(),
-            "pending": realized.queue.pending(),
+    return {"path": vars(realized.iommu.fault_path.stats).copy(),
             "handler": vars(realized.handler.stats).copy()}
 
 
@@ -348,9 +348,15 @@ def check_scenario(scenario: Scenario,
             checks = {
                 "major_faults==model": (s_stats.major_faults, expected.major),
                 "swap_faults==model": (s_stats.swap_faults, expected.swap),
-                "faults==queue.serviced": (s_stats.faults,
-                                           fstate["queue"]["serviced"]),
-                "queue drained": (fstate["pending"], 0),
+                "faults==path.serviced": (s_stats.faults,
+                                          fstate["path"]["serviced"]),
+                "fault_stall==faults*ROUND_TRIP": (
+                    s_stats.fault_stall_cycles,
+                    s_stats.faults * ROUND_TRIP_CYCLES),
+                "serviced==handler.major+swap+spurious": (
+                    fstate["path"]["serviced"],
+                    fstate["handler"]["major"] + fstate["handler"]["swap"]
+                    + fstate["handler"]["spurious"]),
                 "handler.major==stats": (fstate["handler"]["major"],
                                          s_stats.major_faults),
                 "handler.swap==stats": (fstate["handler"]["swap"],

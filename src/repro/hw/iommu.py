@@ -68,6 +68,7 @@ from repro.obs import core as obs_core
 from repro.obs import record as obs_record
 from repro.hw.dram import DRAMModel
 from repro.hw.energy import EnergyAccount
+from repro.hw.fault_queue import ROUND_TRIP_CYCLES
 from repro.hw.tlb import TLB
 from repro.hw.walkcache import AccessValidationCache, PageWalkCache
 from repro.hw.walker import PageTableWalker
@@ -697,28 +698,18 @@ class IOMMU:
     def _deliver_fault(self, va: int, access: str, stats: TimingStats):
         """Deliver one guest fault through the fault path.
 
-        Charges the engine stall, drops the page's stale cached state
-        (TLB entries, walker memo) and re-walks authoritatively.  Raises
+        Charges the fault (:meth:`_charge_faults`) and re-walks
+        authoritatively.  Raises
         :class:`~repro.common.errors.AccessViolation` — from the handler,
         or here if the fault persists after service — otherwise returns
         the fresh WalkInfo.
         """
         path = self.fault_path
-        kind, stall = path.deliver(va, access)
-        stats.faults += 1
-        if kind == "major":
-            stats.major_faults += 1
-        elif kind == "swap":
-            stats.swap_faults += 1
-        stats.fault_stall_cycles += stall
-        for tlb in (self.tlb, self.tlb_l2):
-            if tlb is not None:
-                vpn = va >> tlb.page_shift
-                tlb._sets[vpn % tlb.num_sets].pop(vpn, None)
+        kind = path.deliver(va, access)
+        self._charge_faults([va], [kind], stats)
         walker = self.walker
         if walker is None:
             return None
-        walker._memo.pop(va >> 12, None)
         info = walker.info_for(va >> 12)
         perm = info[1]
         if not info[0] or (perm != 2 if access == "w" else not perm):
@@ -734,33 +725,40 @@ class IOMMU:
         :meth:`~repro.hw.fault_queue.FaultPath.deliver_batch` and returns
         the index of the first site that would escalate (``len(vas)``
         when none does); the caller delivers it and the rest one by one.
-        The served sites' stall and fault counts are charged to
-        ``stats``, and their TLB entries and walker memo entries dropped,
-        once after the pass — also when a service raises mid-pass.  No
-        post-service re-walk: pre-delivery's re-screen re-walks every
-        page a service could have healed.
+        The served sites are charged once after the pass — also when a
+        service raises mid-pass.  No post-service re-walk: pre-delivery's
+        re-screen re-walks every page a service could have healed.
         """
         served: list = []
         try:
             return self.fault_path.deliver_batch(vas, accesses, served)
         finally:
-            count = len(served)
-            swaps = sum(kind == "swap" for _, kind in served)
-            stats.faults += count
-            stats.swap_faults += swaps
-            stats.major_faults += count - swaps
-            stats.fault_stall_cycles += count * self.fault_path.queue.round_trip
-            served_vas = [vas[i] for i, _ in served]
-            for tlb in (self.tlb, self.tlb_l2):
-                if tlb is not None:
-                    shift, tsets = tlb.page_shift, tlb._sets
-                    for va in served_vas:
-                        vpn = va >> shift
-                        tsets[vpn % tlb.num_sets].pop(vpn, None)
-            if self.walker is not None:
-                memo = self.walker._memo
-                for va in served_vas:
-                    memo.pop(va >> 12, None)
+            self._charge_faults([vas[i] for i, _ in served],
+                                [kind for _, kind in served], stats)
+
+    def _charge_faults(self, vas: list, kinds: list,
+                       stats: TimingStats) -> None:
+        """Charge served faults to ``stats``, one PRI round trip each.
+
+        Counts major and swap services by kind (a spurious service counts
+        toward ``faults`` only) and drops each page's stale cached state:
+        TLB entries and the walker memo.
+        """
+        count = len(vas)
+        stats.faults += count
+        stats.major_faults += kinds.count("major")
+        stats.swap_faults += kinds.count("swap")
+        stats.fault_stall_cycles += count * ROUND_TRIP_CYCLES
+        for tlb in (self.tlb, self.tlb_l2):
+            if tlb is not None:
+                shift, tsets = tlb.page_shift, tlb._sets
+                for va in vas:
+                    vpn = va >> shift
+                    tsets[vpn % tlb.num_sets].pop(vpn, None)
+        if self.walker is not None:
+            memo = self.walker._memo
+            for va in vas:
+                memo.pop(va >> 12, None)
 
     def _maybe_inject_fault(self, addrs, writes, stats: TimingStats) -> None:
         """Chaos hook: synthesize one guest fault for this trace.

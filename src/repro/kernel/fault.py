@@ -19,8 +19,8 @@ service runs, what the service is and what it yields:
   :meth:`~repro.kernel.reclaim.Reclaimer.swap_in`, mirroring the CPU-side
   path in :meth:`repro.kernel.process.Process.access`.
 * **spurious** — the page is mapped with sufficient permission by the
-  time the walk runs (e.g. a chaos-injected fault, or a fault raced by a
-  coalesced service): nothing to do, the access retries.
+  time the walk runs (e.g. a chaos-injected fault): nothing to do, the
+  access retries.
 * **violation** — anything else (permission denied, no backing
   allocation, swapped page but no reclaimer): the handler returns
   ``None`` and the fault path escalates to a structured

@@ -117,9 +117,10 @@ def record_fault_service(config: str, kind: str, stall_cycles: int,
                          va: int, access: str) -> None:
     """Observe one serviced recoverable guest fault (cold path).
 
-    Called from :meth:`repro.hw.fault_queue.FaultPath.deliver` — the
+    Called from :class:`repro.hw.fault_queue.FaultPath`'s one charge step
+    for every serviced fault, delivered alone or in a batch — the
     fault-service latency histogram is the paper's "microseconds to
-    milliseconds" cost, measured per fault.
+    milliseconds" cost, one PRI round trip per fault.
     """
     if not core.ENABLED:
         return

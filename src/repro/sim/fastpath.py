@@ -1326,7 +1326,7 @@ def _snapshot_state(iommu):
     them *after* the loop, so a scalar abort (fault escalation,
     ``OutOfMemoryError``) never commits partial counts.  Restoring this
     snapshot when pre-delivery aborts gives the fast engine the same
-    abort semantics.  LRU dicts, fault-queue and fault-handler stats are
+    abort semantics.  LRU dicts, fault-path and fault-handler stats are
     deliberately *not* snapshotted — the scalar engine mutates those
     live in-loop, so leaving them is exactly scalar behaviour.
     """

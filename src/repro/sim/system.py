@@ -17,8 +17,7 @@ from repro.core.config import MMUConfig
 from repro.graphs.csr import CSRGraph
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
-from repro.hw.fault_queue import (DEFAULT_CAPACITY, DEFAULT_SERVICE_CYCLES,
-                                  FaultPath, FaultQueue)
+from repro.hw.fault_queue import FaultPath
 from repro.hw.iommu import IOMMU, TimingStats
 from repro.kernel.fault import FaultHandler
 from repro.kernel.kernel import Kernel
@@ -42,10 +41,6 @@ class SystemParams:
     data_latency: int = 100
     walk_latency: int = 70
     seed: int = 0
-    # Recoverable guest faults (hw/fault_queue.py): queue depth and the
-    # OS-handler leg of the PRI round trip.
-    fault_queue_capacity: int = DEFAULT_CAPACITY
-    fault_service_cycles: int = DEFAULT_SERVICE_CYCLES
 
 
 class HeterogeneousSystem:
@@ -71,12 +66,9 @@ class HeterogeneousSystem:
                               walk_latency=self.params.walk_latency)
         self.iommu = IOMMU(config, self.process.page_table, self.dram,
                            perm_bitmap=self.perm_bitmap)
-        self.fault_queue = FaultQueue(
-            capacity=self.params.fault_queue_capacity,
-            service_cycles=self.params.fault_service_cycles)
         self.fault_handler = FaultHandler(self.kernel, self.process)
-        self.iommu.attach_fault_path(FaultPath(
-            self.fault_queue, self.fault_handler, config=config.name))
+        self.iommu.attach_fault_path(FaultPath(self.fault_handler,
+                                               config=config.name))
         self.layout: GraphLayout | None = None
 
     # -- workload placement ------------------------------------------------------

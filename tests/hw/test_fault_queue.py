@@ -1,21 +1,51 @@
-"""Fault queue and fault path unit behaviour (repro.hw.fault_queue)."""
+"""Fault path unit behaviour (repro.hw.fault_queue)."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+from repro.common.consts import PAGE_SIZE
 from repro.common.errors import AccessViolation, PageFault, ProtectionFault
-from repro.hw.fault_queue import (DEFAULT_REQUEST_CYCLES,
-                                  DEFAULT_RESPONSE_CYCLES,
-                                  DEFAULT_SERVICE_CYCLES, FaultPath,
-                                  FaultQueue, FaultRecord)
+from repro.common.perms import Perm
+from repro.core.config import demand_faulting_config, standard_configs
+from repro.hw.dram import DRAMModel
+from repro.hw.fault_queue import ROUND_TRIP_CYCLES, FaultPath
+from repro.hw.iommu import IOMMU, TimingStats
+from repro.kernel.fault import FaultHandler
+from repro.kernel.kernel import Kernel
+from repro.kernel.reclaim import Reclaimer
 
-ROUND_TRIP = (DEFAULT_REQUEST_CYCLES + DEFAULT_SERVICE_CYCLES
-              + DEFAULT_RESPONSE_CYCLES)
+MB = 1 << 20
 
 
-def record(va=0x1000, access="r", kind="pending"):
-    return FaultRecord(va=va, access=access, kind=kind)
+def make_iommu(outcomes):
+    """(conv_4k IOMMU over one mapped RW page with a stub handler, va)."""
+    config = standard_configs()["conv_4k"]
+    kernel = Kernel(phys_bytes=64 * MB, policy=config.policy)
+    proc = kernel.spawn()
+    alloc = proc.vmm.mmap(PAGE_SIZE, Perm.READ_WRITE)
+    iommu = IOMMU(config, proc.page_table, DRAMModel())
+    iommu.attach_fault_path(FaultPath(StubHandler(outcomes),
+                                      config=config.name))
+    return iommu, alloc.va
+
+
+def kernel_system(name, demand):
+    """A 4 MB heap whose pages all fault: demand-paged or swapped out."""
+    config = standard_configs()[name]
+    if demand:
+        config = demand_faulting_config(config)
+    kernel = Kernel(phys_bytes=64 * MB, policy=config.policy)
+    proc = kernel.spawn()
+    alloc = proc.vmm.mmap(4 * MB, Perm.READ_WRITE)
+    if not demand:
+        kernel.reclaimer = Reclaimer(kernel)
+        kernel.reclaimer.reclaim(proc, alloc.size)
+    iommu = IOMMU(config, proc.page_table, DRAMModel())
+    handler = FaultHandler(kernel, proc)
+    iommu.attach_fault_path(FaultPath(handler, config=config.name))
+    return SimpleNamespace(alloc=alloc, iommu=iommu, handler=handler)
 
 
 class StubHandler:
@@ -30,76 +60,22 @@ class StubHandler:
         return self.outcomes.get(va)
 
 
-class TestFaultRecord:
-    def test_page_number(self):
-        assert record(va=0x3042).page == 0x3
-        assert record(va=0x7f0001234).page == 0x7f0001234 >> 12
-
-
-class TestFaultQueue:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FaultQueue(capacity=0)
-
-    def test_primary_fault_pays_full_round_trip(self):
-        q = FaultQueue()
-        rec, admit_stall = q.admit(record())
-        assert admit_stall == 0
-        assert q.pending() == 1
-        stall = q.retire(rec)
-        assert stall == ROUND_TRIP
-        assert q.pending() == 0
-        assert q.stats.enqueued == 1
-        assert q.stats.serviced == 1
-        assert q.stats.stall_cycles == ROUND_TRIP
-
-    def test_same_page_coalesces_onto_pending_record(self):
-        q = FaultQueue()
-        first, _ = q.admit(record(va=0x5000))
-        second, admit_stall = q.admit(record(va=0x5FFF))  # same 4K page
-        assert second is first
-        assert admit_stall == 0
-        assert first.coalesced == 1
-        assert q.stats.coalesced == 1
-        assert q.stats.enqueued == 1
-        assert q.pending() == 1
-
-    def test_coalesced_retire_pays_response_leg_only(self):
-        q = FaultQueue()
-        rec, _ = q.admit(record())
-        q.admit(record())
-        assert q.retire(rec, coalesced=True) == DEFAULT_RESPONSE_CYCLES
-
-    def test_distinct_pages_do_not_coalesce(self):
-        q = FaultQueue()
-        q.admit(record(va=0x1000))
-        q.admit(record(va=0x2000))
-        assert q.pending() == 2
-        assert q.stats.coalesced == 0
-
-    def test_full_queue_stalls_one_service_drain(self):
-        q = FaultQueue(capacity=2)
-        q.admit(record(va=0x1000))
-        q.admit(record(va=0x2000))
-        _, stall = q.admit(record(va=0x3000))
-        assert stall == q.service_cycles
-        assert q.stats.queue_full_stalls == 1
-        assert q.pending() == 2  # oldest drained to make room
-
-
 class TestFaultPath:
-    def path(self, outcomes, **queue_kw):
+    def path(self, outcomes):
         handler = StubHandler(outcomes)
-        return FaultPath(FaultQueue(**queue_kw), handler,
-                         config="dvm_pe"), handler
+        return FaultPath(handler, config="dvm_pe"), handler
 
     def test_serviced_fault_returns_kind_and_stall(self):
         path, handler = self.path({0x1000: "major"})
-        kind, stall = path.deliver(0x1000, "w")
-        assert kind == "major"
-        assert stall == ROUND_TRIP
+        assert path.deliver(0x1000, "w") == "major"
         assert handler.calls == [(0x1000, "w")]
-        assert path.queue.stats.serviced == 1
+        assert path.stats.serviced == 1
+        iommu, va = make_iommu({})
+        iommu.fault_path.handler.outcomes[va] = "swap"
+        stats = TimingStats()
+        iommu._deliver_fault(va, "w", stats)
+        assert (stats.faults, stats.swap_faults) == (1, 1)
+        assert stats.fault_stall_cycles == ROUND_TRIP_CYCLES
 
     def test_refused_fault_escalates_to_access_violation(self):
         path, _ = self.path({})  # handler returns None for everything
@@ -109,33 +85,62 @@ class TestFaultPath:
         assert exc.record.va == 0xBAD000
         assert exc.record.kind == "perm"
         assert exc.record.config == "dvm_pe"
-        assert path.queue.stats.violations == 1
+        assert path.stats.violations == 1
 
     def test_refused_fault_leaves_the_queue_empty(self):
         # A refused delivery is not in flight: the page's next fault
-        # must pay the full round trip, not coalesce onto the dead record.
-        outcomes = {0x1000: None}
-        path, _ = self.path(outcomes)
+        # pays the full round trip, no less.
+        iommu, va = make_iommu({})
+        stats = TimingStats()
         with pytest.raises(AccessViolation):
-            path.deliver(0x1000, "w")
-        assert path.queue.pending() == 0
-        outcomes[0x1000] = "major"
-        kind, stall = path.deliver(0x1000, "w")
-        assert (kind, stall) == ("major", ROUND_TRIP)
-        assert path.queue.stats.coalesced == 0
-        assert path.queue.pending() == 0
+            iommu._deliver_fault(va, "w", stats)
+        assert (stats.faults, stats.fault_stall_cycles) == (0, 0)
+        iommu.fault_path.handler.outcomes[va] = "major"
+        iommu._deliver_fault(va, "w", stats)
+        assert (stats.faults, stats.major_faults) == (1, 1)
+        assert stats.fault_stall_cycles == ROUND_TRIP_CYCLES
+        assert vars(iommu.fault_path.stats) == {
+            "delivered": 2, "serviced": 1, "violations": 1}
 
     def test_raising_handler_leaves_the_queue_empty(self):
         class Exploding:
             def service(self, va, access):
                 raise MemoryError("no frame")
 
-        path = FaultPath(FaultQueue(), Exploding(), config="dvm_pe")
+        path = FaultPath(Exploding(), config="dvm_pe")
         with pytest.raises(MemoryError):
             path.deliver(0x1000, "r")
-        assert path.queue.pending() == 0
-        assert path.queue.stats.enqueued == 1
-        assert path.queue.stats.serviced == 0
+        assert path.stats.delivered == 1
+        assert path.stats.serviced == 0
+
+    @pytest.mark.parametrize("name, demand", (("conv_4k", True),
+                                              ("dvm_pe", False)))
+    def test_batch_delivery_charges_as_per_fault_delivery(self, name,
+                                                          demand):
+        # The same sites, one by one and in one handler pass: equal
+        # fault-path and handler counters, equal TimingStats.
+        def run(batch):
+            sys_ = kernel_system(name, demand)
+            vas = [sys_.alloc.va + page * PAGE_SIZE
+                   for page in (0, 3, 7, 64, 65, 500)]
+            accesses = ["w", "r", "r", "w", "r", "w"]
+            stats = TimingStats()
+            if batch:
+                assert sys_.iommu._deliver_faults(
+                    vas, accesses, stats) == len(vas)
+            else:
+                for va, access in zip(vas, accesses):
+                    sys_.iommu._deliver_fault(va, access, stats)
+            return (vars(sys_.iommu.fault_path.stats),
+                    vars(sys_.handler.stats), stats)
+
+        one_by_one, batched = run(False), run(True)
+        assert one_by_one == batched
+        path_stats, handler_stats, stats = batched
+        assert path_stats == {"delivered": 6, "serviced": 6,
+                              "violations": 0}
+        assert handler_stats["major"] + handler_stats["swap"] == 6
+        assert stats.fault_stall_cycles == 6 * ROUND_TRIP_CYCLES
 
     def test_escalate_carries_reason_and_config(self):
         path, _ = self.path({})
@@ -155,7 +160,7 @@ class TestFaultPath:
         # boundary intact (structured record included).
         path, _ = self.path({})
         try:
-            path.deliver(0x4000, "w", index=17)
+            path.escalate(0x4000, "w", index=17)
         except AccessViolation as exc:
             clone = pickle.loads(pickle.dumps(exc))
             assert isinstance(clone, AccessViolation)

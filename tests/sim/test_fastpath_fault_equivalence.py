@@ -28,7 +28,7 @@ from repro.common.perms import Perm
 from repro.core.config import demand_faulting_config, standard_configs
 from repro.hw.bitmap import PermissionBitmap
 from repro.hw.dram import DRAMModel
-from repro.hw.fault_queue import FaultPath, FaultQueue
+from repro.hw.fault_queue import FaultPath
 from repro.hw.iommu import IOMMU, TimingStats
 from repro.kernel.fault import FaultHandler
 from repro.kernel.kernel import Kernel
@@ -57,12 +57,10 @@ def build(name, *, demand=False, heap=2 * MB, phys=128 * MB,
     alloc = proc.vmm.mmap(heap, perm)
     extra_alloc = proc.vmm.mmap(extra, extra_perm) if extra else None
     iommu = IOMMU(config, proc.page_table, DRAMModel(), perm_bitmap=bitmap)
-    queue = FaultQueue()
     handler = FaultHandler(kernel, proc)
-    iommu.attach_fault_path(FaultPath(queue, handler, config=config.name))
+    iommu.attach_fault_path(FaultPath(handler, config=config.name))
     return SimpleNamespace(alloc=alloc, extra=extra_alloc, iommu=iommu,
-                           kernel=kernel, process=proc, queue=queue,
-                           handler=handler)
+                           kernel=kernel, process=proc, handler=handler)
 
 
 def reclaim(sys_, fraction):
@@ -104,8 +102,7 @@ def structure_state(iommu) -> dict:
 
 def fault_state(sys_) -> dict:
     """Fault-machinery counters (must match delivery for delivery)."""
-    return {"queue": vars(sys_.queue.stats).copy(),
-            "pending": sys_.queue.pending(),
+    return {"path": vars(sys_.iommu.fault_path.stats).copy(),
             "handler": vars(sys_.handler.stats).copy()}
 
 
@@ -618,8 +615,7 @@ class TestBatchDelivery:
         state, spy = both_abort(make, addrs, writes, prepare)
         assert state["exc"][0] == "OutOfMemoryError"
         assert state["stats"]["swap_faults"] == 100
-        assert state["fault"]["queue"]["enqueued"] == 101
-        assert state["fault"]["pending"] == 0
+        assert state["fault"]["path"]["delivered"] == 101
         assert len(state["swap"]) == 512 - 100
         assert spy == [512]     # the pass raised: no stop index
 
@@ -633,7 +629,7 @@ class TestBatchDelivery:
         state, spy = both_abort(make, addrs, writes, lambda s: hog(s, 64))
         assert state["exc"][0] == "OutOfMemoryError"
         assert 0 < state["stats"]["major_faults"] < 64
-        assert state["fault"]["queue"]["enqueued"] == (
+        assert state["fault"]["path"]["delivered"] == (
             state["stats"]["major_faults"] + 1)
         assert spy == [512]
 

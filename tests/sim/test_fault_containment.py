@@ -12,7 +12,7 @@ from repro.core.config import (HardwareScale, demand_faulting_config,
                                standard_configs, two_level_tlb_config)
 from repro.sim.metrics import execution_cycles, metrics_from
 from repro.sim.runner import ExperimentRunner
-from repro.sim.system import HeterogeneousSystem, SystemParams
+from repro.sim.system import HeterogeneousSystem
 
 SCALE = HardwareScale.bench()
 PAIR = ("bfs", "FR")
@@ -53,7 +53,7 @@ class TestFaultRecoveryAllConfigs:
         assert timing.faults > 0
         assert timing.swap_faults > 0
         assert timing.fault_stall_cycles > 0
-        assert system.fault_queue.stats.serviced > 0
+        assert system.iommu.fault_path.stats.serviced > 0
         assert system.fault_handler.stats.violations == 0
 
     @pytest.mark.parametrize("name", CONVENTIONAL_CONFIGS)
@@ -157,7 +157,7 @@ class TestFaultFreeRunsUntouched:
             timing = system.run_trace(pair.result.trace)
             assert timing.faults == 0, name
             assert timing.fault_stall_cycles == 0, name
-            assert system.fault_queue.stats.enqueued == 0, name
+            assert system.iommu.fault_path.stats.delivered == 0, name
             assert timing.energy.breakdown_pj().get("fault_service", 0) \
                 == 0, name
 
@@ -188,7 +188,7 @@ class TestViolationContainment:
         assert record.va == frozen.va
         assert record.access == "w"
         assert record.config == "conv_4k"
-        assert system.fault_queue.stats.violations == 1
+        assert system.iommu.fault_path.stats.violations == 1
 
     def test_violation_still_catchable_as_protection_fault(self, prepared):
         runner, pair = prepared
@@ -197,11 +197,6 @@ class TestViolationContainment:
         frozen = system.process.vmm.mmap(1 << 20, Perm.READ_ONLY)
         with pytest.raises(ProtectionFault):
             system.iommu.run_trace([frozen.va], [1])
-
-    def test_queue_capacity_is_validated(self):
-        with pytest.raises(ValueError):
-            HeterogeneousSystem(standard_configs(SCALE)["dvm_pe"],
-                                SystemParams(fault_queue_capacity=0))
 
     def test_reclaim_fraction_validated(self, prepared):
         runner, pair = prepared

@@ -1,5 +1,6 @@
 """The CLI entry point and the quickstart example path."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -70,9 +71,13 @@ class TestExamples:
         compile(path.read_text(), str(path), "exec")
 
     def test_quickstart_runs_end_to_end(self):
+        # The example imports the package like a user would; hand the
+        # child the same source tree the tests import.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run(
             [sys.executable, str(REPO / "examples" / "quickstart.py")],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert result.returncode == 0, result.stderr
         assert "identity mapped (VA == PA): True" in result.stdout
