@@ -100,15 +100,15 @@ analyze-sarif:
 		> build/dvmlint.sarif
 
 experiments:
-	$(PYTHON) -m repro all
+	PYTHONPATH=src $(PYTHON) -m repro all
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/graph_accelerator.py
-	$(PYTHON) examples/cpu_cdvm.py
-	$(PYTHON) examples/fragmentation_study.py
-	$(PYTHON) examples/virtualization.py
-	$(PYTHON) examples/trace_diagnostics.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/graph_accelerator.py
+	PYTHONPATH=src $(PYTHON) examples/cpu_cdvm.py
+	PYTHONPATH=src $(PYTHON) examples/fragmentation_study.py
+	PYTHONPATH=src $(PYTHON) examples/virtualization.py
+	PYTHONPATH=src $(PYTHON) examples/trace_diagnostics.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

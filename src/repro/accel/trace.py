@@ -71,20 +71,6 @@ class SymbolicTrace:
     def __len__(self) -> int:
         return len(self.streams)
 
-    @classmethod
-    def concat(cls, parts: list["SymbolicTrace"]) -> "SymbolicTrace":
-        """Concatenate trace segments in order."""
-        if not parts:
-            return cls(np.empty(0, np.int8), np.empty(0, np.int64),
-                       np.empty(0, np.int8))
-        if len(parts) == 1:
-            return parts[0]
-        return cls(
-            streams=np.concatenate([p.streams for p in parts]),
-            offsets=np.concatenate([p.offsets for p in parts]),
-            writes=np.concatenate([p.writes for p in parts]),
-        )
-
     def concretize(self, stream_bases: dict[int, int]
                    ) -> tuple[np.ndarray, np.ndarray]:
         """Bind the trace to concrete VAs given per-stream base addresses."""

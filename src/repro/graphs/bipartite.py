@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.graphs.rmat import rmat_edges
+from repro.graphs.rmat import rmat_ids, uniform_ints
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,13 @@ def bipartite_from_rmat(num_users: int, num_items: int, num_edges: int, *,
     if num_users <= 0 or num_items <= 0:
         raise ValueError("both vertex classes must be non-empty")
     scale = max(int(np.ceil(np.log2(max(num_users, num_items)))), 1)
-    src, dst = rmat_edges(scale, num_edges, seed=seed)
-    users = src % num_users
-    items = num_users + (dst % num_items)
-    rng = np.random.default_rng(seed + 2)
-    ratings = rng.integers(1, 6, num_edges).astype(np.float64)
+    # Folded in place on the generator's uint32 ids: the vertex range
+    # (below 2**31, as scale <= 30) fits them.
+    users, items = rmat_ids(scale, num_edges, seed=seed)
+    np.remainder(users, num_users, out=users)
+    np.remainder(items, num_items, out=items)
+    items += num_users
+    ratings = uniform_ints(1, 6, num_edges, seed + 2)
     shape = BipartiteShape(num_users=num_users, num_items=num_items)
     graph = CSRGraph.from_edges(users, items, shape.num_vertices,
                                 weight=ratings)

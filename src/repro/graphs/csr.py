@@ -16,6 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Edges per step of a chunked pass over an edge array.  Every temporary
+#: of a graph build is bounded by it, whatever the edge count.
+_EDGE_CHUNK = 1 << 18
+
+
+def edge_chunks(num_edges: int):
+    """``(lo, hi)`` bounds of the consecutive edge chunks of ``num_edges``."""
+    step = _EDGE_CHUNK
+    return ((lo, min(lo + step, num_edges))
+            for lo in range(0, num_edges, step))
+
+
+def _id_array(ids) -> np.ndarray:
+    """``ids`` as an integer array, kept at its own width when integral."""
+    ids = np.asarray(ids)
+    return ids if ids.dtype.kind in "iu" else ids.astype(np.int64)
+
 
 @dataclass
 class CSRGraph:
@@ -50,36 +67,56 @@ class CSRGraph:
     @classmethod
     def from_edges(cls, src, dst, num_vertices: int,
                    weight=None) -> "CSRGraph":
-        """Build a CSR graph from parallel src/dst (and optional weight) arrays."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        """Build a CSR graph from parallel src/dst (and optional weight) arrays.
+
+        Ids may have any integer width (the R-MAT generators pass
+        uint32) and weights any real dtype; the graph stores int64 ids
+        and float64 weights, written once, in edge chunks.
+        """
+        src = _id_array(src)
+        dst = _id_array(dst)
         if src.shape != dst.shape:
             raise ValueError("src and dst must have the same length")
-        if weight is None:
-            weight = np.ones(len(src), dtype=np.float64)
-        else:
-            weight = np.asarray(weight, dtype=np.float64)
+        num_edges = len(src)
+        if weight is not None:
+            weight = np.asarray(weight)
             if weight.shape != src.shape:
                 raise ValueError("weight must match the edge count")
-        if len(src) and (src.min() < 0 or src.max() >= num_vertices):
+        if num_edges and (src.min() < 0 or src.max() >= num_vertices):
             raise ValueError("source ids out of range")
         # One sort of unique keys (src, edge index) is the stable sort by
         # src: ties are broken by the edge index in the low bits.
-        edge_bits = max(len(src) - 1, 0).bit_length()
+        edge_bits = max(num_edges - 1, 0).bit_length()
         vertex_bits = max(int(num_vertices) - 1, 0).bit_length()
         if vertex_bits + edge_bits > 63:
             raise ValueError(
-                f"{num_vertices} vertices x {len(src)} edges need "
+                f"{num_vertices} vertices x {num_edges} edges need "
                 f"{vertex_bits + edge_bits} key bits; the limit is 63")
-        key = src << edge_bits
-        key |= np.arange(len(src), dtype=np.int64)
-        key.sort()
-        order = key & ((1 << edge_bits) - 1)
+        # Counted before the key exists: bincount's intp copy of narrower
+        # ids is then the only large array besides the inputs.
         counts = np.bincount(src, minlength=num_vertices)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return cls(num_vertices=num_vertices, offsets=offsets,
-                   dst=dst[order], weight=weight[order])
+        key = np.empty(num_edges, dtype=np.int64)
+        for lo, hi in edge_chunks(num_edges):
+            part = key[lo:hi]
+            part[:] = src[lo:hi]
+            part <<= edge_bits
+            part |= np.arange(lo, hi, dtype=np.int64)
+        key.sort()
+        # Masked in place, the sorted keys are the gather order; the
+        # weights are gathered first, then each chunk of the order is
+        # overwritten by its destinations, so the key becomes ``dst``.
+        key &= (1 << edge_bits) - 1
+        sorted_weight = (np.ones(num_edges) if weight is None
+                         else np.empty(num_edges))
+        for lo, hi in edge_chunks(num_edges):
+            order = key[lo:hi]
+            if weight is not None:
+                sorted_weight[lo:hi] = weight[order]
+            order[:] = dst[order]
+        return cls(num_vertices=num_vertices, offsets=offsets, dst=key,
+                   weight=sorted_weight)
 
     # -- queries ------------------------------------------------------------------
 

@@ -121,12 +121,11 @@ class FaultPath:
 
     def _charge(self, count: int, sites) -> None:
         """Count ``count`` serviced faults; with observability on, record
-        each of ``sites`` (``(kind, va, access)``) at one round trip."""
+        each of ``sites`` (``(kind, va, access)``)."""
         self.stats.serviced += count
         if obs_core.ENABLED:
             for kind, va, access in sites:
-                obs_record.record_fault_service(
-                    self.config, kind, ROUND_TRIP_CYCLES, va, access)
+                obs_record.record_fault_service(self.config, kind, va, access)
 
     def escalate(self, va: int, access: str, *, kind: str = "perm",
                  index: int = -1, reason: str = ""):

@@ -113,23 +113,20 @@ def record_system_run(system, metrics) -> None:
         metrics.page_table_bytes)
 
 
-def record_fault_service(config: str, kind: str, stall_cycles: int,
-                         va: int, access: str) -> None:
+def record_fault_service(config: str, kind: str, va: int,
+                         access: str) -> None:
     """Observe one serviced recoverable guest fault (cold path).
 
     Called from :class:`repro.hw.fault_queue.FaultPath`'s one charge step
-    for every serviced fault, delivered alone or in a batch — the
-    fault-service latency histogram is the paper's "microseconds to
-    milliseconds" cost, one PRI round trip per fault.
+    for every serviced fault, delivered alone or in a batch.  Each costs
+    one PRI round trip (``ROUND_TRIP_CYCLES``), so the count by kind is
+    the whole cost.
     """
     if not core.ENABLED:
         return
-    reg = core.REGISTRY
-    reg.counter("fault.kind", kind=kind, config=config).inc()
-    reg.histogram("fault.latency_cycles", config=config).observe(stall_cycles)
+    core.REGISTRY.counter("fault.kind", kind=kind, config=config).inc()
     trace.instant("fault-service", cat="fault",
-                  config=config, kind=kind, access=access,
-                  page=va >> 12, stall_cycles=stall_cycles)
+                  config=config, kind=kind, access=access, page=va >> 12)
 
 
 def record_fastpath(mech: str, accepted: bool,

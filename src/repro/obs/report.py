@@ -71,8 +71,6 @@ def histogram_sections(registry: Registry) -> str:
         "walk.depth": "Walk-depth distribution (memory refs per walked "
                       "page)",
         "avc.miss_permille": "AVC per-run miss rate (permille)",
-        "fault.latency_cycles": "Fault-service latency (engine stall "
-                                "cycles per fault)",
         "sweep.hang_detection_ms": "Hang-detection latency (ms from "
                                    "dispatch to supervisor kill)",
     }

@@ -220,7 +220,8 @@ class ExperimentRunner:
         through disk: a prior invocation's functional run is reused and
         only the (cheap, deterministic) graph surrogate is rebuilt.  A
         trace that fails checksum/schema validation is quarantined and
-        regenerated.
+        regenerated.  The result is memoized until the runner simulates
+        another pair (:meth:`_simulate` keeps one pair's).
         """
         key = (workload, dataset)
         prepared = self._prepared.get(key)
@@ -354,12 +355,16 @@ class ExperimentRunner:
 
     def _simulate(self, workload: str, dataset: str,
                   config: MMUConfig) -> Metrics:
-        prepared = self.prepare(workload, dataset)
-        if self._batch_pair != (workload, dataset):
-            # Shared page-run batches are only reusable within one pair;
-            # drop the previous pair's to bound peak memory.
+        pair = (workload, dataset)
+        if self._batch_pair != pair:
+            # Shared page-run batches and prepared workloads are reused
+            # within one pair: drop every other pair's before preparing
+            # this one, so a sweep holds one pair's graph and trace.
             self._batches.clear()
-            self._batch_pair = (workload, dataset)
+            self._prepared = {key: prepared for key, prepared
+                              in self._prepared.items() if key == pair}
+            self._batch_pair = pair
+        prepared = self.prepare(workload, dataset)
         system = HeterogeneousSystem(config, self.params)
         system.load_graph(prepared.graph,
                           prop_bytes=prop_bytes_for(workload))

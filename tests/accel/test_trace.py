@@ -35,14 +35,6 @@ class TestSymbolicTrace:
         with pytest.raises(KeyError):
             small_trace().concretize({T.EDGES: 0x1000})
 
-    def test_concat(self):
-        trace = SymbolicTrace.concat([small_trace(), small_trace()])
-        assert len(trace) == 6
-
-    def test_concat_single_part_is_not_copied(self):
-        part = small_trace()
-        assert SymbolicTrace.concat([part]) is part
-
     def test_content_token_is_the_sha1_of_the_columns(self):
         import hashlib
         trace = small_trace()
@@ -60,9 +52,6 @@ class TestSymbolicTrace:
                                offsets=wide[::2].copy(),
                                writes=np.zeros(6, np.int8))
         assert strided.content_token() == packed.content_token()
-
-    def test_concat_empty(self):
-        assert len(SymbolicTrace.concat([])) == 0
 
     def test_write_fraction(self):
         assert small_trace().write_fraction() == pytest.approx(1 / 3)

@@ -42,8 +42,8 @@ def _faulting_metrics():
 
 
 #: Registry series a serviced guest fault feeds.
-_FAULT_SERIES = ("fault.kind", "fault.latency_cycles",
-                 "kernel.fault.serviced", "kernel.reclaim.pages_swapped_in")
+_FAULT_SERIES = ("fault.kind", "kernel.fault.serviced",
+                 "kernel.reclaim.pages_swapped_in")
 
 
 def _fault_observations(engine: str) -> dict:
@@ -76,8 +76,8 @@ def _fault_observations(engine: str) -> dict:
 class TestFaultObservations:
     def test_batch_delivery_observes_like_the_scalar_loops(self, obs_enabled):
         # Pre-delivery's batch pass records every serviced fault as the
-        # per-fault path does: same counters, same latency histogram,
-        # same fault-service instants in the same order.
+        # per-fault path does: same counters, same fault-service
+        # instants in the same order.
         scalar = _fault_observations("scalar")
         fast = _fault_observations("fast")
         assert fast["accepted"] == 3 and scalar["accepted"] == 0
@@ -109,10 +109,12 @@ class TestBitIdentical:
         on = _faulting_metrics()
         assert json.dumps(on, sort_keys=True) \
             == json.dumps(off, sort_keys=True)
-        latency = [k for k in core.REGISTRY.histograms
-                   if k.startswith("fault.latency_cycles")]
-        assert latency, "serviced faults must land in the latency histogram"
-        assert core.REGISTRY.histograms[latency[0]].count == on["faults"]
+        # Every serviced fault is observed exactly once, by kind.
+        kinds = [counter.value for key, counter
+                 in core.REGISTRY.counters.items()
+                 if key.startswith("fault.kind")]
+        assert kinds, "serviced faults must be counted by kind"
+        assert sum(kinds) == on["faults"]
 
     def test_parallel_sweep_with_workers_observed(self, tmp_path,
                                                   monkeypatch):

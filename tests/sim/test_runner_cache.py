@@ -117,3 +117,34 @@ class TestCacheCounters:
         warm.run_pairs(pairs=PAIRS, workers=2, resume=False)
         assert warm.resilience.cache_hits == len(PAIRS) * 7
         assert warm.resilience.cache_misses == 0
+
+
+class TestPreparedRelease:
+    """A serial sweep holds one pair's graph and trace at a time."""
+
+    PAIRS = [("bfs", "FR"), ("pagerank", "FR"), ("cf", "NF")]
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_one_prepared_pair(self, tmp_path, monkeypatch, cache):
+        runner = bench_runner(cache_dir=str(tmp_path) if cache else None)
+        held, tokens = [], {}
+        prepare = ExperimentRunner.prepare
+
+        def counting_prepare(self, workload, dataset):
+            prepared = prepare(self, workload, dataset)
+            held.append(len(self._prepared))
+            tokens[workload, dataset] = prepared.result.trace.content_token()
+            return prepared
+
+        monkeypatch.setattr(ExperimentRunner, "prepare", counting_prepare)
+        runner.run_pairs(pairs=self.PAIRS,
+                         config_names=["conv_4k", "dvm_pe"])
+        assert len(held) == len(self.PAIRS) * 2
+        assert max(held) == 1
+        # The last pair stays prepared; an earlier one is rebuilt (or
+        # reopened from the trace cache) with the same trace.
+        last = runner._prepared[self.PAIRS[-1]]
+        assert prepare(runner, *self.PAIRS[-1]) is last
+        first = self.PAIRS[0]
+        again = prepare(runner, *first)
+        assert again.result.trace.content_token() == tokens[first]
